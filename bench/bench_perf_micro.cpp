@@ -404,12 +404,13 @@ void BM_UncleDistanceDistribution(benchmark::State& state) {
 }
 BENCHMARK(BM_UncleDistanceDistribution)->Unit(benchmark::kMillisecond);
 
-/// Raw event-queue throughput (src/net): a Poisson-ish workload that keeps
-/// ~1k events in flight, interleaving pushes and pops the way the network
-/// simulator does. The events_per_sec counter is the number the net sweeps
-/// are gated on -- a 100k-block complete-graph run moves tens of millions of
-/// events through this heap.
-void BM_EventQueueThroughput(benchmark::State& state) {
+/// Raw event-queue throughput (src/net) with ~1k events in flight,
+/// interleaving pushes and pops the way the network simulator does; `delay`
+/// draws each event's time after the one just popped (after 0 for the
+/// initial fill). A queue micro-benchmark only: no gate or sweep reads it,
+/// and whole net runs are timed by BM_NetSimRealistic.
+template <typename Delay>
+void event_queue_throughput(benchmark::State& state, Delay delay) {
   ethsm::net::EventQueue<std::uint64_t> queue;
   ethsm::support::Xoshiro256 rng(42);
   constexpr int kInFlight = 1'000;
@@ -418,20 +419,36 @@ void BM_EventQueueThroughput(benchmark::State& state) {
     queue.reset();
     double now = 0.0;
     for (int i = 0; i < kInFlight; ++i) {
-      queue.push(rng.exponential(1.0), static_cast<std::uint64_t>(i));
+      queue.push(delay(rng), static_cast<std::uint64_t>(i));
     }
     for (int i = 0; i < 20'000; ++i) {
       const auto entry = queue.pop();
       now = entry.time;
       benchmark::DoNotOptimize(entry.payload);
-      queue.push(now + rng.exponential(1.0), entry.payload);
+      queue.push(now + delay(rng), entry.payload);
     }
     ops += 20'000 + kInFlight;
   }
   state.counters["events_per_sec"] = benchmark::Counter(
       static_cast<double>(ops), benchmark::Counter::kIsRate);
 }
+
+/// Exponential delays: events arrive in random order, so many pushes take
+/// the heap lane.
+void BM_EventQueueThroughput(benchmark::State& state) {
+  event_queue_throughput(state, [](ethsm::support::Xoshiro256& rng) {
+    return rng.exponential(1.0);
+  });
+}
 BENCHMARK(BM_EventQueueThroughput)->Unit(benchmark::kMillisecond);
+
+/// Fixed delay, as on fixed-latency links: every push lands in order (the
+/// FIFO lane).
+void BM_EventQueueThroughputFixedDelay(benchmark::State& state) {
+  event_queue_throughput(state,
+                         [](ethsm::support::Xoshiro256&) { return 1.0; });
+}
+BENCHMARK(BM_EventQueueThroughputFixedDelay)->Unit(benchmark::kMillisecond);
 
 /// End-to-end network-simulator throughput: one 10k-block run on the default
 /// zero-latency complete graph, reporting both blocks and discrete events per
@@ -457,6 +474,30 @@ void BM_NetSimulatorEventsPerSec(benchmark::State& state) {
       static_cast<double>(blocks), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_NetSimulatorEventsPerSec)->Unit(benchmark::kMillisecond);
+
+/// One run as the artefact's `net_faults` cell makes it (alpha 0.3, 30k
+/// blocks, 12 honest nodes, fixed:140 links, 5% drop, 70000:14000 churn; the
+/// cell's first seed). Unlike the 0 ms run above, every message crosses the
+/// event queue, so this is the net engine's cost in the full artefact.
+void BM_NetSimRealistic(benchmark::State& state) {
+  ethsm::net::NetSimConfig config;
+  config.alpha = 0.3;
+  config.honest_nodes = 12;
+  config.latency = ethsm::net::parse_latency_spec("fixed:140");
+  config.faults.drop = 0.05;
+  config.faults.churn = ethsm::net::parse_churn_spec("70000:14000");
+  config.num_blocks = 30'000;
+  config.seed = ethsm::support::derive_seed(0x9e7ca57ULL, 0);
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    const auto result = ethsm::net::run_net_simulation(config);
+    events += result.events_processed;
+    benchmark::DoNotOptimize(result.race_samples);
+  }
+  state.counters["events_per_sec"] = benchmark::Counter(
+      static_cast<double>(events), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_NetSimRealistic)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

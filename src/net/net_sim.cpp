@@ -73,7 +73,7 @@ class Engine {
       // The attacker (node 0) never churns; Algorithm 1 assumes the pool is
       // always online. Each honest node's first crash is one mean uptime out.
       for (std::uint32_t v = 1; v < n_; ++v) {
-        queue_.push(faults_.sample_uptime_ms(v), churn_msg(v));
+        queue_.push_timer(faults_.sample_uptime_ms(v), churn_msg(v));
       }
     }
     schedule_next_mine(0.0);
@@ -119,15 +119,17 @@ class Engine {
     return cfg;
   }
 
+  /// Mining and churn events are timers (EventQueue::push_timer): they are
+  /// scheduled far ahead and would otherwise knock gossip off the FIFO lane.
   void schedule_next_mine(double now) {
-    queue_.push(now + rng_.exponential(1.0 / kBlockIntervalMs), Msg{});
+    queue_.push_timer(now + rng_.exponential(1.0 / kBlockIntervalMs), Msg{});
   }
 
   /// Sends a message over the (src, dst) link, whose latency model the
   /// caller passes (senders are always iterating an adjacency list or
   /// answering a message that carries its link). Zero-latency draws dispatch
   /// inline (depth-first) -- see the header comment for why that is the
-  /// rushing-attacker limit -- positive latencies go through the heap.
+  /// rushing-attacker limit -- positive latencies go through the event queue.
   void send(MsgType type, std::uint32_t src, std::uint32_t dst, BlockId b,
             double now, const LatencySpec& latency) {
     double extra_delay = 0.0;
@@ -252,10 +254,10 @@ class Engine {
       // The crash loses the orphan buffer; known_ survives (the node keeps
       // its chain database) and gaps re-sync via the parent-fetch path.
       pending_[v].clear();
-      queue_.push(now + faults_.sample_downtime_ms(v), churn_msg(v));
+      queue_.push_timer(now + faults_.sample_downtime_ms(v), churn_msg(v));
     } else {
       down_[v] = 0;
-      queue_.push(now + faults_.sample_uptime_ms(v), churn_msg(v));
+      queue_.push_timer(now + faults_.sample_uptime_ms(v), churn_msg(v));
     }
   }
 

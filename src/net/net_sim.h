@@ -18,7 +18,10 @@
 //     duplicate announces/delivers are suppressed, out-of-order deliveries
 //     wait for their parent;
 //   * deterministic discrete events on an EventQueue with stable (time, seq)
-//     ordering. Messages over ZERO-latency links are dispatched inline
+//     ordering (net/event_queue.h): gossip sent in arrival order rides its
+//     O(1) FIFO lane, out-of-order sends and the self-scheduled mine and
+//     churn timers its heap lane, and the pop order is the single-heap order
+//     either way. Messages over ZERO-latency links are dispatched inline
 //     (depth-first) within the sending event: with 0 ms links the network
 //     degenerates to the paper's aggregate model where the attacker rushes --
 //     it hears a racing honest block and floods its match within the same

@@ -8,6 +8,8 @@
 
 #include "net/faults.h"
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -157,6 +159,19 @@ std::vector<double> fingerprint(const NetMultiRunSummary& s) {
   return out;
 }
 
+/// Pid- and counter-qualified temporary directory: ctest -j runs these cases
+/// in ethsm_tests and in the net- and faults-labelled filters at once, and a
+/// shared name would let one process delete the other's checkpoints.
+std::string resume_dir() {
+  static int counter = 0;
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) /
+      ("ethsm_fault_resume_" + std::to_string(::getpid()) + "_" +
+       std::to_string(counter++));
+  std::filesystem::remove_all(dir);
+  return dir.string();
+}
+
 class NetFaultDeterminism : public ::testing::Test {
  protected:
   void TearDown() override {
@@ -212,11 +227,9 @@ TEST_F(NetFaultDeterminism, FaultedInterruptedResumeIsBitwiseIdentical) {
   constexpr int kRuns = 5;
   const auto fresh = fingerprint(run_net_many(config, kRuns));
 
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / "ethsm_fault_resume";
-  std::filesystem::remove_all(dir);
+  const std::string dir = resume_dir();
   support::SweepCheckpoint checkpoint;
-  checkpoint.directory = dir.string();
+  checkpoint.directory = dir;
 
   support::SweepCheckpoint budgeted = checkpoint;
   budgeted.max_new_jobs = 2;

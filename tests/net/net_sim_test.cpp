@@ -12,6 +12,8 @@
 //     crossings at every leaf, so gamma -> 0 and revenue must match the
 //     gamma = 0 Markov prediction.
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -45,6 +47,19 @@ class NetSimTest : public ::testing::Test {
     return config;
   }
 };
+
+/// Pid- and counter-qualified temporary directory: ctest -j runs these cases
+/// in ethsm_tests and in the net-labelled filter at the same time, and a
+/// shared name would let one process delete the other's checkpoints.
+std::string resume_dir() {
+  static int counter = 0;
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) /
+      ("ethsm_net_resume_" + std::to_string(::getpid()) + "_" +
+       std::to_string(counter++));
+  std::filesystem::remove_all(dir);
+  return dir.string();
+}
 
 void append_stats(std::vector<double>& out, const support::RunningStats& s) {
   out.push_back(static_cast<double>(s.count()));
@@ -173,11 +188,9 @@ TEST_F(NetSimTest, NetInterruptedResumeIsBitwiseIdenticalToFresh) {
 
   const auto fresh = fingerprint(run_net_many(config, kRuns));
 
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / "ethsm_net_resume";
-  std::filesystem::remove_all(dir);
+  const std::string dir = resume_dir();
   support::SweepCheckpoint checkpoint;
-  checkpoint.directory = dir.string();
+  checkpoint.directory = dir;
 
   // Interrupt after two jobs, then resume to completion.
   support::SweepCheckpoint budgeted = checkpoint;
