@@ -8,13 +8,12 @@
 // Part 2 prices the flip side: the same uncle generosity subsidises selfish
 // mining (threshold table per schedule).
 //
-//   ./uncle_economics [--checkpoint-dir DIR | --resume]
+//   ./uncle_economics
 
 #include <iostream>
 
 #include "analysis/threshold.h"
 #include "sim/delay_sim.h"
-#include "support/checkpoint.h"
 #include "support/table.h"
 #include "support/thread_pool.h"
 
@@ -47,10 +46,7 @@ double size_advantage(double delay, const rewards::RewardConfig& rewards,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  // --checkpoint-dir/--resume persist the multi-run sweep below, so repeated
-  // explorations reuse finished runs (support/checkpoint.h).
-  const auto cli = support::parse_sweep_cli(argc, argv);
+int main() {
   std::cout << "== Part 1: natural forks in an honest network ==\n\n";
 
   TextTable forks({"delay (block intervals)", "stale/regular", "uncle/regular",
@@ -81,12 +77,7 @@ int main(int argc, char** argv) {
   ci_config.delay = 0.15;
   ci_config.num_blocks = 30'000;
   ci_config.seed = 42;
-  support::SweepOutcome outcome;
-  const auto many = sim::run_delay_many(ci_config, 4, cli.checkpoint, &outcome);
-  std::cout << "\n";
-  if (!support::report_sweep_progress(std::cout, cli.checkpoint, outcome)) {
-    return 0;  // sharded partial run: never print a 2-of-4-run mean as 4 runs
-  }
+  const auto many = sim::run_delay_many(ci_config, 4);
   std::cout << "\nUncle rate at delay 0.15 over 4 x 30k-block runs ("
             << support::ThreadPool::global().concurrency()
             << " threads): " << TextTable::num(many.uncle_rate.mean(), 4)

@@ -28,6 +28,14 @@ std::uint64_t point_seed(const RevenueCurveOptions& options, double alpha) {
                               static_cast<std::uint64_t>(alpha * 1e6));
 }
 
+std::vector<double> curve_alphas(const RevenueCurveOptions& options) {
+  return options.alphas.empty() ? fig8_alpha_grid() : options.alphas;
+}
+
+std::vector<double> curve_gammas(const ThresholdCurveOptions& options) {
+  return options.gammas.empty() ? fig10_gamma_grid() : options.gammas;
+}
+
 void mix_grid(support::Fingerprint& fp, const std::vector<double>& grid) {
   fp.mix(static_cast<std::uint64_t>(grid.size()));
   for (double x : grid) fp.mix(x);
@@ -62,8 +70,7 @@ std::uint64_t revenue_sim_fingerprint(const RevenueCurveOptions& options,
 
 std::vector<std::uint64_t> revenue_curve_fingerprints(
     const RevenueCurveOptions& options) {
-  const std::vector<double> alphas =
-      options.alphas.empty() ? fig8_alpha_grid() : options.alphas;
+  const std::vector<double> alphas = curve_alphas(options);
   std::vector<std::uint64_t> fps{revenue_markov_fingerprint(options, alphas)};
   if (options.sim_runs > 0) {
     fps.push_back(revenue_sim_fingerprint(options, alphas));
@@ -73,8 +80,7 @@ std::vector<std::uint64_t> revenue_curve_fingerprints(
 
 std::uint64_t threshold_curve_fingerprint(
     const ThresholdCurveOptions& options) {
-  const std::vector<double> gammas =
-      options.gammas.empty() ? fig10_gamma_grid() : options.gammas;
+  const std::vector<double> gammas = curve_gammas(options);
   support::Fingerprint fp;
   fp.mix("threshold_curve/v1");
   fp.mix(rewards::sweep_fingerprint(options.rewards));
@@ -88,13 +94,13 @@ std::uint64_t threshold_curve_fingerprint(
 
 std::vector<RevenuePoint> revenue_curve(const RevenueCurveOptions& options,
                                         support::SweepOutcome* outcome) {
-  const std::vector<double> alphas =
-      options.alphas.empty() ? fig8_alpha_grid() : options.alphas;
+  const std::vector<double> alphas = curve_alphas(options);
+  // {Markov key[, simulation key when sim_runs > 0]}.
+  const std::vector<std::uint64_t> keys = revenue_curve_fingerprints(options);
 
   // Markov analysis: one independent job per alpha.
   const auto markov = support::run_checkpointed<RevenuePoint>(
-      options.checkpoint, revenue_markov_fingerprint(options, alphas),
-      alphas.size(),
+      options.checkpoint, outcome, keys[0], alphas.size(),
       [&](std::size_t i) {
         const double alpha = alphas[i];
         RevenuePoint point;
@@ -121,9 +127,6 @@ std::vector<RevenuePoint> revenue_curve(const RevenueCurveOptions& options,
     }
   }
 
-  bool complete = markov.complete();
-  support::SweepOutcome combined = markov.outcome;
-
   // Monte-Carlo cross-checks: fan out over (alpha x run) jobs, the finest
   // granularity available, so a 19-alpha x 10-run sweep keeps every core
   // busy. Per-run seeds replicate the serial run_many chain exactly and the
@@ -132,7 +135,7 @@ std::vector<RevenuePoint> revenue_curve(const RevenueCurveOptions& options,
   // resume/shard splits. The sim fingerprint excludes the scenario: per-run
   // results do not depend on it (it only weighs the aggregation), so records
   // are shared across scenario changes.
-  if (options.sim_runs > 0) {
+  if (keys.size() > 1) {
     struct SimJob {
       std::size_t point_index = 0;
       int run = 0;
@@ -145,8 +148,7 @@ std::vector<RevenuePoint> revenue_curve(const RevenueCurveOptions& options,
     }
 
     const auto sims = support::run_checkpointed<sim::SimResult>(
-        options.checkpoint, revenue_sim_fingerprint(options, alphas),
-        jobs.size(), [&](std::size_t j) {
+        options.checkpoint, outcome, keys[1], jobs.size(), [&](std::size_t j) {
           const SimJob& job = jobs[j];
           sim::SimConfig sim_config;
           sim_config.alpha = alphas[job.point_index];
@@ -182,26 +184,19 @@ std::vector<RevenuePoint> revenue_curve(const RevenueCurveOptions& options,
           sum.honest_revenue(options.scenario).ci_halfwidth();
     }
     ETHSM_ENSURES(j == sims.results.size(), "sim job accounting mismatch");
-    complete = complete && sims.complete();
-    combined.merge(sims.outcome);
   }
-
-  ETHSM_EXPECTS(outcome != nullptr || complete,
-                "incomplete sharded/budgeted sweep: pass a SweepOutcome to "
-                "consume partial curves");
-  if (outcome != nullptr) outcome->merge(combined);
   return curve;
 }
 
 std::vector<ThresholdPoint> threshold_curve(const ThresholdCurveOptions& options,
                                             support::SweepOutcome* outcome) {
-  const std::vector<double> gammas =
-      options.gammas.empty() ? fig10_gamma_grid() : options.gammas;
+  const std::vector<double> gammas = curve_gammas(options);
 
   // One job per gamma; each runs two bisections (both difficulty scenarios)
   // that share nothing across gammas.
   const auto sweep = support::run_checkpointed<ThresholdPoint>(
-      options.checkpoint, threshold_curve_fingerprint(options), gammas.size(),
+      options.checkpoint, outcome, threshold_curve_fingerprint(options),
+      gammas.size(),
       [&](std::size_t i) {
         const double gamma = gammas[i];
         ThresholdPoint point;
@@ -217,9 +212,6 @@ std::vector<ThresholdPoint> threshold_curve(const ThresholdCurveOptions& options
                                     options.threshold);
         return point;
       });
-  ETHSM_EXPECTS(outcome != nullptr || sweep.complete(),
-                "incomplete sharded/budgeted sweep: pass a SweepOutcome to "
-                "consume partial curves");
 
   std::vector<ThresholdPoint> curve(gammas.size());
   for (std::size_t i = 0; i < gammas.size(); ++i) {
@@ -229,7 +221,6 @@ std::vector<ThresholdPoint> threshold_curve(const ThresholdCurveOptions& options
       curve[i].gamma = gammas[i];
     }
   }
-  if (outcome != nullptr) outcome->merge(sweep.outcome);
   return curve;
 }
 

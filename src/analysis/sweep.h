@@ -1,4 +1,5 @@
-// Parameter-sweep drivers shared by the bench regenerators, the examples and
+// Parameter-sweep drivers behind the paper's Markov figures (the revenue and
+// threshold experiment kinds of api::run), also called by the examples and
 // the integration tests. Each function computes one of the paper's series.
 
 #ifndef ETHSM_ANALYSIS_SWEEP_H

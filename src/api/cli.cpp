@@ -1080,40 +1080,4 @@ int cli_main(int argc, char** argv) {
   }
 }
 
-int legacy_bench_main(const char* preset_name, int argc, char** argv) {
-  try {
-    const auto cli = support::parse_sweep_cli(argc, argv);
-    const Preset* preset = find_preset(preset_name);
-    if (preset == nullptr) {
-      std::fprintf(stderr, "error: unknown preset %s\n", preset_name);
-      return 1;
-    }
-    const ExperimentSpec spec = preset->spec(cli.quick);
-
-    std::cout << "== " << spec.title << " ==\n"
-              << "   sweep threads: "
-              << support::ThreadPool::global().concurrency()
-              << " (override with ETHSM_THREADS)\n";
-
-    RunOptions options;
-    options.checkpoint = cli.checkpoint;
-    ExperimentResult result = run(spec, options);
-    result.spec.title.clear();  // the header above already printed it
-    render_text(result, std::cout);
-    if (!result.complete()) return 0;
-
-    const std::string csv = render_csv(result);
-    if (!csv.empty() && !preset->csv_filename.empty()) {
-      std::ofstream out(preset->csv_filename);
-      if (out && (out << csv)) {
-        std::cout << "Series written to " << preset->csv_filename << "\n";
-      }
-    }
-    return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
-}
-
 }  // namespace ethsm::api

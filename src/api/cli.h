@@ -1,4 +1,4 @@
-// The `ethsm` command-line interface and the thin legacy bench wrappers.
+// The `ethsm` command-line interface.
 //
 //   ethsm list
 //   ethsm print <preset> [--quick] [--set key=value ...]
@@ -18,7 +18,7 @@
 //                                          the run's --set overrides too, as
 //                                          they change sweep fingerprints)
 //
-// Environment fallbacks as the historical bench CLI: ETHSM_CHECKPOINT_DIR,
+// Environment fallbacks: ETHSM_CHECKPOINT_DIR,
 // ETHSM_SHARD (flags win). Exit codes: 0 success, 1 runtime failure, 2 usage.
 
 #ifndef ETHSM_API_CLI_H
@@ -28,14 +28,6 @@ namespace ethsm::api {
 
 /// Entry point of the `ethsm` binary.
 [[nodiscard]] int cli_main(int argc, char** argv);
-
-/// Entry point of a legacy bench regenerator: parses the historical sweep CLI
-/// (--quick/--checkpoint-dir/--resume/--shard), runs the named preset through
-/// run(spec), renders the text tables to stdout and writes the preset's CSV
-/// side-file -- i.e. `bench_fig8_revenue [flags]` behaves like
-/// `ethsm run fig8 [flags]` plus the historical CSV artefact.
-[[nodiscard]] int legacy_bench_main(const char* preset_name, int argc,
-                                    char** argv);
 
 }  // namespace ethsm::api
 

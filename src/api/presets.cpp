@@ -10,9 +10,8 @@ namespace ethsm::api {
 
 namespace {
 
-// Every preset reproduces its legacy bench regenerator's options exactly --
-// the preset-vs-driver equivalence tests assert the resulting series
-// bitwise-match calling the drivers the way the old bench mains did.
+// The preset-vs-driver equivalence tests pin each preset's series bitwise
+// against calling the sweep drivers directly with the same options.
 
 ExperimentSpec fig8_spec(bool quick) {
   ExperimentSpec spec;
@@ -182,30 +181,30 @@ ExperimentSpec delay_network_spec(bool quick) {
 const std::vector<Preset>& presets() {
   static const std::vector<Preset> kPresets = {
       {"fig8", "Revenue vs alpha from Markov analysis + simulation (Fig. 8)",
-       &fig8_spec, "fig8_revenue.csv"},
+       &fig8_spec},
       {"fig9", "Revenue under different uncle-reward schedules (Fig. 9)",
-       &fig9_spec, "fig9_uncle_reward.csv"},
+       &fig9_spec},
       {"fig10", "Profitability threshold vs gamma, BTC vs ETH (Fig. 10)",
-       &fig10_spec, "fig10_threshold.csv"},
+       &fig10_spec},
       {"table1", "Mining-reward inventory, Ethereum vs Bitcoin (Table I)",
-       &table1_spec, "table1_rewards.csv"},
+       &table1_spec},
       {"table2", "Uncle referencing-distance distribution (Table II)",
-       &table2_spec, "table2_uncle_distance.csv"},
+       &table2_spec},
       {"sec6_reward_design",
        "Uncle-reward redesign vs selfish-mining resistance (Sec. VI)",
-       &sec6_spec, "sec6_reward_design.csv"},
+       &sec6_spec},
       {"ext_stubborn", "Stubborn-mining variants under uncle rewards",
-       &ext_stubborn_spec, "ext_stubborn.csv"},
+       &ext_stubborn_spec},
       {"ext_timeline", "Wall-clock time-to-profit of the attack",
-       &ext_timeline_spec, "ext_timeline.csv"},
+       &ext_timeline_spec},
       {"ext_difficulty", "Attack under live difficulty retargeting",
-       &ext_difficulty_spec, "ext_difficulty.csv"},
+       &ext_difficulty_spec},
       {"delay_network", "Natural fork/uncle rates in an honest delay network",
-       &delay_network_spec, "delay_network.csv"},
+       &delay_network_spec},
       {"net_gamma", "Endogenous gamma measured on a P2P topology (src/net)",
-       &net_gamma_spec, "net_gamma.csv"},
+       &net_gamma_spec},
       {"net_faults", "Endogenous gamma under message loss and node churn",
-       &net_faults_spec, "net_faults.csv"},
+       &net_faults_spec},
   };
   return kPresets;
 }

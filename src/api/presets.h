@@ -1,7 +1,7 @@
 // Named experiment presets: every paper figure/table plus the extension
-// studies, expressed as ExperimentSpecs. `ethsm run fig8` and the bench
-// regenerator binaries both resolve through this registry, and the
-// checkpoint GC keeps exactly the sweep fingerprints these presets reference.
+// studies, expressed as ExperimentSpecs. `ethsm run fig8`, `ethsm run --all`
+// and the results daemon resolve through this registry, and the checkpoint
+// GC keeps exactly the sweep fingerprints these presets reference.
 
 #ifndef ETHSM_API_PRESETS_H
 #define ETHSM_API_PRESETS_H
@@ -19,8 +19,6 @@ struct Preset {
   std::string description;  ///< one line for `ethsm list`
   /// Spec builder; quick = smaller grids / fewer runs (CI and smoke tests).
   ExperimentSpec (*spec)(bool quick);
-  /// Side-file the legacy bench wrapper writes its CSV series to.
-  std::string csv_filename;
 };
 
 /// All registered presets, in display order.

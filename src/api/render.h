@@ -19,8 +19,8 @@ enum class OutputFormat { table, csv, json };
 
 /// Human-readable rendering: title, checkpoint progress (when enabled),
 /// every table, then the notes. On an incomplete sweep the tables and notes
-/// are suppressed (the partial-sweep contract of report_sweep_progress) and
-/// only the progress summary is printed.
+/// are suppressed -- a sharded process never prints a partial curve as if it
+/// were the merged result -- and only the progress summary is printed.
 void render_text(const ExperimentResult& result, std::ostream& os);
 
 /// CSV of result.tables[result.csv_table]: numeric headers as-is, missing

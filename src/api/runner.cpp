@@ -96,12 +96,9 @@ std::vector<double> resolved_delays(const ExperimentSpec& spec) {
 }
 
 // --------------------------------------------------------- option builders --
-// Shared by run() and sweep_fingerprints() so the fingerprints the GC keeps
-// are exactly the ones the runner's sweeps key their records by.
 
-analysis::RevenueCurveOptions revenue_options(
-    const ExperimentSpec& spec, const SeriesSpec& series,
-    const support::SweepCheckpoint& checkpoint) {
+analysis::RevenueCurveOptions revenue_options(const ExperimentSpec& spec,
+                                              const SeriesSpec& series) {
   analysis::RevenueCurveOptions opt;
   opt.gamma = spec.gamma;
   opt.rewards = parse_reward_spec(series.rewards);
@@ -111,20 +108,6 @@ analysis::RevenueCurveOptions revenue_options(
   opt.sim_runs = spec.sim_runs;
   opt.sim_blocks = spec.sim_blocks;
   opt.sim_seed = spec.sim_seed;
-  opt.checkpoint = checkpoint;
-  return opt;
-}
-
-analysis::ThresholdCurveOptions threshold_options(
-    const ExperimentSpec& spec, const support::SweepCheckpoint& checkpoint) {
-  analysis::ThresholdCurveOptions opt;
-  opt.rewards = parse_reward_spec(spec.rewards);
-  opt.gammas = spec.gammas;
-  opt.threshold.alpha_min = spec.alpha_min;
-  opt.threshold.alpha_max = spec.alpha_max;
-  opt.threshold.tolerance = spec.tolerance;
-  opt.threshold.max_lead = spec.threshold_max_lead;
-  opt.checkpoint = checkpoint;
   return opt;
 }
 
@@ -138,67 +121,132 @@ analysis::ThresholdOptions threshold_search_options(
   return opt;
 }
 
-sim::SimConfig uncle_distance_sim_config(const ExperimentSpec& spec,
-                                         double alpha) {
-  sim::SimConfig config;
-  config.alpha = alpha;
-  config.gamma = spec.gamma;
-  config.num_blocks = spec.sim_blocks;
-  config.seed = spec.sim_seed;
-  config.rewards = parse_reward_spec(spec.rewards);
-  return config;
+analysis::ThresholdCurveOptions threshold_options(const ExperimentSpec& spec) {
+  analysis::ThresholdCurveOptions opt;
+  opt.rewards = parse_reward_spec(spec.rewards);
+  opt.gammas = spec.gammas;
+  opt.threshold = threshold_search_options(spec);
+  return opt;
 }
 
-/// Per-alpha seed chain of the stubborn bench: master + round(alpha * 1e4).
-sim::SimConfig stubborn_sim_config(const ExperimentSpec& spec, double alpha) {
-  sim::SimConfig config;
-  config.alpha = alpha;
-  config.gamma = spec.gamma;
-  config.num_blocks = spec.sim_blocks;
-  config.seed = spec.sim_seed + static_cast<std::uint64_t>(alpha * 1e4);
-  config.rewards = parse_reward_spec(spec.rewards);
-  return config;
-}
-
-/// Simulation-only kinds have no analysis fallback, so sim_runs = 0 (the
-/// spec default, meaning "no cross-check" for the curve kinds) clamps to one
-/// run instead of tripping the drivers' runs > 0 precondition.
+/// Runs per simulated point, for every sweep list below. Simulation-only
+/// kinds have no analysis fallback, so sim_runs = 0 (the spec default,
+/// meaning "no cross-check" for the curve kinds) clamps to one run instead of
+/// tripping the drivers' runs > 0 precondition.
 int simulation_runs(const ExperimentSpec& spec) {
   return std::max(spec.sim_runs, 1);
 }
 
-sim::DelaySimConfig delay_sim_config(const ExperimentSpec& spec,
-                                     double delay) {
-  sim::DelaySimConfig config;
-  config.shares = spec.shares;
-  config.delay = delay;
-  config.num_blocks = spec.sim_blocks;
-  config.seed = spec.sim_seed;
-  config.rewards = parse_reward_spec(spec.rewards);
-  return config;
-}
+// ------------------------------------------------------------ sweep lists --
+// One list per kind names every checkpointed sweep the kind runs, in run
+// order: the grid and series it resolves, alpha x series nesting, the
+// sim_runs gate and the clean baseline of a faulted net spec are decided
+// here; every simulated sweep runs simulation_runs(spec) seeded copies.
+// run_<kind> executes its list and sweep_fingerprints digests it, so the keys
+// a study manifest lists and the checkpoint GC keeps are exactly the keys the
+// runs write.
 
-net::FaultSpec net_fault_spec(const ExperimentSpec& spec) {
-  net::FaultSpec faults;
-  faults.drop = spec.net_fault_drop;
-  faults.churn = net::parse_churn_spec(spec.net_fault_churn);
-  faults.partition = net::parse_partition_spec(spec.net_fault_partition);
-  faults.eclipse = net::parse_eclipse_spec(spec.net_fault_eclipse);
-  return faults;
-}
+struct StubbornSweep {
+  sim::SimConfig config;
+  miner::StubbornConfig strategy;
+};
 
-net::NetSimConfig net_sim_config(const ExperimentSpec& spec, double alpha) {
+struct NetSweep {
   net::NetSimConfig config;
-  config.alpha = alpha;
-  config.honest_nodes = static_cast<std::uint32_t>(spec.net_nodes);
-  config.topology = net::parse_topology_spec(spec.net_topology);
-  config.latency = net::parse_latency_spec(spec.net_latency);
-  config.relay = net::relay_mode_from_string(spec.net_relay);
-  config.faults = net_fault_spec(spec);
-  config.num_blocks = spec.sim_blocks;
-  config.seed = spec.sim_seed;
-  config.rewards = parse_reward_spec(spec.rewards);
-  return config;
+  bool clean_baseline = false;  ///< fault-free twin of the sweep before it
+};
+
+/// One revenue_curve per series (Markov key, plus the simulation key when
+/// sim_runs > 0 -- that gate lives in analysis::revenue_curve_fingerprints).
+std::vector<analysis::RevenueCurveOptions> revenue_sweeps(
+    const ExperimentSpec& spec) {
+  std::vector<analysis::RevenueCurveOptions> sweeps;
+  for (const SeriesSpec& s : resolved_series(spec)) {
+    sweeps.push_back(revenue_options(spec, s));
+  }
+  return sweeps;
+}
+
+/// One run_many cross-check per alpha, none when sim_runs = 0.
+std::vector<sim::SimConfig> uncle_distance_sweeps(const ExperimentSpec& spec) {
+  std::vector<sim::SimConfig> sweeps;
+  if (spec.sim_runs <= 0) return sweeps;
+  for (double alpha : resolved_alphas(spec)) {
+    sim::SimConfig config;
+    config.alpha = alpha;
+    config.gamma = spec.gamma;
+    config.num_blocks = spec.sim_blocks;
+    config.seed = spec.sim_seed;
+    config.rewards = parse_reward_spec(spec.rewards);
+    sweeps.push_back(config);
+  }
+  return sweeps;
+}
+
+/// One row per alpha, one sweep per series within it: sweeps[a][k] is
+/// variant k at alpha a, run (and keyed) alpha-major.
+std::vector<std::vector<StubbornSweep>> stubborn_sweeps(
+    const ExperimentSpec& spec) {
+  const auto series = resolved_series(spec);
+  std::vector<std::vector<StubbornSweep>> sweeps;
+  for (double alpha : resolved_alphas(spec)) {
+    sim::SimConfig config;
+    config.alpha = alpha;
+    config.gamma = spec.gamma;
+    config.num_blocks = spec.sim_blocks;
+    // Per-alpha seed chain: master + round(alpha * 1e4).
+    config.seed = spec.sim_seed + static_cast<std::uint64_t>(alpha * 1e4);
+    config.rewards = parse_reward_spec(spec.rewards);
+    auto& row = sweeps.emplace_back();
+    for (const SeriesSpec& s : series) {
+      row.push_back({config, parse_strategy_spec(s.strategy)});
+    }
+  }
+  return sweeps;
+}
+
+std::vector<sim::DelaySimConfig> delay_sweeps(const ExperimentSpec& spec) {
+  std::vector<sim::DelaySimConfig> sweeps;
+  for (double delay : resolved_delays(spec)) {
+    sim::DelaySimConfig config;
+    config.shares = spec.shares;
+    config.delay = delay;
+    config.num_blocks = spec.sim_blocks;
+    config.seed = spec.sim_seed;
+    config.rewards = parse_reward_spec(spec.rewards);
+    sweeps.push_back(config);
+  }
+  return sweeps;
+}
+
+/// Per alpha: the spec's sweep, then -- when it injects faults -- a
+/// fault-free baseline with the same seed and topology, so the table can show
+/// what the faults changed. The two carry distinct fingerprints and share the
+/// checkpoint store safely.
+std::vector<NetSweep> net_sweeps(const ExperimentSpec& spec) {
+  std::vector<NetSweep> sweeps;
+  for (double alpha : resolved_alphas(spec)) {
+    net::NetSimConfig config;
+    config.alpha = alpha;
+    config.honest_nodes = static_cast<std::uint32_t>(spec.net_nodes);
+    config.topology = net::parse_topology_spec(spec.net_topology);
+    config.latency = net::parse_latency_spec(spec.net_latency);
+    config.relay = net::relay_mode_from_string(spec.net_relay);
+    config.faults.drop = spec.net_fault_drop;
+    config.faults.churn = net::parse_churn_spec(spec.net_fault_churn);
+    config.faults.partition =
+        net::parse_partition_spec(spec.net_fault_partition);
+    config.faults.eclipse = net::parse_eclipse_spec(spec.net_fault_eclipse);
+    config.num_blocks = spec.sim_blocks;
+    config.seed = spec.sim_seed;
+    config.rewards = parse_reward_spec(spec.rewards);
+    sweeps.push_back({config, false});
+    if (config.faults.any()) {
+      config.faults = net::FaultSpec{};
+      sweeps.push_back({config, true});
+    }
+  }
+  return sweeps;
 }
 
 // ------------------------------------------------------------ kind runners --
@@ -208,10 +256,9 @@ void run_revenue(const ExperimentSpec& spec, const RunOptions& options,
   const auto series = resolved_series(spec);
   support::SweepOutcome outcome;
   std::vector<std::vector<analysis::RevenuePoint>> curves;
-  curves.reserve(series.size());
-  for (const SeriesSpec& s : series) {
-    curves.push_back(analysis::revenue_curve(
-        revenue_options(spec, s, options.checkpoint), &outcome));
+  for (analysis::RevenueCurveOptions opt : revenue_sweeps(spec)) {
+    opt.checkpoint = options.checkpoint;
+    curves.push_back(analysis::revenue_curve(opt, &outcome));
   }
   result.outcome = outcome;
   if (!outcome.complete()) return;
@@ -298,8 +345,9 @@ void run_revenue(const ExperimentSpec& spec, const RunOptions& options,
 void run_threshold(const ExperimentSpec& spec, const RunOptions& options,
                    ExperimentResult& result) {
   support::SweepOutcome outcome;
-  const auto curve = analysis::threshold_curve(
-      threshold_options(spec, options.checkpoint), &outcome);
+  analysis::ThresholdCurveOptions opt = threshold_options(spec);
+  opt.checkpoint = options.checkpoint;
+  const auto curve = analysis::threshold_curve(opt, &outcome);
   result.outcome = outcome;
   if (!outcome.complete()) return;
 
@@ -393,23 +441,21 @@ void run_uncle_distance(const ExperimentSpec& spec, const RunOptions& options,
   }
 
   support::SweepOutcome outcome;
-  std::vector<sim::MultiRunSummary> sims;
-  if (spec.sim_runs > 0) {
-    for (double alpha : alphas) {
-      sims.push_back(sim::run_many(uncle_distance_sim_config(spec, alpha),
-                                   spec.sim_runs, options.checkpoint,
-                                   &outcome));
-    }
+  std::vector<sim::MultiRunSummary> sims;  // one per alpha, or none
+  for (const sim::SimConfig& config : uncle_distance_sweeps(spec)) {
+    sims.push_back(sim::run_many(config, simulation_runs(spec),
+                                 options.checkpoint, &outcome));
   }
   result.outcome = outcome;
   if (!outcome.complete()) return;
+  const bool with_sim = !sims.empty();
 
   ResultTable table;
   table.columns.push_back(Column::make_text("Referencing distance"));
   for (std::size_t a = 0; a < alphas.size(); ++a) {
     const std::string tag = "alpha=" + TextTable::num(alphas[a], 2);
     table.columns.push_back(Column::make_numeric(tag + " (analysis)", 3));
-    if (spec.sim_runs > 0) {
+    if (with_sim) {
       table.columns.push_back(Column::make_numeric(tag + " (sim)", 3));
     }
   }
@@ -419,7 +465,7 @@ void run_uncle_distance(const ExperimentSpec& spec, const RunOptions& options,
     for (std::size_t a = 0; a < alphas.size(); ++a) {
       table.columns[c++].numbers.push_back(
           analysis_side[a].fraction[static_cast<std::size_t>(d)]);
-      if (spec.sim_runs > 0) {
+      if (with_sim) {
         table.columns[c++].numbers.push_back(
             sims[a].uncle_distance_honest.conditional_fraction(
                 static_cast<std::size_t>(d), 1, 6));
@@ -431,7 +477,7 @@ void run_uncle_distance(const ExperimentSpec& spec, const RunOptions& options,
     table.columns[c++].text.push_back("Expectation");
     for (std::size_t a = 0; a < alphas.size(); ++a) {
       table.columns[c++].numbers.push_back(analysis_side[a].expectation);
-      if (spec.sim_runs > 0) {
+      if (with_sim) {
         table.columns[c++].numbers.push_back(
             sims[a].uncle_distance_honest.conditional_mean(1, 6));
       }
@@ -439,7 +485,7 @@ void run_uncle_distance(const ExperimentSpec& spec, const RunOptions& options,
   }
   result.tables.push_back(std::move(table));
 
-  if (spec.sim_runs > 0) {
+  if (with_sim) {
     result.notes.push_back(
         "Pool uncles are always referenced at distance 1 (Remark 5): sim "
         "pool d=1 fraction = " +
@@ -491,22 +537,21 @@ void run_stubborn_sim(const ExperimentSpec& spec, const RunOptions& options,
   const sim::Scenario scenario = scenario_of(spec);
 
   support::SweepOutcome outcome;
-  // revenue[a][k]: pool revenue of variant k at alphas[a].
-  std::vector<std::vector<double>> revenue(
-      alphas.size(), std::vector<double>(series.size(), 0.0));
-  for (std::size_t a = 0; a < alphas.size(); ++a) {
-    const sim::SimConfig config = stubborn_sim_config(spec, alphas[a]);
-    for (std::size_t k = 0; k < series.size(); ++k) {
-      const auto summary = sim::run_stubborn_many(
-          config, parse_strategy_spec(series[k].strategy),
-          simulation_runs(spec), options.checkpoint, &outcome);
-      if (outcome.complete()) {
-        revenue[a][k] = summary.pool_revenue(scenario).mean();
-      }
+  std::vector<std::vector<sim::MultiRunSummary>> summaries;  // [alpha][k]
+  for (const auto& row : stubborn_sweeps(spec)) {
+    auto& out = summaries.emplace_back();
+    for (const StubbornSweep& s : row) {
+      out.push_back(sim::run_stubborn_many(s.config, s.strategy,
+                                           simulation_runs(spec),
+                                           options.checkpoint, &outcome));
     }
   }
   result.outcome = outcome;
   if (!outcome.complete()) return;
+  // Pool revenue of variant k at alphas[a].
+  auto revenue = [&](std::size_t a, std::size_t k) {
+    return summaries[a][k].pool_revenue(scenario).mean();
+  };
 
   ResultTable table;
   table.columns.push_back(Column::make_numeric("alpha", 2));
@@ -521,8 +566,8 @@ void run_stubborn_sim(const ExperimentSpec& spec, const RunOptions& options,
     table.columns[c++].numbers.push_back(alphas[a]);
     std::size_t best = 0;
     for (std::size_t k = 0; k < series.size(); ++k) {
-      table.columns[c++].numbers.push_back(revenue[a][k]);
-      if (revenue[a][k] > revenue[a][best]) best = k;
+      table.columns[c++].numbers.push_back(revenue(a, k));
+      if (revenue(a, k) > revenue(a, best)) best = k;
     }
     table.columns[c].text.push_back(series[best].label);
   }
@@ -627,10 +672,9 @@ void run_delay(const ExperimentSpec& spec, const RunOptions& options,
 
   support::SweepOutcome outcome;
   std::vector<sim::DelayMultiRunSummary> summaries;
-  for (double delay : delays) {
-    summaries.push_back(sim::run_delay_many(delay_sim_config(spec, delay),
-                                            runs, options.checkpoint,
-                                            &outcome));
+  for (const sim::DelaySimConfig& config : delay_sweeps(spec)) {
+    summaries.push_back(
+        sim::run_delay_many(config, runs, options.checkpoint, &outcome));
   }
   result.outcome = outcome;
   if (!outcome.complete()) return;
@@ -661,31 +705,20 @@ void run_delay(const ExperimentSpec& spec, const RunOptions& options,
 void run_net(const ExperimentSpec& spec, const RunOptions& options,
              ExperimentResult& result) {
   const auto alphas = resolved_alphas(spec);
-  const int runs = simulation_runs(spec);
   const sim::Scenario scenario = scenario_of(spec);
   const auto rewards_config = parse_reward_spec(spec.rewards);
 
-  // With faults enabled every alpha also runs a fault-free baseline (same
-  // seed, same topology), so the table can show what the faults changed; the
-  // two sweeps carry distinct fingerprints and share the checkpoint safely.
-  const bool faulted = net_fault_spec(spec).any();
   support::SweepOutcome outcome;
   std::vector<net::NetMultiRunSummary> summaries;
-  std::vector<net::NetMultiRunSummary> clean;
-  for (double alpha : alphas) {
-    summaries.push_back(net::run_net_many(net_sim_config(spec, alpha), runs,
-                                          options.checkpoint, &outcome));
-  }
-  if (faulted) {
-    for (double alpha : alphas) {
-      net::NetSimConfig config = net_sim_config(spec, alpha);
-      config.faults = net::FaultSpec{};
-      clean.push_back(
-          net::run_net_many(config, runs, options.checkpoint, &outcome));
-    }
+  std::vector<net::NetMultiRunSummary> clean;  // one per alpha when faulted
+  for (const NetSweep& s : net_sweeps(spec)) {
+    (s.clean_baseline ? clean : summaries)
+        .push_back(net::run_net_many(s.config, simulation_runs(spec),
+                                     options.checkpoint, &outcome));
   }
   result.outcome = outcome;
   if (!outcome.complete()) return;
+  const bool faulted = !clean.empty();
 
   // Headline: the measured-gamma curve against the Markov model evaluated
   // both at the measured gamma (does the aggregate theory predict the
@@ -851,57 +884,40 @@ ExperimentResult run(const ExperimentSpec& spec, const RunOptions& options) {
 }
 
 std::vector<std::uint64_t> sweep_fingerprints(const ExperimentSpec& spec) {
+  const int runs = simulation_runs(spec);
   std::vector<std::uint64_t> fps;
-  const support::SweepCheckpoint no_checkpoint;
   switch (spec.kind) {
     case ExperimentKind::revenue:
-      for (const SeriesSpec& s : resolved_series(spec)) {
-        for (std::uint64_t fp : analysis::revenue_curve_fingerprints(
-                 revenue_options(spec, s, no_checkpoint))) {
-          fps.push_back(fp);
-        }
+      for (const auto& opt : revenue_sweeps(spec)) {
+        const auto keys = analysis::revenue_curve_fingerprints(opt);
+        fps.insert(fps.end(), keys.begin(), keys.end());
       }
       break;
     case ExperimentKind::threshold:
-      fps.push_back(analysis::threshold_curve_fingerprint(
-          threshold_options(spec, no_checkpoint)));
+      fps.push_back(
+          analysis::threshold_curve_fingerprint(threshold_options(spec)));
       break;
     case ExperimentKind::uncle_distance:
-      if (spec.sim_runs > 0) {
-        for (double alpha : resolved_alphas(spec)) {
-          fps.push_back(sim::run_many_fingerprint(
-              uncle_distance_sim_config(spec, alpha), spec.sim_runs));
-        }
+      for (const sim::SimConfig& config : uncle_distance_sweeps(spec)) {
+        fps.push_back(sim::run_many_fingerprint(config, runs));
       }
       break;
     case ExperimentKind::stubborn_sim:
-      for (double alpha : resolved_alphas(spec)) {
-        const sim::SimConfig config = stubborn_sim_config(spec, alpha);
-        for (const SeriesSpec& s : resolved_series(spec)) {
-          fps.push_back(sim::run_stubborn_many_fingerprint(
-              config, parse_strategy_spec(s.strategy),
-              simulation_runs(spec)));
+      for (const auto& row : stubborn_sweeps(spec)) {
+        for (const StubbornSweep& s : row) {
+          fps.push_back(
+              sim::run_stubborn_many_fingerprint(s.config, s.strategy, runs));
         }
       }
       break;
     case ExperimentKind::delay:
-      for (double delay : resolved_delays(spec)) {
-        fps.push_back(sim::run_delay_many_fingerprint(
-            delay_sim_config(spec, delay), simulation_runs(spec)));
+      for (const sim::DelaySimConfig& config : delay_sweeps(spec)) {
+        fps.push_back(sim::run_delay_many_fingerprint(config, runs));
       }
       break;
     case ExperimentKind::net:
-      for (double alpha : resolved_alphas(spec)) {
-        net::NetSimConfig config = net_sim_config(spec, alpha);
-        fps.push_back(
-            net::run_net_many_fingerprint(config, simulation_runs(spec)));
-        if (config.faults.any()) {
-          // Faulted runs also sweep a clean baseline (run_net); keep its
-          // records alive across checkpoint GC.
-          config.faults = net::FaultSpec{};
-          fps.push_back(
-              net::run_net_many_fingerprint(config, simulation_runs(spec)));
-        }
+      for (const NetSweep& s : net_sweeps(spec)) {
+        fps.push_back(net::run_net_many_fingerprint(s.config, runs));
       }
       break;
     case ExperimentKind::reward_design:

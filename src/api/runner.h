@@ -1,9 +1,9 @@
 // run(spec): the single entry point executing any ExperimentSpec by
 // dispatching to the library's sweep drivers (analysis::revenue_curve,
-// analysis::threshold_curve, sim::run_many and friends). The bench
-// regenerators, the `ethsm` CLI and the tests all go through here; for every
+// analysis::threshold_curve, sim::run_many and friends). The `ethsm` CLI,
+// the results daemon and the tests all go through here; for every
 // paper preset the produced series are bitwise-identical to calling the
-// legacy drivers directly (asserted by tests/api/preset_equivalence_test).
+// drivers directly (asserted by tests/api/preset_equivalence_test).
 
 #ifndef ETHSM_API_RUNNER_H
 #define ETHSM_API_RUNNER_H
@@ -28,9 +28,10 @@ struct RunOptions {
 [[nodiscard]] ExperimentResult run(const ExperimentSpec& spec,
                                    const RunOptions& options = {});
 
-/// The checkpoint-store fingerprints run(spec) would consult, computed
-/// without running anything. `ethsm checkpoint-stats --prune` keeps exactly
-/// the union of these over all registered presets.
+/// The checkpoint-store fingerprints run(spec) consults, in the order it
+/// runs their sweeps, computed without running anything. Study manifests
+/// list them, and `ethsm checkpoint-stats --prune` keeps exactly the union
+/// of these over all registered presets.
 [[nodiscard]] std::vector<std::uint64_t> sweep_fingerprints(
     const ExperimentSpec& spec);
 

@@ -41,7 +41,7 @@
 namespace ethsm::api {
 
 /// What a spec runs. Each kind maps onto one of the library's sweep drivers;
-/// together they cover every bench regenerator plus the delay-network
+/// together they cover every paper figure and table plus the delay-network
 /// substrate (see runner.cpp for the dispatch).
 enum class ExperimentKind {
   revenue,         ///< revenue vs alpha, 1+ reward series (Fig. 8 / Fig. 9)

@@ -4,7 +4,7 @@
 // The paper studies Eyal–Sirer-style selfish mining and leaves "new mining
 // strategies" as future work; this module provides the canonical family of
 // deviations on the same chain substrate so that question can be explored
-// empirically (bench_ext_stubborn):
+// empirically (the ext_stubborn preset):
 //
 //   * Lead stubborn (L): when the honest chain catches up to one block
 //     behind, do NOT cash in the lead -- publish only enough to tie and keep

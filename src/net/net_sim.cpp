@@ -601,33 +601,20 @@ std::uint64_t run_net_many_fingerprint(const NetSimConfig& config, int runs) {
   return fp.digest();
 }
 
-NetMultiRunSummary run_net_many(const NetSimConfig& config, int runs) {
-  return run_net_many(config, runs, support::SweepCheckpoint{});
-}
-
 NetMultiRunSummary run_net_many(const NetSimConfig& config, int runs,
                                 const support::SweepCheckpoint& checkpoint,
                                 support::SweepOutcome* outcome) {
-  ETHSM_EXPECTS(runs > 0, "need at least one run");
   config.validate();
-
-  const auto sweep = support::run_checkpointed<NetSimResult>(
-      checkpoint, run_net_many_fingerprint(config, runs),
-      static_cast<std::size_t>(runs), [&config](std::size_t r) {
-        NetSimConfig run_config = config;
-        run_config.seed =
-            support::derive_seed(config.seed, static_cast<std::uint64_t>(r));
-        return run_net_simulation(run_config);
-      });
-  ETHSM_EXPECTS(outcome != nullptr || sweep.complete(),
-                "incomplete sharded/budgeted sweep: pass a SweepOutcome to "
-                "consume partial aggregates");
-
   NetMultiRunSummary summary;
-  for (std::size_t i = 0; i < sweep.results.size(); ++i) {
-    if (sweep.have[i]) summary.absorb(sweep.results[i]);
-  }
-  if (outcome != nullptr) outcome->merge(sweep.outcome);
+  support::run_seeded(
+      checkpoint, outcome, run_net_many_fingerprint(config, runs), config.seed,
+      runs,
+      [&config](std::uint64_t seed) {
+        NetSimConfig run_config = config;
+        run_config.seed = seed;
+        return run_net_simulation(run_config);
+      },
+      [&summary](const NetSimResult& r) { summary.absorb(r); });
   return summary;
 }
 

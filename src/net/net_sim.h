@@ -170,14 +170,10 @@ struct NetMultiRunSummary {
 
 /// Runs `runs` independent simulations (seeds derived from config.seed) in
 /// parallel on the global pool; aggregates in run order, bitwise-identical
-/// for any thread count.
-[[nodiscard]] NetMultiRunSummary run_net_many(const NetSimConfig& config,
-                                              int runs);
-
-/// Checkpointed variant (contract as sim::run_many).
+/// for any thread count. Checkpoint/outcome contract as sim::run_many.
 [[nodiscard]] NetMultiRunSummary run_net_many(
     const NetSimConfig& config, int runs,
-    const support::SweepCheckpoint& checkpoint,
+    const support::SweepCheckpoint& checkpoint = {},
     support::SweepOutcome* outcome = nullptr);
 
 /// Checkpoint-store fingerprint of a run_net_many sweep (checkpoint GC).

@@ -152,7 +152,7 @@ struct RewardTypeInfo {
   std::string purpose;
 };
 
-/// The content of the paper's Table I, for the bench_table1 regenerator.
+/// The content of the paper's Table I (`ethsm run table1`).
 [[nodiscard]] std::vector<RewardTypeInfo> table1_reward_inventory();
 
 /// 64-bit digest of the *numeric content* of a reward configuration (every

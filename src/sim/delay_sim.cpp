@@ -154,10 +154,6 @@ DelaySimResult run_delay_simulation(const DelaySimConfig& config) {
   return result;
 }
 
-DelayMultiRunSummary run_delay_many(const DelaySimConfig& config, int runs) {
-  return run_delay_many(config, runs, support::SweepCheckpoint{});
-}
-
 std::uint64_t run_delay_many_fingerprint(const DelaySimConfig& config,
                                          int runs) {
   support::Fingerprint fp;
@@ -174,36 +170,29 @@ std::uint64_t run_delay_many_fingerprint(const DelaySimConfig& config,
 DelayMultiRunSummary run_delay_many(const DelaySimConfig& config, int runs,
                                     const support::SweepCheckpoint& checkpoint,
                                     support::SweepOutcome* outcome) {
-  ETHSM_EXPECTS(runs > 0, "need at least one run");
   config.validate();
   const auto num_miners = config.effective_shares().size();
 
-  const auto sweep = support::run_checkpointed<DelaySimResult>(
-      checkpoint, run_delay_many_fingerprint(config, runs),
-      static_cast<std::size_t>(runs), [&config](std::size_t r) {
-        DelaySimConfig run_config = config;
-        run_config.seed =
-            support::derive_seed(config.seed, static_cast<std::uint64_t>(r));
-        return run_delay_simulation(run_config);
-      });
-  ETHSM_EXPECTS(outcome != nullptr || sweep.complete(),
-                "incomplete sharded/budgeted sweep: pass a SweepOutcome to "
-                "consume partial aggregates");
-
   DelayMultiRunSummary summary;
   summary.per_miner_stale_fraction.resize(num_miners);
-  for (std::size_t i = 0; i < sweep.results.size(); ++i) {
-    if (!sweep.have[i]) continue;
-    const DelaySimResult& r = sweep.results[i];
-    summary.uncle_rate.add(r.uncle_rate());
-    summary.stale_rate.add(r.stale_rate());
-    summary.duration.add(r.duration);
-    for (std::size_t m = 0; m < num_miners; ++m) {
-      summary.per_miner_stale_fraction[m].add(r.per_miner_stale_fraction[m]);
-    }
-    ++summary.runs;
-  }
-  if (outcome != nullptr) outcome->merge(sweep.outcome);
+  support::run_seeded(
+      checkpoint, outcome, run_delay_many_fingerprint(config, runs),
+      config.seed, runs,
+      [&config](std::uint64_t seed) {
+        DelaySimConfig run_config = config;
+        run_config.seed = seed;
+        return run_delay_simulation(run_config);
+      },
+      [&](const DelaySimResult& r) {
+        summary.uncle_rate.add(r.uncle_rate());
+        summary.stale_rate.add(r.stale_rate());
+        summary.duration.add(r.duration);
+        for (std::size_t m = 0; m < num_miners; ++m) {
+          summary.per_miner_stale_fraction[m].add(
+              r.per_miner_stale_fraction[m]);
+        }
+        ++summary.runs;
+      });
   return summary;
 }
 

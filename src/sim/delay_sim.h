@@ -77,14 +77,11 @@ struct DelayMultiRunSummary {
 
 /// Runs `runs` independent delay simulations (seeds derived from config.seed)
 /// in parallel on the global thread pool and aggregates in run order; the
-/// summary is bitwise-identical for any thread count.
-[[nodiscard]] DelayMultiRunSummary run_delay_many(const DelaySimConfig& config,
-                                                  int runs);
-
-/// Checkpointed variant (see run_many in sim/simulator.h for the contract).
+/// summary is bitwise-identical for any thread count. Checkpoint/outcome
+/// contract as run_many in sim/simulator.h.
 [[nodiscard]] DelayMultiRunSummary run_delay_many(
     const DelaySimConfig& config, int runs,
-    const support::SweepCheckpoint& checkpoint,
+    const support::SweepCheckpoint& checkpoint = {},
     support::SweepOutcome* outcome = nullptr);
 
 /// Checkpoint-store fingerprint of a run_delay_many sweep (checkpoint GC).

@@ -10,7 +10,7 @@
 // abstracts away) adjusts difficulty from the observed production of the
 // last epoch, and retarget_sim.h runs the selfish-mining attack under the
 // live controller. The paper's static normalizations must then *emerge* as
-// the controller's fixed point -- which bench_ext_difficulty verifies.
+// the controller's fixed point -- which the ext_difficulty preset verifies.
 
 #ifndef ETHSM_SIM_DIFFICULTY_H
 #define ETHSM_SIM_DIFFICULTY_H

@@ -122,11 +122,6 @@ PopulationResult run_population_simulation(const PopulationConfig& config) {
   return result;
 }
 
-PopulationMultiRunSummary run_population_many(const PopulationConfig& config,
-                                              int runs) {
-  return run_population_many(config, runs, support::SweepCheckpoint{});
-}
-
 std::uint64_t run_population_many_fingerprint(const PopulationConfig& config,
                                               int runs) {
   support::Fingerprint fp;
@@ -146,30 +141,23 @@ PopulationMultiRunSummary run_population_many(
     const PopulationConfig& config, int runs,
     const support::SweepCheckpoint& checkpoint,
     support::SweepOutcome* outcome) {
-  ETHSM_EXPECTS(runs > 0, "need at least one run");
   config.validate();
-
-  const auto sweep = support::run_checkpointed<PopulationResult>(
-      checkpoint, run_population_many_fingerprint(config, runs),
-      static_cast<std::size_t>(runs), [&config](std::size_t r) {
-        PopulationConfig run_config = config;
-        run_config.base.seed = support::derive_seed(
-            config.base.seed, static_cast<std::uint64_t>(r));
-        return run_population_simulation(run_config);
-      });
-  ETHSM_EXPECTS(outcome != nullptr || sweep.complete(),
-                "incomplete sharded/budgeted sweep: pass a SweepOutcome to "
-                "consume partial aggregates");
 
   PopulationMultiRunSummary summary;
   summary.pool_size = config.pool_size();
   summary.effective_alpha = config.effective_alpha();
-  for (std::size_t r = 0; r < sweep.results.size(); ++r) {
-    if (!sweep.have[r]) continue;
-    summary.sim.absorb(sweep.results[r].sim);
-    summary.pool_member_share.add(sweep.results[r].pool_member_share());
-  }
-  if (outcome != nullptr) outcome->merge(sweep.outcome);
+  support::run_seeded(
+      checkpoint, outcome, run_population_many_fingerprint(config, runs),
+      config.base.seed, runs,
+      [&config](std::uint64_t seed) {
+        PopulationConfig run_config = config;
+        run_config.base.seed = seed;
+        return run_population_simulation(run_config);
+      },
+      [&summary](const PopulationResult& r) {
+        summary.sim.absorb(r.sim);
+        summary.pool_member_share.add(r.pool_member_share());
+      });
   return summary;
 }
 

@@ -47,13 +47,10 @@ struct PopulationMultiRunSummary {
 /// Runs `runs` independent population simulations (seeds derived from
 /// config.base.seed) in parallel on the global thread pool and aggregates in
 /// run order; the summary is bitwise-identical for any thread count.
-[[nodiscard]] PopulationMultiRunSummary run_population_many(
-    const PopulationConfig& config, int runs);
-
-/// Checkpointed variant (see run_many in sim/simulator.h for the contract).
+/// Checkpoint/outcome contract as run_many in sim/simulator.h.
 [[nodiscard]] PopulationMultiRunSummary run_population_many(
     const PopulationConfig& config, int runs,
-    const support::SweepCheckpoint& checkpoint,
+    const support::SweepCheckpoint& checkpoint = {},
     support::SweepOutcome* outcome = nullptr);
 
 /// Checkpoint-store fingerprint of a run_population_many sweep (GC).

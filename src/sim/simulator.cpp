@@ -33,21 +33,6 @@ std::uint64_t many_fingerprint(const char* driver, const SimConfig& config,
   return fp.digest();
 }
 
-/// Index-ordered absorption over whichever runs are available; refuses a
-/// partial aggregate unless the caller asked to see the outcome.
-MultiRunSummary absorb_available(const support::CheckpointedSweep<SimResult>& sweep,
-                                 support::SweepOutcome* outcome) {
-  ETHSM_EXPECTS(outcome != nullptr || sweep.complete(),
-                "incomplete sharded/budgeted sweep: pass a SweepOutcome to "
-                "consume partial aggregates");
-  MultiRunSummary summary;
-  for (std::size_t r = 0; r < sweep.results.size(); ++r) {
-    if (sweep.have[r]) summary.absorb(sweep.results[r]);
-  }
-  if (outcome != nullptr) outcome->merge(sweep.outcome);
-  return summary;
-}
-
 /// Control run: everybody (including the pool's hash power) follows the
 /// protocol. With zero propagation delay there are no forks at all, so every
 /// block is regular and revenue share == hash share.
@@ -80,29 +65,12 @@ SimResult run_all_honest(const SimConfig& config) {
   return result;
 }
 
-}  // namespace
-
-std::uint64_t run_many_fingerprint(const SimConfig& config, int runs) {
-  return many_fingerprint("run_many/v1", config, runs);
-}
-
-std::uint64_t run_stubborn_many_fingerprint(
-    const SimConfig& config, const miner::StubbornConfig& strategy, int runs) {
-  support::Fingerprint fp;
-  fp.mix(many_fingerprint("run_stubborn_many/v1", config, runs));
-  fp.mix(strategy.lead_stubborn);
-  fp.mix(strategy.equal_fork_stubborn);
-  fp.mix(strategy.trail_stubbornness);
-  return fp.digest();
-}
-
-SimResult run_simulation(const SimConfig& config) {
-  config.validate();
-  if (!config.pool_uses_selfish_strategy) return run_all_honest(config);
-
-  chain::BlockTree& tree = scratch_tree(config.num_blocks);
-  miner::SelfishPolicy pool(
-      tree, miner::SelfishPolicyConfig::from_rewards(config.rewards));
+/// The block race against an attacking pool. `Pool` is SelfishPolicy
+/// (Algorithm 1) or StubbornPolicy; both expose on_pool_block, public_view,
+/// on_honest_block and finalize, and both mine on `tree`.
+template <typename Pool>
+SimResult mine_against(const SimConfig& config, chain::BlockTree& tree,
+                       Pool& pool) {
   miner::HonestPolicy honest(config.gamma, config.rewards);
   support::Xoshiro256 rng(config.seed);
 
@@ -131,29 +99,47 @@ SimResult run_simulation(const SimConfig& config) {
   return result;
 }
 
-MultiRunSummary run_many(const SimConfig& config, int runs) {
-  return run_many(config, runs, support::SweepCheckpoint{});
+}  // namespace
+
+std::uint64_t run_many_fingerprint(const SimConfig& config, int runs) {
+  return many_fingerprint("run_many/v1", config, runs);
+}
+
+std::uint64_t run_stubborn_many_fingerprint(
+    const SimConfig& config, const miner::StubbornConfig& strategy, int runs) {
+  support::Fingerprint fp;
+  fp.mix(many_fingerprint("run_stubborn_many/v1", config, runs));
+  fp.mix(strategy.lead_stubborn);
+  fp.mix(strategy.equal_fork_stubborn);
+  fp.mix(strategy.trail_stubbornness);
+  return fp.digest();
+}
+
+SimResult run_simulation(const SimConfig& config) {
+  config.validate();
+  if (!config.pool_uses_selfish_strategy) return run_all_honest(config);
+
+  chain::BlockTree& tree = scratch_tree(config.num_blocks);
+  miner::SelfishPolicy pool(
+      tree, miner::SelfishPolicyConfig::from_rewards(config.rewards));
+  return mine_against(config, tree, pool);
 }
 
 MultiRunSummary run_many(const SimConfig& config, int runs,
                          const support::SweepCheckpoint& checkpoint,
                          support::SweepOutcome* outcome) {
-  ETHSM_EXPECTS(runs > 0, "need at least one run");
   config.validate();
-
-  // Fan the runs out across the pool. Each run is a pure function of its
-  // index (seed = derive_seed(master, index)) and the summary is absorbed in
-  // index order afterwards, so the aggregate is bitwise-identical for any
-  // thread count -- and, with a checkpoint store, across resume/shard splits.
-  const auto sweep = support::run_checkpointed<SimResult>(
-      checkpoint, run_many_fingerprint(config, runs),
-      static_cast<std::size_t>(runs), [&config](std::size_t r) {
+  MultiRunSummary summary;
+  support::run_seeded(
+      checkpoint, outcome, run_many_fingerprint(config, runs), config.seed,
+      runs,
+      [&config](std::uint64_t seed) {
         SimConfig run_config = config;
-        run_config.seed =
-            support::derive_seed(config.seed, static_cast<std::uint64_t>(r));
+        run_config.seed = seed;
         return run_simulation(run_config);
-      });
-  return absorb_available(sweep, outcome);
+      },
+      [&summary](const SimResult& r) { summary.absorb(r); });
+  return summary;
 }
 
 SimResult run_stubborn_simulation(const SimConfig& config,
@@ -168,34 +154,7 @@ SimResult run_stubborn_simulation(const SimConfig& config,
   pool_config.max_uncles_per_block = config.rewards.max_uncles_per_block;
   pool_config.reference_uncles = pool_config.reference_horizon > 0;
   miner::StubbornPolicy pool(tree, pool_config);
-  miner::HonestPolicy honest(config.gamma, config.rewards);
-  support::Xoshiro256 rng(config.seed);
-
-  SimResult result;
-  double now = 0.0;
-  for (std::uint64_t n = 0; n < config.num_blocks; ++n) {
-    now += rng.exponential(1.0);
-    if (rng.bernoulli(config.alpha)) {
-      pool.on_pool_block(now);
-      ++result.blocks_mined_pool;
-    } else {
-      const auto view = pool.public_view();
-      const chain::BlockId parent = honest.choose_parent(view, rng);
-      const chain::BlockId b = honest.mine_block(tree, parent, now, 0);
-      pool.on_honest_block(b, now);
-      ++result.blocks_mined_honest;
-    }
-  }
-  const chain::BlockId tip = pool.finalize(now);
-  result.duration = now;
-  result.ledger = chain::settle_rewards(tree, tip, config.rewards);
-  return result;
-}
-
-MultiRunSummary run_stubborn_many(const SimConfig& config,
-                                  const miner::StubbornConfig& strategy,
-                                  int runs) {
-  return run_stubborn_many(config, strategy, runs, support::SweepCheckpoint{});
+  return mine_against(config, tree, pool);
 }
 
 MultiRunSummary run_stubborn_many(const SimConfig& config,
@@ -203,20 +162,20 @@ MultiRunSummary run_stubborn_many(const SimConfig& config,
                                   int runs,
                                   const support::SweepCheckpoint& checkpoint,
                                   support::SweepOutcome* outcome) {
-  ETHSM_EXPECTS(runs > 0, "need at least one run");
   config.validate();
   ETHSM_EXPECTS(config.pool_uses_selfish_strategy,
                 "stubborn variants require an attacking pool");
-
-  const auto sweep = support::run_checkpointed<SimResult>(
-      checkpoint, run_stubborn_many_fingerprint(config, strategy, runs),
-      static_cast<std::size_t>(runs), [&config, &strategy](std::size_t r) {
+  MultiRunSummary summary;
+  support::run_seeded(
+      checkpoint, outcome,
+      run_stubborn_many_fingerprint(config, strategy, runs), config.seed, runs,
+      [&config, &strategy](std::uint64_t seed) {
         SimConfig run_config = config;
-        run_config.seed =
-            support::derive_seed(config.seed, static_cast<std::uint64_t>(r));
+        run_config.seed = seed;
         return run_stubborn_simulation(run_config, strategy);
-      });
-  return absorb_available(sweep, outcome);
+      },
+      [&summary](const SimResult& r) { summary.absorb(r); });
+  return summary;
 }
 
 }  // namespace ethsm::sim

@@ -26,18 +26,18 @@ namespace ethsm::sim {
 
 /// Runs `runs` independent simulations (seeds derived from config.seed) and
 /// aggregates. The paper uses runs = 10.
-[[nodiscard]] MultiRunSummary run_many(const SimConfig& config, int runs);
-
-/// Checkpointed variant: per-run results persist under checkpoint.directory
-/// (keyed by a fingerprint of config + runs) so an interrupted or sharded
-/// sweep resumes/merges to a bitwise-identical aggregate. `outcome` reports
-/// resume/shard progress; when the merged grid is incomplete (some runs
-/// belong to other shards or exceeded the job budget) the partial aggregate
-/// is only returned if the caller passed `outcome` to inspect -- otherwise
-/// the driver refuses rather than silently aggregating a subset.
-[[nodiscard]] MultiRunSummary run_many(const SimConfig& config, int runs,
-                                       const support::SweepCheckpoint& checkpoint,
-                                       support::SweepOutcome* outcome = nullptr);
+///
+/// With checkpoint.directory set, per-run results persist there (keyed by
+/// run_many_fingerprint) so an interrupted or sharded sweep resumes/merges
+/// to a bitwise-identical aggregate. `outcome` reports resume/shard
+/// progress; when the merged grid is incomplete (some runs belong to other
+/// shards or exceeded the job budget) the partial aggregate is only returned
+/// if the caller passed `outcome` to inspect -- otherwise the driver refuses
+/// rather than silently aggregating a subset.
+[[nodiscard]] MultiRunSummary run_many(
+    const SimConfig& config, int runs,
+    const support::SweepCheckpoint& checkpoint = {},
+    support::SweepOutcome* outcome = nullptr);
 
 /// As run_simulation, but the pool runs a stubborn-mining variant
 /// (miner/stubborn_policy.h) instead of Algorithm 1. With a default-initialized
@@ -45,18 +45,14 @@ namespace ethsm::sim {
 [[nodiscard]] SimResult run_stubborn_simulation(
     const SimConfig& config, const miner::StubbornConfig& strategy);
 
-/// Multi-run aggregation for stubborn variants.
-[[nodiscard]] MultiRunSummary run_stubborn_many(
-    const SimConfig& config, const miner::StubbornConfig& strategy, int runs);
-
-/// Checkpointed variant of run_stubborn_many; semantics as run_many above.
+/// Multi-run aggregation for stubborn variants; semantics as run_many.
 [[nodiscard]] MultiRunSummary run_stubborn_many(
     const SimConfig& config, const miner::StubbornConfig& strategy, int runs,
-    const support::SweepCheckpoint& checkpoint,
+    const support::SweepCheckpoint& checkpoint = {},
     support::SweepOutcome* outcome = nullptr);
 
-/// Checkpoint-store fingerprints the checkpointed variants key their records
-/// by; exposed so the checkpoint GC can attribute on-disk sweeps to the
+/// Checkpoint-store fingerprints the drivers above key their records by;
+/// exposed so the checkpoint GC can attribute on-disk sweeps to the
 /// experiments that own them without running anything.
 [[nodiscard]] std::uint64_t run_many_fingerprint(const SimConfig& config,
                                                  int runs);

@@ -4,11 +4,9 @@
 #include <bit>
 #include <charconv>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <ostream>
 #include <sstream>
 
 #include "support/check.h"
@@ -534,69 +532,6 @@ std::map<std::uint64_t, std::vector<std::byte>> read_checkpoint_records(
                          });
   }
   return records;
-}
-
-// -------------------------------------------------------------- bench CLI --
-
-namespace {
-
-[[noreturn]] void cli_fail(const std::string& message) {
-  std::fprintf(stderr,
-               "error: %s\n"
-               "usage: [--quick] [--checkpoint-dir DIR | --resume] "
-               "[--shard k/N]\n",
-               message.c_str());
-  std::exit(2);
-}
-
-}  // namespace
-
-SweepCli parse_sweep_cli(int argc, char** argv) {
-  SweepCli cli;
-  if (const char* dir = std::getenv("ETHSM_CHECKPOINT_DIR")) {
-    cli.checkpoint.directory = dir;
-  }
-  cli.checkpoint.shard = shard_from_env();
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--quick") {
-      cli.quick = true;
-    } else if (arg == "--resume") {
-      if (cli.checkpoint.directory.empty()) {
-        cli.checkpoint.directory = "ethsm-checkpoints";
-      }
-    } else if (arg == "--checkpoint-dir") {
-      if (i + 1 >= argc) cli_fail("--checkpoint-dir needs a directory");
-      cli.checkpoint.directory = argv[++i];
-    } else if (arg == "--shard") {
-      if (i + 1 >= argc) cli_fail("--shard needs k/N");
-      const auto shard = parse_shard(argv[++i]);
-      if (!shard) cli_fail("malformed --shard (want k/N with 0 <= k < N)");
-      cli.checkpoint.shard = *shard;
-    } else {
-      cli_fail("unknown argument " + std::string(arg));
-    }
-  }
-  if (!cli.checkpoint.shard.is_whole_sweep() &&
-      cli.checkpoint.directory.empty()) {
-    cli_fail("--shard requires --checkpoint-dir (shards merge through disk; "
-             "without it this shard's work would be discarded)");
-  }
-  return cli;
-}
-
-bool report_sweep_progress(std::ostream& os, const SweepCheckpoint& checkpoint,
-                           const SweepOutcome& outcome) {
-  if (checkpoint.enabled()) {
-    os << describe(checkpoint, outcome) << "\n";
-  }
-  if (!outcome.complete()) {
-    os << "Partial sweep: aggregates suppressed until every shard's records "
-          "are present; re-run with the same --checkpoint-dir to merge.\n";
-    return false;
-  }
-  return true;
 }
 
 std::string describe(const SweepCheckpoint& checkpoint,

@@ -27,7 +27,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <iosfwd>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -309,36 +308,9 @@ struct SweepCheckpoint {
   [[nodiscard]] bool enabled() const noexcept { return !directory.empty(); }
 };
 
-// -------------------------------------------------------------- bench CLI --
-
-/// Shared command-line contract of the bench regenerators:
-///   --quick               smaller grids / fewer runs
-///   --checkpoint-dir DIR  persist per-job results under DIR and resume
-///   --resume              like --checkpoint-dir with the default directory
-///                         ("ethsm-checkpoints")
-///   --shard k/N           compute only job indices j with j %% N == k
-/// Environment fallbacks: ETHSM_CHECKPOINT_DIR, ETHSM_SHARD (flags win).
-/// Unknown arguments abort with a usage message on stderr (exit code 2).
-struct SweepCli {
-  bool quick = false;
-  SweepCheckpoint checkpoint;
-};
-
-[[nodiscard]] SweepCli parse_sweep_cli(int argc, char** argv);
-
-/// One-line human-readable resume/shard progress summary for bench output.
+/// One-line human-readable resume/shard progress summary.
 [[nodiscard]] std::string describe(const SweepCheckpoint& checkpoint,
                                    const SweepOutcome& outcome);
-
-/// Shared bench/example epilogue: prints the progress line (when
-/// checkpointing is enabled) and, for an incomplete sweep, the
-/// partial-sweep notice. Returns true when the sweep is complete and
-/// aggregates may be shown -- callers must suppress aggregate output (and
-/// typically exit) on false, so a sharded process never prints a partial
-/// curve as if it were the merged result.
-[[nodiscard]] bool report_sweep_progress(std::ostream& os,
-                                         const SweepCheckpoint& checkpoint,
-                                         const SweepOutcome& outcome);
 
 }  // namespace ethsm::support
 

@@ -1,5 +1,5 @@
-// Minimal CSV writer: the bench regenerators optionally dump their series as
-// CSV next to the human-readable tables so results can be re-plotted.
+// Minimal CSV writer: `ethsm run --format csv` and study results trees dump
+// each experiment's series as CSV so results can be re-plotted.
 
 #ifndef ETHSM_SUPPORT_CSV_H
 #define ETHSM_SUPPORT_CSV_H

@@ -161,7 +161,7 @@ struct Table2Golden {
   std::array<double, 7> fraction;  // index 0 unused
 };
 
-// gamma = 0.5, max_lead 120 (the bench_table2 setup).
+// gamma = 0.5, max_lead 120 (the table2 preset's setup).
 const std::array<Table2Golden, 2> kTable2 = {{
     {0.30,
      1.747908255920,

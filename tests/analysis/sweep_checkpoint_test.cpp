@@ -19,6 +19,7 @@
 #include "sim/population_sim.h"
 #include "sim/simulator.h"
 #include "support/checkpoint.h"
+#include "support/temp_dir.h"
 
 namespace ethsm {
 namespace {
@@ -31,14 +32,7 @@ using analysis::ThresholdPoint;
 using support::ShardSpec;
 using support::SweepCheckpoint;
 using support::SweepOutcome;
-
-std::string temp_dir(const std::string& tag) {
-  static int counter = 0;
-  const fs::path dir = fs::path(::testing::TempDir()) /
-                       ("ethsm_sweep_" + tag + "_" + std::to_string(counter++));
-  fs::remove_all(dir);
-  return dir.string();
-}
+using testutil::temp_path;
 
 /// Small-but-real threshold sweep (two bisections per gamma).
 ThresholdCurveOptions small_threshold_options() {
@@ -83,7 +77,7 @@ TEST(CheckpointThresholdCurve, InterruptedThenResumedIsBitwiseIdentical) {
   auto opt = small_threshold_options();
   const auto fresh = analysis::threshold_curve(opt);
 
-  opt.checkpoint.directory = temp_dir("threshold_resume");
+  opt.checkpoint.directory = temp_path("threshold_resume");
   opt.checkpoint.max_new_jobs = 2;  // interrupt mid-grid
   SweepOutcome first;
   (void)analysis::threshold_curve(opt, &first);
@@ -105,7 +99,7 @@ TEST(CheckpointRevenueCurve, FourWayShardMergeIsBitwiseIdentical) {
   auto opt = small_revenue_options();
   const auto fresh = analysis::revenue_curve(opt);
 
-  opt.checkpoint.directory = temp_dir("revenue_shard4");
+  opt.checkpoint.directory = temp_path("revenue_shard4");
   for (std::uint32_t k = 0; k < 4; ++k) {
     opt.checkpoint.shard = ShardSpec{k, 4};
     SweepOutcome outcome;
@@ -136,7 +130,7 @@ TEST(CheckpointShardMergeProperty, RandomSplitsEqualSingleProcessExactly) {
     const std::uint32_t n_shards =
         2 + static_cast<std::uint32_t>(rng() % 5);  // N in [2, 6]
     opt.checkpoint.directory =
-        temp_dir("property_" + std::to_string(trial));
+        temp_path("property_" + std::to_string(trial));
     // Run the shards in a random order to shake out order dependence.
     std::vector<std::uint32_t> order(n_shards);
     for (std::uint32_t k = 0; k < n_shards; ++k) order[k] = k;
@@ -167,7 +161,7 @@ TEST(CheckpointRunMany, ResumedAggregateIsBitwiseIdentical) {
   const auto fresh = sim::run_many(config, runs);
 
   SweepCheckpoint ckpt;
-  ckpt.directory = temp_dir("run_many");
+  ckpt.directory = temp_path("run_many");
   ckpt.max_new_jobs = 2;
   SweepOutcome partial;
   (void)sim::run_many(config, runs, ckpt, &partial);
@@ -198,7 +192,7 @@ TEST(CheckpointRunMany, RefusesPartialAggregateWithoutOutcome) {
   sim::SimConfig config;
   config.num_blocks = 500;
   SweepCheckpoint ckpt;
-  ckpt.directory = temp_dir("refuse");
+  ckpt.directory = temp_path("refuse");
   ckpt.shard = ShardSpec{0, 2};  // half the runs belong to the other shard
   EXPECT_THROW((void)sim::run_many(config, 4, ckpt), std::invalid_argument);
 }
@@ -211,7 +205,7 @@ TEST(CheckpointPopulationAndDelay, ResumeRoundTripsExactly) {
     config.num_miners = 50;
     const auto fresh = sim::run_population_many(config, 3);
     SweepCheckpoint ckpt;
-    ckpt.directory = temp_dir("population");
+    ckpt.directory = temp_path("population");
     SweepOutcome first;
     (void)sim::run_population_many(config, 3, ckpt, &first);
     SweepOutcome outcome;
@@ -225,7 +219,7 @@ TEST(CheckpointPopulationAndDelay, ResumeRoundTripsExactly) {
     config.num_blocks = 1'000;
     const auto fresh = sim::run_delay_many(config, 3);
     SweepCheckpoint ckpt;
-    ckpt.directory = temp_dir("delay");
+    ckpt.directory = temp_path("delay");
     SweepOutcome first;
     (void)sim::run_delay_many(config, 3, ckpt, &first);
     SweepOutcome outcome;
@@ -246,7 +240,7 @@ TEST(CheckpointCorruptionRecovery, CorruptedRecordsAreRecomputedNotTrusted) {
   auto opt = small_threshold_options();
   const auto fresh = analysis::threshold_curve(opt);
 
-  opt.checkpoint.directory = temp_dir("corrupt_recompute");
+  opt.checkpoint.directory = temp_path("corrupt_recompute");
   SweepOutcome first;
   (void)analysis::threshold_curve(opt, &first);
   EXPECT_EQ(first.computed, opt.gammas.size());
@@ -277,7 +271,7 @@ TEST(CheckpointCorruptionRecovery, CorruptedRecordsAreRecomputedNotTrusted) {
 
 TEST(CheckpointStaleFingerprint, ChangedSweepParametersIgnoreOldRecords) {
   auto opt = small_threshold_options();
-  opt.checkpoint.directory = temp_dir("stale_params");
+  opt.checkpoint.directory = temp_path("stale_params");
   SweepOutcome first;
   (void)analysis::threshold_curve(opt, &first);
   EXPECT_EQ(first.computed, opt.gammas.size());

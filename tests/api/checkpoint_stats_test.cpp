@@ -12,6 +12,7 @@
 #include "api/runner.h"
 #include "api/study.h"
 #include "support/checkpoint.h"
+#include "support/temp_dir.h"
 
 namespace ethsm::support {
 namespace {
@@ -20,14 +21,7 @@ namespace fs = std::filesystem;
 
 class CheckpointScanTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    static int counter = 0;
-    dir_ = fs::path(::testing::TempDir()) /
-           ("ethsm_scan_" + std::to_string(counter++));
-    fs::remove_all(dir_);
-    fs::create_directories(dir_);
-  }
-  void TearDown() override { fs::remove_all(dir_); }
+  void SetUp() override { dir_ = testutil::temp_dir("scan"); }
 
   fs::path dir_;
 };

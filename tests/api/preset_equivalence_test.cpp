@@ -1,6 +1,6 @@
-// Preset-vs-legacy-driver equivalence: running a paper preset through the
+// Preset-vs-driver equivalence: running a paper preset through the
 // declarative API (api::run) must produce series bitwise-identical to calling
-// the sweep drivers directly the way the pre-redesign bench mains did. These
+// the sweep drivers directly with the preset's options. These
 // tests freeze that contract, so the spec -> driver-options mapping can never
 // silently drift from the recorded experiment artefacts.
 
@@ -32,7 +32,7 @@ const Column& column(const ExperimentResult& result, std::size_t table,
 }
 
 TEST(PresetEquivalence, Fig8QuickMatchesRevenueCurveDriver) {
-  // The legacy bench_fig8_revenue --quick path, verbatim.
+  // `ethsm run fig8 --quick`, spelled out against the driver.
   analysis::RevenueCurveOptions opt;
   opt.gamma = 0.5;
   opt.rewards = rewards::RewardConfig::ethereum_flat(0.5);
@@ -61,7 +61,7 @@ TEST(PresetEquivalence, Fig8QuickMatchesRevenueCurveDriver) {
 }
 
 TEST(PresetEquivalence, Fig9SeriesMatchRevenueCurveDriver) {
-  // Legacy bench_fig9 series: flat 7/8 at horizon 100 plus the cap-6
+  // The fig9 preset's series: flat 7/8 at horizon 100 plus the cap-6
   // ablation, gamma 0.5, max_lead 120, no simulation.
   analysis::RevenueCurveOptions wide;
   wide.gamma = 0.5;
@@ -92,7 +92,7 @@ TEST(PresetEquivalence, Fig9SeriesMatchRevenueCurveDriver) {
 }
 
 TEST(PresetEquivalence, Fig10QuickMatchesThresholdCurveDriver) {
-  // The legacy bench_fig10_threshold --quick path, verbatim.
+  // `ethsm run fig10 --quick`, spelled out against the driver.
   analysis::ThresholdCurveOptions opt;
   opt.gammas = {0.0, 0.25, 0.5, 0.75, 1.0};
   opt.threshold.tolerance = 1e-4;
@@ -114,7 +114,7 @@ TEST(PresetEquivalence, Fig10QuickMatchesThresholdCurveDriver) {
 }
 
 TEST(PresetEquivalence, Table2QuickMatchesAnalysisAndRunMany) {
-  // Legacy bench_table2 --quick: distribution at max_lead 120 + 3 runs of
+  // `ethsm run table2 --quick`: distribution at max_lead 120 + 3 runs of
   // 50k blocks, seed 0x7ab1e2, for alpha in {0.3, 0.45}.
   const auto d30 =
       analysis::honest_uncle_distance_distribution({0.3, 0.5}, 120);
@@ -143,7 +143,7 @@ TEST(PresetEquivalence, Table2QuickMatchesAnalysisAndRunMany) {
 }
 
 TEST(PresetEquivalence, ExtStubbornQuickMatchesRunStubbornMany) {
-  // Legacy bench_ext_stubborn seed chain: 0x57ab + alpha * 1e4, Byzantium,
+  // The ext_stubborn preset's seed chain: 0x57ab + alpha * 1e4, Byzantium,
   // scenario 1; quick preset grid {0.25, 0.35, 0.45}, 3 runs x 30k blocks.
   const ExperimentResult result = run(preset_spec("ext_stubborn", true));
   ASSERT_TRUE(result.complete());

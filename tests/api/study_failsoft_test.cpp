@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "api/study.h"
+#include "support/temp_dir.h"
 
 namespace ethsm::api {
 namespace {
@@ -36,14 +37,7 @@ constexpr const char* kFailingStudy =
 
 class StudyFailSoftTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    static int counter = 0;
-    root_ = fs::path(::testing::TempDir()) /
-            ("ethsm_failsoft_" + std::to_string(counter++));
-    fs::remove_all(root_);
-    fs::create_directories(root_);
-  }
-  void TearDown() override { fs::remove_all(root_); }
+  void SetUp() override { root_ = testutil::temp_dir("failsoft"); }
 
   static std::string slurp(const fs::path& path) {
     std::ifstream in(path, std::ios::binary);

@@ -20,6 +20,7 @@
 #include "api/presets.h"
 #include "api/render.h"
 #include "support/checkpoint.h"
+#include "support/temp_dir.h"
 
 namespace ethsm::api {
 namespace {
@@ -169,14 +170,7 @@ TEST(StudyExpand, PaperStudyCoversEveryPreset) {
 
 class StudyRunTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    static int counter = 0;
-    root_ = fs::path(::testing::TempDir()) /
-            ("ethsm_study_" + std::to_string(counter++));
-    fs::remove_all(root_);
-    fs::create_directories(root_);
-  }
-  void TearDown() override { fs::remove_all(root_); }
+  void SetUp() override { root_ = testutil::temp_dir("study"); }
 
   /// A small two-variant threshold study: 2 specs x 2 gamma jobs, all
   /// behind the checkpoint-aware threshold_curve driver.

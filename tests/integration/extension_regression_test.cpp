@@ -14,7 +14,7 @@ namespace {
 using sim::Scenario;
 
 TEST(StubbornRegression, LeadEqualForkComboBeatsAlgorithmOneAtHighAlpha) {
-  // bench_ext_stubborn's headline: with uncle rewards in play, the L+F
+  // The ext_stubborn preset's headline: with uncle rewards in play, the L+F
   // combination out-earns Algorithm 1 once alpha >= ~0.3 (gamma = 0.5).
   sim::SimConfig config;
   config.alpha = 0.40;

@@ -8,11 +8,8 @@
 
 #include "net/faults.h"
 
-#include <unistd.h>
-
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -20,12 +17,14 @@
 #include "analysis/absolute_revenue.h"
 #include "analysis/revenue.h"
 #include "net/net_sim.h"
+#include "support/temp_dir.h"
 #include "support/thread_pool.h"
 
 namespace ethsm::net {
 namespace {
 
 using support::ThreadPool;
+using testutil::temp_path;
 
 // ----------------------------------------------------------------- grammar --
 
@@ -159,19 +158,6 @@ std::vector<double> fingerprint(const NetMultiRunSummary& s) {
   return out;
 }
 
-/// Pid- and counter-qualified temporary directory: ctest -j runs these cases
-/// in ethsm_tests and in the net- and faults-labelled filters at once, and a
-/// shared name would let one process delete the other's checkpoints.
-std::string resume_dir() {
-  static int counter = 0;
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) /
-      ("ethsm_fault_resume_" + std::to_string(::getpid()) + "_" +
-       std::to_string(counter++));
-  std::filesystem::remove_all(dir);
-  return dir.string();
-}
-
 class NetFaultDeterminism : public ::testing::Test {
  protected:
   void TearDown() override {
@@ -227,7 +213,7 @@ TEST_F(NetFaultDeterminism, FaultedInterruptedResumeIsBitwiseIdentical) {
   constexpr int kRuns = 5;
   const auto fresh = fingerprint(run_net_many(config, kRuns));
 
-  const std::string dir = resume_dir();
+  const std::string dir = temp_path("resume");
   support::SweepCheckpoint checkpoint;
   checkpoint.directory = dir;
 
@@ -242,8 +228,6 @@ TEST_F(NetFaultDeterminism, FaultedInterruptedResumeIsBitwiseIdentical) {
   EXPECT_EQ(resumed.loaded, 2u);
   EXPECT_EQ(resumed.computed, static_cast<std::size_t>(kRuns) - 2u);
   EXPECT_EQ(fingerprint(summary), fresh);
-
-  std::filesystem::remove_all(dir);
 }
 
 TEST_F(NetFaultDeterminism, FingerprintSeparatesFaultedFromCleanSweeps) {

@@ -12,12 +12,9 @@
 //     crossings at every leaf, so gamma -> 0 and revenue must match the
 //     gamma = 0 Markov prediction.
 
-#include <unistd.h>
-
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -25,12 +22,14 @@
 #include "analysis/revenue.h"
 #include "net/net_sim.h"
 #include "support/parallel.h"
+#include "support/temp_dir.h"
 #include "support/thread_pool.h"
 
 namespace ethsm::net {
 namespace {
 
 using support::ThreadPool;
+using testutil::temp_path;
 
 class NetSimTest : public ::testing::Test {
  protected:
@@ -47,19 +46,6 @@ class NetSimTest : public ::testing::Test {
     return config;
   }
 };
-
-/// Pid- and counter-qualified temporary directory: ctest -j runs these cases
-/// in ethsm_tests and in the net-labelled filter at the same time, and a
-/// shared name would let one process delete the other's checkpoints.
-std::string resume_dir() {
-  static int counter = 0;
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) /
-      ("ethsm_net_resume_" + std::to_string(::getpid()) + "_" +
-       std::to_string(counter++));
-  std::filesystem::remove_all(dir);
-  return dir.string();
-}
 
 void append_stats(std::vector<double>& out, const support::RunningStats& s) {
   out.push_back(static_cast<double>(s.count()));
@@ -188,7 +174,7 @@ TEST_F(NetSimTest, NetInterruptedResumeIsBitwiseIdenticalToFresh) {
 
   const auto fresh = fingerprint(run_net_many(config, kRuns));
 
-  const std::string dir = resume_dir();
+  const std::string dir = temp_path("resume");
   support::SweepCheckpoint checkpoint;
   checkpoint.directory = dir;
 
@@ -205,8 +191,6 @@ TEST_F(NetSimTest, NetInterruptedResumeIsBitwiseIdenticalToFresh) {
   EXPECT_EQ(resumed.loaded, 2u);
   EXPECT_EQ(resumed.computed, static_cast<std::size_t>(kRuns) - 2u);
   EXPECT_EQ(fingerprint(summary), fresh);
-
-  std::filesystem::remove_all(dir);
 }
 
 // ------------------------------------------------------------- accounting --

@@ -8,12 +8,9 @@
 // fails, without burning CLI runtime. Suites are named Orchestrate* so
 // `ctest -L orchestrate` selects them.
 
-#include <unistd.h>
-
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -22,22 +19,12 @@
 #include "orchestrate/orchestrate.h"
 #include "orchestrate/process.h"
 #include "orchestrate/transport.h"
+#include "support/temp_dir.h"
 
 namespace ethsm::orchestrate {
 namespace {
 
-namespace fs = std::filesystem;
-
-std::string temp_dir(const std::string& tag) {
-  static int counter = 0;
-  const fs::path dir =
-      fs::path(::testing::TempDir()) /
-      ("ethsm_orch_" + std::to_string(::getpid()) + "_" + tag + "_" +
-       std::to_string(counter++));
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir.string();
-}
+using testutil::temp_dir;
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path);

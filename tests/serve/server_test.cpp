@@ -17,29 +17,17 @@
 
 #include <chrono>
 #include <cstring>
-#include <filesystem>
 #include <string>
 #include <thread>
 
 #include "api/presets.h"
 #include "api/result.h"
+#include "support/temp_dir.h"
 
 namespace ethsm::serve {
 namespace {
 
-namespace fs = std::filesystem;
-
-std::string temp_dir(const std::string& tag) {
-  // Pid-qualified: ctest -j runs Serve* both in ethsm_tests and in the
-  // serve-labelled filter; a shared name would cross-contaminate stores.
-  static int counter = 0;
-  const fs::path dir =
-      fs::path(::testing::TempDir()) /
-      ("ethsm_srv_" + std::to_string(::getpid()) + "_" + tag + "_" +
-       std::to_string(counter++));
-  fs::remove_all(dir);
-  return dir.string();
-}
+using testutil::temp_path;
 
 /// Blocking client socket connected to 127.0.0.1:port; -1 on failure.
 int connect_to(std::uint16_t port) {
@@ -129,7 +117,7 @@ ServiceConfig service_config(const std::string& dir) {
 }
 
 TEST(ServeServer, RoundTripsStatusAndRun) {
-  RunningServer daemon(service_config(temp_dir("roundtrip")));
+  RunningServer daemon(service_config(temp_path("roundtrip")));
   const int fd = connect_to(daemon.port());
   ASSERT_GE(fd, 0);
   send_all(fd, "GET /v1/status HTTP/1.1\r\nConnection: close\r\n\r\n");
@@ -151,7 +139,7 @@ TEST(ServeServer, RoundTripsStatusAndRun) {
 }
 
 TEST(ServeServer, KeepAliveServesSequentialRequestsOnOneConnection) {
-  RunningServer daemon(service_config(temp_dir("keepalive")));
+  RunningServer daemon(service_config(temp_path("keepalive")));
   const int fd = connect_to(daemon.port());
   ASSERT_GE(fd, 0);
   send_all(fd, "GET /v1/status HTTP/1.1\r\n\r\n");
@@ -166,7 +154,7 @@ TEST(ServeServer, KeepAliveServesSequentialRequestsOnOneConnection) {
 }
 
 TEST(ServeServer, MalformedRequestsGet4xxAndClose) {
-  RunningServer daemon(service_config(temp_dir("malformed")));
+  RunningServer daemon(service_config(temp_path("malformed")));
   for (const char* raw : {
            "NOT-HTTP\r\n\r\n",
            "GET /v1/status HTTP/9.9\r\n\r\n",
@@ -189,7 +177,7 @@ TEST(ServeServer, MalformedRequestsGet4xxAndClose) {
 }
 
 TEST(ServeServer, UnknownEndpointIs404OverTheWire) {
-  RunningServer daemon(service_config(temp_dir("notfound")));
+  RunningServer daemon(service_config(temp_path("notfound")));
   const int fd = connect_to(daemon.port());
   ASSERT_GE(fd, 0);
   send_all(fd, "GET /nope HTTP/1.1\r\nConnection: close\r\n\r\n");
@@ -199,7 +187,7 @@ TEST(ServeServer, UnknownEndpointIs404OverTheWire) {
 }
 
 TEST(ServeServer, ProgressFollowStreamsChunksUntilDone) {
-  const std::string dir = temp_dir("follow");
+  const std::string dir = temp_path("follow");
   RunningServer daemon(service_config(dir));
 
   // Any preloaded preset fingerprint is followable; a quick table1 is
@@ -223,7 +211,7 @@ TEST(ServeServer, ProgressFollowStreamsChunksUntilDone) {
 }
 
 TEST(ServeServer, StopUnblocksServeAndRefusesNewWork) {
-  const std::string dir = temp_dir("stop");
+  const std::string dir = temp_path("stop");
   auto* daemon = new RunningServer(service_config(dir));
   const std::uint16_t port = daemon->port();
   const auto started = std::chrono::steady_clock::now();

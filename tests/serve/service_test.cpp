@@ -5,15 +5,12 @@
 
 #include "serve/service.h"
 
-#include <unistd.h>
-
 #include <gtest/gtest.h>
 
 #include <cstdio>
 
 #include <atomic>
 #include <condition_variable>
-#include <filesystem>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -24,24 +21,12 @@
 #include "api/result.h"
 #include "api/runner.h"
 #include "api/spec.h"
+#include "support/temp_dir.h"
 
 namespace ethsm::serve {
 namespace {
 
-namespace fs = std::filesystem;
-
-/// Fresh unique directory under the test temp root. Pid-qualified: ctest
-/// -j runs Serve* in several processes at once (ethsm_tests plus the
-/// serve-labelled filter) and a shared name would cross-contaminate stores.
-std::string temp_dir(const std::string& tag) {
-  static int counter = 0;
-  const fs::path dir =
-      fs::path(::testing::TempDir()) /
-      ("ethsm_serve_" + std::to_string(::getpid()) + "_" + tag + "_" +
-       std::to_string(counter++));
-  fs::remove_all(dir);
-  return dir.string();
-}
+using testutil::temp_path;
 
 HttpRequest post_run_body(std::string spec_text) {
   HttpRequest request;
@@ -87,7 +72,7 @@ ServiceConfig config_for(const std::string& dir) {
 // and share the checkpoint directory, so the served side also exercises the
 // store-backed reload path rather than recomputing.
 TEST(ServeService, ServedPayloadsAreBitwiseIdenticalToCliForEveryPreset) {
-  const std::string dir = temp_dir("identity");
+  const std::string dir = temp_path("identity");
   ExperimentService service(config_for(dir));
   for (const api::Preset& preset : api::presets()) {
     const api::ExperimentSpec spec = api::preset_spec(preset.name, true);
@@ -108,7 +93,7 @@ TEST(ServeService, ServedPayloadsAreBitwiseIdenticalToCliForEveryPreset) {
 }
 
 TEST(ServeService, SetOverridesMatchCliResolution) {
-  const std::string dir = temp_dir("overrides");
+  const std::string dir = temp_path("overrides");
   ExperimentService service(config_for(dir));
 
   HttpRequest request;
@@ -130,7 +115,7 @@ TEST(ServeService, SetOverridesMatchCliResolution) {
 }
 
 TEST(ServeService, RepeatQueriesHitTheCache) {
-  const std::string dir = temp_dir("cache");
+  const std::string dir = temp_path("cache");
   ExperimentService service(config_for(dir));
   const std::string spec = tiny_spec(0.31);
 
@@ -147,7 +132,7 @@ TEST(ServeService, RepeatQueriesHitTheCache) {
 }
 
 TEST(ServeService, ConcurrentIdenticalSpecsComputeExactlyOnce) {
-  const std::string dir = temp_dir("dedupe");
+  const std::string dir = temp_path("dedupe");
   ExperimentService service(config_for(dir));
   // ~250 ms of simulation: long enough that the followers attach while the
   // leader is still computing, short enough for a unit test.
@@ -192,7 +177,7 @@ TEST(ServeService, ConcurrentIdenticalSpecsComputeExactlyOnce) {
 }
 
 TEST(ServeService, OverBudgetComputationsGet429WithRetryAfter) {
-  const std::string dir = temp_dir("admission");
+  const std::string dir = temp_path("admission");
   ServiceConfig config = config_for(dir);
   config.admission.max_jobs_in_flight = 1;
   ExperimentService service(config);
@@ -224,7 +209,7 @@ TEST(ServeService, OverBudgetComputationsGet429WithRetryAfter) {
 }
 
 TEST(ServeService, EvictedEntriesReloadFromCheckpointsBitwiseIdentically) {
-  const std::string dir = temp_dir("evict");
+  const std::string dir = temp_path("evict");
   ServiceConfig config = config_for(dir);
   config.cache_entries = 1;
   ExperimentService service(config);
@@ -253,7 +238,7 @@ TEST(ServeService, EvictedEntriesReloadFromCheckpointsBitwiseIdentically) {
 }
 
 TEST(ServeService, ResultEndpointServesByFingerprint) {
-  const std::string dir = temp_dir("result");
+  const std::string dir = temp_path("result");
   ExperimentService service(config_for(dir));
   const std::string spec = tiny_spec(0.34);
   const std::uint64_t fingerprint =
@@ -276,7 +261,7 @@ TEST(ServeService, ResultEndpointServesByFingerprint) {
 }
 
 TEST(ServeService, ProgressReportsRecordsAndCacheState) {
-  const std::string dir = temp_dir("progress");
+  const std::string dir = temp_path("progress");
   ExperimentService service(config_for(dir));
   const std::string spec = tiny_spec(0.36);
   const std::uint64_t fingerprint =
@@ -300,14 +285,14 @@ TEST(ServeService, ProgressReportsRecordsAndCacheState) {
 }
 
 TEST(ServeService, PresetsEndpointMatchesTheRegistryRendering) {
-  ExperimentService service(config_for(temp_dir("presets")));
+  ExperimentService service(config_for(temp_path("presets")));
   const HttpResponse response = service.handle(get("/v1/presets"), "t");
   ASSERT_EQ(response.status, 200);
   EXPECT_EQ(response.body, api::render_presets_json());
 }
 
 TEST(ServeService, StatusReportsCountersAndGauges) {
-  ExperimentService service(config_for(temp_dir("status")));
+  ExperimentService service(config_for(temp_path("status")));
   ASSERT_EQ(service.handle(post_run_body(tiny_spec(0.38)), "t").status, 200);
   const HttpResponse status = service.handle(get("/v1/status"), "t");
   ASSERT_EQ(status.status, 200);
@@ -321,7 +306,7 @@ TEST(ServeService, StatusReportsCountersAndGauges) {
 }
 
 TEST(ServeService, MalformedRequestsGet4xxNever5xx) {
-  ExperimentService service(config_for(temp_dir("errors")));
+  ExperimentService service(config_for(temp_path("errors")));
   // No spec at all.
   EXPECT_EQ(service.handle(post_run_body(""), "t").status, 400);
   // Body and preset together.
@@ -353,7 +338,7 @@ TEST(ServeService, FailuresAreNotCached) {
   // A spec that parses but cannot run: revenue with an empty series list is
   // the simplest runtime failure... if no such failure exists, skip. Use a
   // fingerprint probe instead: errors must not enter the cache.
-  ExperimentService service(config_for(temp_dir("failures")));
+  ExperimentService service(config_for(temp_path("failures")));
   const std::size_t before = service.cache().size();
   EXPECT_EQ(service.handle(post_run_body("kind = nope\n"), "t").status, 400);
   EXPECT_EQ(service.cache().size(), before);

@@ -5,8 +5,6 @@
 // is simply absent, never torn. Suites are named CheckpointConcurrent* so
 // both `ctest -L checkpoint` and `ctest -L serve` select them.
 
-#include <unistd.h>
-
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,24 +16,13 @@
 #include <vector>
 
 #include "support/checkpoint.h"
+#include "support/temp_dir.h"
 
 namespace ethsm::support {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string temp_dir(const std::string& tag) {
-  // Pid-qualified: ctest -j runs these tests in several processes at once
-  // (ethsm_tests plus the checkpoint- and serve-labelled filters), and a
-  // shared name would let one process remove_all a live sibling store.
-  static int counter = 0;
-  const fs::path dir =
-      fs::path(::testing::TempDir()) /
-      ("ethsm_ckcc_" + std::to_string(::getpid()) + "_" + tag + "_" +
-       std::to_string(counter++));
-  fs::remove_all(dir);
-  return dir.string();
-}
+using testutil::temp_path;
 
 /// Deterministic payload for a job: readers verify bytes, not just counts.
 std::vector<std::byte> payload_for(std::uint64_t job) {
@@ -47,7 +34,7 @@ std::vector<std::byte> payload_for(std::uint64_t job) {
 }
 
 TEST(CheckpointConcurrent, ReadersNeverObserveTornRecordsUnderALiveWriter) {
-  const std::string dir = temp_dir("live_writer");
+  const std::string dir = temp_path("live_writer");
   constexpr std::uint64_t kFingerprint = 0xfeedULL;
   constexpr std::uint64_t kJobs = 400;
 
@@ -91,7 +78,7 @@ TEST(CheckpointConcurrent, ReadersNeverObserveTornRecordsUnderALiveWriter) {
 }
 
 TEST(CheckpointConcurrent, TruncatedTailRecordIsInvisibleToReaders) {
-  const std::string dir = temp_dir("torn_tail");
+  const std::string dir = temp_path("torn_tail");
   constexpr std::uint64_t kFingerprint = 0x7ea1ULL;
   std::string file;
   {
@@ -115,7 +102,7 @@ TEST(CheckpointConcurrent, TruncatedTailRecordIsInvisibleToReaders) {
 }
 
 TEST(CheckpointConcurrent, CorruptMiddleRecordStopsTheWalkThere) {
-  const std::string dir = temp_dir("corrupt");
+  const std::string dir = temp_path("corrupt");
   constexpr std::uint64_t kFingerprint = 0xbadULL;
   std::string file;
   std::uintmax_t first_record_end = 0;
@@ -145,7 +132,7 @@ TEST(CheckpointConcurrent, CorruptMiddleRecordStopsTheWalkThere) {
 }
 
 TEST(CheckpointConcurrent, ReadIgnoresForeignSweepsAndMergesShards) {
-  const std::string dir = temp_dir("merge");
+  const std::string dir = temp_path("merge");
   {
     CheckpointStore mine_a(dir, 7, ShardSpec{0, 2});
     mine_a.append(0, payload_for(0));
@@ -165,7 +152,7 @@ TEST(CheckpointConcurrent, ReadIgnoresForeignSweepsAndMergesShards) {
 
 TEST(CheckpointConcurrent, MissingDirectoryReadsAsEmpty) {
   EXPECT_TRUE(
-      read_checkpoint_records(temp_dir("missing") + "/nope", 1).empty());
+      read_checkpoint_records(temp_path("missing") + "/nope", 1).empty());
 }
 
 }  // namespace

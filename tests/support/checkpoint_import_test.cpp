@@ -6,8 +6,6 @@
 // import racing a live local writer never tears the coordinator's own file.
 // Suites are named CheckpointImport* so `ctest -L checkpoint` selects them.
 
-#include <unistd.h>
-
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,22 +17,13 @@
 #include <vector>
 
 #include "support/checkpoint.h"
+#include "support/temp_dir.h"
 
 namespace ethsm::support {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string temp_dir(const std::string& tag) {
-  // Pid-qualified: ctest -j runs these tests in several processes at once.
-  static int counter = 0;
-  const fs::path dir =
-      fs::path(::testing::TempDir()) /
-      ("ethsm_ckim_" + std::to_string(::getpid()) + "_" + tag + "_" +
-       std::to_string(counter++));
-  fs::remove_all(dir);
-  return dir.string();
-}
+using testutil::temp_path;
 
 std::vector<std::byte> payload_for(std::uint64_t job) {
   ByteWriter writer;
@@ -63,8 +52,8 @@ std::uintmax_t directory_bytes(const std::string& dir) {
 
 TEST(CheckpointImport, MergesWorkerRecordsAndIsIdempotent) {
   constexpr std::uint64_t kFingerprint = 0xabcdULL;
-  const std::string coordinator_dir = temp_dir("merge_coord");
-  const std::string worker_dir = temp_dir("merge_worker");
+  const std::string coordinator_dir = temp_path("merge_coord");
+  const std::string worker_dir = temp_path("merge_worker");
   fill_store(worker_dir, kFingerprint, /*first_job=*/0, /*jobs=*/10,
              /*stride=*/2);  // jobs 0, 2, ..., 18 (a shard's stripe)
 
@@ -85,8 +74,8 @@ TEST(CheckpointImport, MergesWorkerRecordsAndIsIdempotent) {
 
 TEST(CheckpointImport, ImportedRecordsPersistAcrossReload) {
   constexpr std::uint64_t kFingerprint = 0x1122ULL;
-  const std::string coordinator_dir = temp_dir("reload_coord");
-  const std::string worker_dir = temp_dir("reload_worker");
+  const std::string coordinator_dir = temp_path("reload_coord");
+  const std::string worker_dir = temp_path("reload_worker");
   fill_store(worker_dir, kFingerprint, 0, 7);
 
   {
@@ -103,8 +92,8 @@ TEST(CheckpointImport, ImportedRecordsPersistAcrossReload) {
 }
 
 TEST(CheckpointImport, IgnoresForeignFingerprintSweeps) {
-  const std::string coordinator_dir = temp_dir("foreign_coord");
-  const std::string worker_dir = temp_dir("foreign_worker");
+  const std::string coordinator_dir = temp_path("foreign_coord");
+  const std::string worker_dir = temp_path("foreign_worker");
   fill_store(worker_dir, /*fingerprint=*/0xaaaaULL, 0, 5);
   fill_store(worker_dir, /*fingerprint=*/0xbbbbULL, 0, 3);
 
@@ -118,8 +107,8 @@ TEST(CheckpointImport, IgnoresForeignFingerprintSweeps) {
 
 TEST(CheckpointImport, RecoversValidPrefixOfPartiallySyncedWorkerFile) {
   constexpr std::uint64_t kFingerprint = 0x7777ULL;
-  const std::string coordinator_dir = temp_dir("torn_coord");
-  const std::string worker_dir = temp_dir("torn_worker");
+  const std::string coordinator_dir = temp_path("torn_coord");
+  const std::string worker_dir = temp_path("torn_worker");
   fill_store(worker_dir, kFingerprint, 0, 6);
 
   // Chop the tail of the worker's file mid-record -- a worker killed during
@@ -143,8 +132,8 @@ TEST(CheckpointImport, RecoversValidPrefixOfPartiallySyncedWorkerFile) {
 
 TEST(CheckpointImport, NeverWritesTheSourceDirectory) {
   constexpr std::uint64_t kFingerprint = 0x4242ULL;
-  const std::string coordinator_dir = temp_dir("readonly_coord");
-  const std::string worker_dir = temp_dir("readonly_worker");
+  const std::string coordinator_dir = temp_path("readonly_coord");
+  const std::string worker_dir = temp_path("readonly_worker");
   fill_store(worker_dir, kFingerprint, 0, 4);
   const std::uintmax_t before = directory_bytes(worker_dir);
 
@@ -154,19 +143,21 @@ TEST(CheckpointImport, NeverWritesTheSourceDirectory) {
 
   // A missing source is an empty import, not an error (a worker that died
   // before creating its directory).
-  EXPECT_EQ(coordinator.import_directory(temp_dir("readonly_missing")), 0u);
+  const std::string missing = temp_path("readonly_missing");
+  ASSERT_FALSE(fs::exists(missing));
+  EXPECT_EQ(coordinator.import_directory(missing), 0u);
 }
 
 TEST(CheckpointImport, ImportRacingALiveLocalWriterNeverTears) {
   constexpr std::uint64_t kFingerprint = 0x9e9eULL;
   constexpr std::uint64_t kLocalJobs = 300;
   constexpr int kWorkerDirs = 4;
-  const std::string coordinator_dir = temp_dir("race_coord");
+  const std::string coordinator_dir = temp_path("race_coord");
 
   // Worker directories carry disjoint job stripes above the local range.
   std::vector<std::string> worker_dirs;
   for (int w = 0; w < kWorkerDirs; ++w) {
-    worker_dirs.push_back(temp_dir("race_worker" + std::to_string(w)));
+    worker_dirs.push_back(temp_path("race_worker" + std::to_string(w)));
     fill_store(worker_dirs.back(), kFingerprint, kLocalJobs + w, 50,
                kWorkerDirs);
   }

@@ -16,20 +16,14 @@
 #include <vector>
 
 #include "support/parallel.h"
+#include "support/rng.h"
+#include "support/temp_dir.h"
 
 namespace ethsm::support {
 namespace {
 
 namespace fs = std::filesystem;
-
-/// Fresh unique directory under the test temp root.
-std::string temp_dir(const std::string& tag) {
-  static int counter = 0;
-  const fs::path dir = fs::path(::testing::TempDir()) /
-                       ("ethsm_ckpt_" + tag + "_" + std::to_string(counter++));
-  fs::remove_all(dir);
-  return dir.string();
-}
+using testutil::temp_path;
 
 std::vector<std::byte> payload_of(std::uint64_t a, double b) {
   ByteWriter w;
@@ -126,7 +120,7 @@ TEST(CheckpointBytes, ReaderThrowsOnUnderrun) {
 }
 
 TEST(CheckpointStoreTest, PersistsAndReloadsRecords) {
-  const std::string dir = temp_dir("roundtrip");
+  const std::string dir = temp_path("roundtrip");
   {
     CheckpointStore store(dir, 0xabcdULL);
     EXPECT_EQ(store.size(), 0u);
@@ -144,7 +138,7 @@ TEST(CheckpointStoreTest, PersistsAndReloadsRecords) {
 }
 
 TEST(CheckpointStoreTest, IgnoresStaleFingerprintFiles) {
-  const std::string dir = temp_dir("stale");
+  const std::string dir = temp_path("stale");
   {
     CheckpointStore old_sweep(dir, 0x111ULL);
     old_sweep.append(0, payload_of(0, 1.0));
@@ -160,7 +154,7 @@ TEST(CheckpointStoreTest, IgnoresStaleFingerprintFiles) {
 }
 
 TEST(CheckpointStoreTest, TruncatedTailLosesOnlyTheLastRecord) {
-  const std::string dir = temp_dir("truncated");
+  const std::string dir = temp_path("truncated");
   std::string file;
   {
     CheckpointStore store(dir, 0x333ULL);
@@ -177,7 +171,7 @@ TEST(CheckpointStoreTest, TruncatedTailLosesOnlyTheLastRecord) {
 }
 
 TEST(CheckpointStoreTest, CorruptedPayloadStopsTrustingTheFile) {
-  const std::string dir = temp_dir("corrupt");
+  const std::string dir = temp_path("corrupt");
   std::string file;
   {
     CheckpointStore store(dir, 0x444ULL);
@@ -203,7 +197,7 @@ TEST(CheckpointStoreTest, CorruptedPayloadStopsTrustingTheFile) {
 }
 
 TEST(CheckpointStoreTest, AppendAfterTruncationRepairsTheTail) {
-  const std::string dir = temp_dir("repair");
+  const std::string dir = temp_path("repair");
   std::string file;
   {
     CheckpointStore store(dir, 0x555ULL);
@@ -230,7 +224,7 @@ TEST(CheckpointStoreTest, TornHeaderIsRepairedNotAppendedAfter) {
   // leaves the own file shorter than a header. Later runs must rewrite it
   // from scratch -- not append records after the garbage, which would make
   // every future record permanently unreadable.
-  const std::string dir = temp_dir("torn_header");
+  const std::string dir = temp_path("torn_header");
   std::string file;
   {
     CheckpointStore store(dir, 0x777ULL);
@@ -251,7 +245,7 @@ TEST(CheckpointStoreTest, TornHeaderIsRepairedNotAppendedAfter) {
 TEST(CheckpointStoreTest, CorruptSizeFieldDoesNotDriveAllocation) {
   // A bit-flipped size field must be rejected against the file length before
   // any allocation happens (no multi-GiB vector from a 100-byte file).
-  const std::string dir = temp_dir("corrupt_size");
+  const std::string dir = temp_path("corrupt_size");
   std::string file;
   {
     CheckpointStore store(dir, 0x888ULL);
@@ -273,7 +267,7 @@ TEST(CheckpointStoreTest, EveryByteTruncationRecoversTheValidPrefix) {
   // the file at, reloading must recover exactly the records that were fully
   // flushed before that byte -- never a partial record, never fewer than the
   // intact prefix, and never a crash or overallocation.
-  const std::string dir = temp_dir("fuzz_truncate");
+  const std::string dir = temp_path("fuzz_truncate");
   std::string file;
   {
     CheckpointStore store(dir, 0x999ULL);
@@ -328,7 +322,7 @@ TEST(CheckpointStoreTest, EveryByteTruncationRecoversTheValidPrefix) {
 }
 
 TEST(CheckpointStoreTest, GarbageFilesAreIgnored) {
-  const std::string dir = temp_dir("garbage");
+  const std::string dir = temp_path("garbage");
   fs::create_directories(dir);
   std::ofstream(dir + "/noise.ethsmck") << "not a checkpoint at all";
   std::ofstream(dir + "/short.ethsmck") << "tiny";
@@ -349,26 +343,29 @@ double job_value(std::size_t i) {
 
 TEST(CheckpointedRun, DisabledMatchesParallelMap) {
   const auto plain = parallel_map(10, job_value);
-  const auto sweep =
-      run_checkpointed<double>(SweepCheckpoint{}, 0x1ULL, 10, job_value);
-  ASSERT_TRUE(sweep.complete());
+  SweepOutcome outcome;
+  const auto sweep = run_checkpointed<double>(SweepCheckpoint{}, &outcome,
+                                              0x1ULL, 10, job_value);
+  ASSERT_TRUE(outcome.complete());
   EXPECT_EQ(sweep.results, plain);
-  EXPECT_EQ(sweep.outcome.computed, 10u);
+  EXPECT_EQ(outcome.computed, 10u);
 }
 
 TEST(CheckpointedRun, InterruptedThenResumedIsBitwiseIdentical) {
   const std::size_t n = 23;
-  const auto fresh =
-      run_checkpointed<double>(SweepCheckpoint{}, 0x2ULL, n, job_value);
+  const auto fresh = run_checkpointed<double>(SweepCheckpoint{}, nullptr,
+                                              0x2ULL, n, job_value);
 
   SweepCheckpoint ckpt;
-  ckpt.directory = temp_dir("resume");
+  ckpt.directory = temp_path("resume");
   ckpt.max_new_jobs = 7;  // "interrupt" after a bounded job budget
   std::size_t total_computed = 0;
   for (int attempt = 0; attempt < 10; ++attempt) {
-    const auto partial = run_checkpointed<double>(ckpt, 0x2ULL, n, job_value);
-    total_computed += partial.outcome.computed;
-    if (partial.complete()) {
+    SweepOutcome outcome;
+    const auto partial =
+        run_checkpointed<double>(ckpt, &outcome, 0x2ULL, n, job_value);
+    total_computed += outcome.computed;
+    if (outcome.complete()) {
       EXPECT_EQ(partial.results, fresh.results);  // exact double equality
       EXPECT_EQ(total_computed, n);               // nothing ran twice
       return;
@@ -379,35 +376,65 @@ TEST(CheckpointedRun, InterruptedThenResumedIsBitwiseIdentical) {
 
 TEST(CheckpointedRun, FourWayShardMergeIsBitwiseIdentical) {
   const std::size_t n = 18;
-  const auto fresh =
-      run_checkpointed<double>(SweepCheckpoint{}, 0x3ULL, n, job_value);
+  const auto fresh = run_checkpointed<double>(SweepCheckpoint{}, nullptr,
+                                              0x3ULL, n, job_value);
 
   SweepCheckpoint ckpt;
-  ckpt.directory = temp_dir("shard4");
+  ckpt.directory = temp_path("shard4");
   for (std::uint32_t k = 0; k < 4; ++k) {
     ckpt.shard = ShardSpec{k, 4};
-    const auto part = run_checkpointed<double>(ckpt, 0x3ULL, n, job_value);
-    if (k < 3) EXPECT_FALSE(part.complete());
+    SweepOutcome outcome;
+    (void)run_checkpointed<double>(ckpt, &outcome, 0x3ULL, n, job_value);
+    if (k < 3) EXPECT_FALSE(outcome.complete());
   }
   // Merge pass: every record comes from disk, none recomputed.
   ckpt.shard = ShardSpec{};
-  const auto merged = run_checkpointed<double>(ckpt, 0x3ULL, n, job_value);
-  ASSERT_TRUE(merged.complete());
-  EXPECT_EQ(merged.outcome.loaded, n);
-  EXPECT_EQ(merged.outcome.computed, 0u);
+  SweepOutcome outcome;
+  const auto merged =
+      run_checkpointed<double>(ckpt, &outcome, 0x3ULL, n, job_value);
+  ASSERT_TRUE(outcome.complete());
+  EXPECT_EQ(outcome.loaded, n);
+  EXPECT_EQ(outcome.computed, 0u);
   EXPECT_EQ(merged.results, fresh.results);
 }
 
 TEST(CheckpointedRun, ShardsOnlyComputeOwnedIndices) {
   SweepCheckpoint ckpt;
-  ckpt.directory = temp_dir("owned");
+  ckpt.directory = temp_path("owned");
   ckpt.shard = ShardSpec{1, 3};
+  SweepOutcome outcome;
   const auto part = run_checkpointed<std::uint64_t>(
-      ckpt, 0x4ULL, 10, [](std::size_t i) { return std::uint64_t{i}; });
-  EXPECT_EQ(part.outcome.computed, 3u);  // indices 1, 4, 7
+      ckpt, &outcome, 0x4ULL, 10,
+      [](std::size_t i) { return std::uint64_t{i}; });
+  EXPECT_EQ(outcome.computed, 3u);  // indices 1, 4, 7
   for (std::size_t i = 0; i < 10; ++i) {
     EXPECT_EQ(part.have[i] != 0, i % 3 == 1) << "index " << i;
   }
+}
+
+TEST(CheckpointedRun, IncompleteSweepWithoutOutcomeIsRefused) {
+  SweepCheckpoint ckpt;
+  ckpt.directory = temp_path("refused");
+  ckpt.max_new_jobs = 2;
+  EXPECT_THROW(
+      (void)run_checkpointed<double>(ckpt, nullptr, 0x5ULL, 6, job_value),
+      std::logic_error);
+}
+
+TEST(CheckpointedRun, SeededRunsAbsorbInRunOrder) {
+  // Job r sees derive_seed(seed, r); absorption follows r, not completion.
+  SweepOutcome outcome;
+  std::vector<std::uint64_t> absorbed;
+  run_seeded(
+      SweepCheckpoint{}, &outcome, 0x6ULL, 42, 5,
+      [](std::uint64_t seed) { return seed; },
+      [&](std::uint64_t seed) { absorbed.push_back(seed); });
+  ASSERT_EQ(absorbed.size(), 5u);
+  for (std::uint64_t r = 0; r < 5; ++r) {
+    EXPECT_EQ(absorbed[r], derive_seed(42, r)) << "run " << r;
+  }
+  EXPECT_EQ(outcome.jobs_total, 5u);
+  EXPECT_EQ(outcome.computed, 5u);
 }
 
 }  // namespace

@@ -9,10 +9,7 @@
 #include "support/metrics.h"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
-#include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -22,12 +19,11 @@
 #include "api/render.h"
 #include "api/runner.h"
 #include "api/spec.h"
+#include "support/temp_dir.h"
 #include "support/trace.h"
 
 namespace ethsm::support::metrics {
 namespace {
-
-namespace fs = std::filesystem;
 
 TEST(MetricsCounterTest, SingleThreadedArithmetic) {
   Counter c;
@@ -199,13 +195,10 @@ std::size_t count_occurrences(const std::string& text,
 class TraceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = (fs::temp_directory_path() /
-             ("ethsm-trace-test-" + std::to_string(::getpid()) + ".json"))
-                .string();
+    path_ = testutil::temp_dir("trace") + "/trace.json";
   }
   void TearDown() override {
     if (trace::enabled()) trace::stop();
-    std::remove(path_.c_str());
   }
 
   std::string read_file() const {
@@ -264,14 +257,9 @@ TEST(MetricsDifferentialTest, TracingOnAndOffRenderIdenticalResults) {
   const std::uint64_t solves_before = solves.value();
   const std::string plain = api::render_json(api::run(spec));
 
-  const std::string trace_path =
-      (fs::temp_directory_path() /
-       ("ethsm-differential-" + std::to_string(::getpid()) + ".json"))
-          .string();
-  trace::start(trace_path);
+  trace::start(testutil::temp_dir("differential") + "/trace.json");
   const std::string traced = api::render_json(api::run(spec));
   ASSERT_TRUE(trace::stop());
-  std::remove(trace_path.c_str());
 
   EXPECT_EQ(plain, traced);
   if constexpr (kEnabled) {
