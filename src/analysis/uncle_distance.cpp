@@ -16,27 +16,34 @@ UncleDistanceDistribution honest_uncle_distance_distribution(
 
   UncleDistanceDistribution out;
   double weighted_distance = 0.0;
-  for (const markov::Transition& t : model.transitions()) {
-    const double weight = pi[t.from] * t.rate;
-    if (weight == 0.0) continue;
-    const RewardFlow flow = expected_rewards(model.space().state_at(t.from),
-                                             t.kind, model.params(), config);
-    if (flow.target_owner != chain::MinerClass::honest ||
-        flow.uncle_distance == 0) {
-      continue;
-    }
-    // referenced_uncle_probability is zeroed beyond the horizon by
-    // reward_cases; recover the raw uncle probability for the tail rate.
-    if (flow.uncle_distance <= rewards::kMaxUncleDistance) {
-      const double rate = weight * flow.referenced_uncle_probability;
-      out.fraction[static_cast<std::size_t>(flow.uncle_distance)] += rate;
-      weighted_distance += rate * flow.uncle_distance;
-      out.in_horizon_rate += rate;
-    } else {
-      // Beyond the horizon the block is certain to stay unreferenced: the
-      // would-be-uncle rate equals the transition's full weight for the
-      // deterministic-uncle cases (7, 8, 9, 10 all have probability 1).
-      out.beyond_horizon_rate += weight;
+  const auto& row = model.row_offsets();
+  const auto& rates = model.rates();
+  const auto& kinds = model.kinds();
+  for (int s = 0; s < model.space().size(); ++s) {
+    const markov::State& state = model.space().state_at(s);
+    for (std::uint32_t e = row[static_cast<std::size_t>(s)];
+         e < row[static_cast<std::size_t>(s) + 1]; ++e) {
+      const double weight = pi[s] * rates[e];
+      if (weight == 0.0) continue;
+      const RewardFlow flow =
+          expected_rewards(state, kinds[e], model.params(), config);
+      if (flow.target_owner != chain::MinerClass::honest ||
+          flow.uncle_distance == 0) {
+        continue;
+      }
+      // referenced_uncle_probability is zeroed beyond the horizon by
+      // reward_cases; recover the raw uncle probability for the tail rate.
+      if (flow.uncle_distance <= rewards::kMaxUncleDistance) {
+        const double rate = weight * flow.referenced_uncle_probability;
+        out.fraction[static_cast<std::size_t>(flow.uncle_distance)] += rate;
+        weighted_distance += rate * flow.uncle_distance;
+        out.in_horizon_rate += rate;
+      } else {
+        // Beyond the horizon the block is certain to stay unreferenced: the
+        // would-be-uncle rate equals the transition's full weight for the
+        // deterministic-uncle cases (7, 8, 9, 10 all have probability 1).
+        out.beyond_horizon_rate += weight;
+      }
     }
   }
 

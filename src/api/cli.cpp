@@ -9,6 +9,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <set>
@@ -214,59 +215,64 @@ class TraceGuard {
   bool active_;
 };
 
-RunArgs parse_run_args(int argc, char** argv, int first) {
-  RunArgs args;
-  if (const char* dir = std::getenv("ETHSM_CHECKPOINT_DIR")) {
-    args.checkpoint.directory = dir;
-  }
-  args.checkpoint.shard = support::shard_from_env();
+/// Reads the value of the flag being parsed; a usage error when it is last.
+using FlagValue = std::function<const char*(const char* flag)>;
+/// A subcommand's own flags: consumes `arg` (and any value) or returns false.
+using OwnFlags = std::function<bool(std::string_view arg, const FlagValue& next)>;
 
+/// A subcommand's wording of the shared spec-source errors.
+struct SourceUsage {
+  const char* unknown;   ///< prefix of the unknown-flag error
+  const char* missing;   ///< no source given
+  const char* conflict;  ///< more than one source given
+  /// expand: the positional names a study file, and only --quick, --all and
+  /// --set are shared.
+  bool studies_only = false;
+};
+
+constexpr SourceUsage kRunUsage{
+    "unknown argument ",
+    "run/print need a preset name, --spec FILE, --study FILE or --all",
+    "pick exactly one of <preset>, --spec, --study and --all"};
+constexpr SourceUsage kOrchestrateUsage{
+    "unknown orchestrate argument ",
+    "orchestrate needs a preset name, --spec FILE, --study FILE or --all",
+    "pick exactly one of <preset>, --spec, --study and --all"};
+constexpr SourceUsage kExpandUsage{"unknown argument ",
+                                   "expand needs a study file or --all",
+                                   "expand takes a study file or --all, not both",
+                                   true};
+
+/// The flags run, print, expand and orchestrate share: the spec source
+/// (<preset>, --spec, --study or --all, exactly one) with --quick and --set,
+/// and the artefact's --format, --out and --retry. Everything else goes to
+/// `own` first; what it refuses is an unknown flag or a positional.
+void parse_source_args(RunArgs& args, const SourceUsage& usage, int argc,
+                       char** argv, int first, const OwnFlags& own = {}) {
+  SpecRequest& request = args.request;
+  const bool all_flags = !usage.studies_only;
   for (int i = first; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    auto next = [&](const char* what) -> const char* {
+    const FlagValue next = [&](const char* what) -> const char* {
       if (i + 1 >= argc) usage_fail(std::string(what) + " needs a value");
       return argv[++i];
     };
     if (arg == "--quick") {
-      args.request.quick = true;
-    } else if (arg == "--spec") {
-      args.request.spec_file = next("--spec");
-    } else if (arg == "--study") {
-      args.request.study_file = next("--study");
+      request.quick = true;
     } else if (arg == "--all") {
-      args.request.all = true;
+      request.all = true;
     } else if (arg == "--set") {
-      args.request.overrides.emplace_back(next("--set"));
-    } else if (arg == "--format") {
+      request.overrides.emplace_back(next("--set"));
+    } else if (all_flags && arg == "--spec") {
+      request.spec_file = next("--spec");
+    } else if (all_flags && arg == "--study") {
+      request.study_file = next("--study");
+    } else if (all_flags && arg == "--format") {
       args.format = output_format_from_string(next("--format"));
       args.format_set = true;
-    } else if (arg == "--out") {
+    } else if (all_flags && arg == "--out") {
       args.out_file = next("--out");
-    } else if (arg == "--checkpoint-dir") {
-      args.checkpoint.directory = next("--checkpoint-dir");
-    } else if (arg == "--resume") {
-      if (args.checkpoint.directory.empty()) {
-        args.checkpoint.directory = "ethsm-checkpoints";
-      }
-    } else if (arg == "--shard") {
-      const auto shard = support::parse_shard(next("--shard"));
-      if (!shard) usage_fail("malformed --shard (want k/N with 0 <= k < N)");
-      args.checkpoint.shard = *shard;
-    } else if (arg == "--cell-shard") {
-      const auto shard = support::parse_shard(next("--cell-shard"));
-      if (!shard) {
-        usage_fail("malformed --cell-shard (want k/N with 0 <= k < N)");
-      }
-      args.cell_shard = *shard;
-    } else if (arg == "--max-new-jobs") {
-      const char* text = next("--max-new-jobs");
-      char* end = nullptr;
-      const unsigned long long value = std::strtoull(text, &end, 10);
-      if (*text == '\0' || *end != '\0' || *text == '-') {
-        usage_fail("malformed --max-new-jobs (want a non-negative integer)");
-      }
-      args.checkpoint.max_new_jobs = static_cast<std::size_t>(value);
-    } else if (arg == "--retry") {
+    } else if (all_flags && arg == "--retry") {
       const char* text = next("--retry");
       char* end = nullptr;
       const long value = std::strtol(text, &end, 10);
@@ -274,34 +280,77 @@ RunArgs parse_run_args(int argc, char** argv, int first) {
         usage_fail("malformed --retry (want an integer in [0, 100])");
       }
       args.retry = static_cast<int>(value);
-    } else if (arg == "--trace") {
-      args.trace_file = next("--trace");
-    } else if (arg == "--metrics-out") {
-      args.metrics_out = next("--metrics-out");
+    } else if (own && own(arg, next)) {
+      continue;
     } else if (!arg.empty() && arg.front() == '-') {
-      usage_fail("unknown argument " + std::string(arg));
-    } else if (args.request.preset.empty() &&
-               args.request.spec_file.empty()) {
-      args.request.preset = std::string(arg);
+      usage_fail(usage.unknown + std::string(arg));
+    } else if (usage.studies_only && request.study_file.empty()) {
+      request.study_file = std::string(arg);
+    } else if (!usage.studies_only && request.preset.empty() &&
+               request.spec_file.empty()) {
+      request.preset = std::string(arg);
     } else {
       usage_fail("unexpected argument " + std::string(arg));
     }
   }
-  const int sources = (args.request.preset.empty() ? 0 : 1) +
-                      (args.request.spec_file.empty() ? 0 : 1) +
-                      (args.request.study_file.empty() ? 0 : 1) +
-                      (args.request.all ? 1 : 0);
-  if (sources == 0) {
-    usage_fail("run/print need a preset name, --spec FILE, --study FILE "
-               "or --all");
-  }
-  if (sources > 1) {
-    usage_fail("pick exactly one of <preset>, --spec, --study and --all");
-  }
-  if (args.request.is_study() && args.format_set) {
+  const int sources = (request.preset.empty() ? 0 : 1) +
+                      (request.spec_file.empty() ? 0 : 1) +
+                      (request.study_file.empty() ? 0 : 1) +
+                      (request.all ? 1 : 0);
+  if (sources == 0) usage_fail(usage.missing);
+  if (sources > 1) usage_fail(usage.conflict);
+  if (request.is_study() && args.format_set) {
     usage_fail("--format does not apply to study runs: the results tree "
                "always carries table.txt + data.csv + data.json per spec");
   }
+}
+
+RunArgs parse_run_args(int argc, char** argv, int first) {
+  RunArgs args;
+  if (const char* dir = std::getenv("ETHSM_CHECKPOINT_DIR")) {
+    args.checkpoint.directory = dir;
+  }
+  args.checkpoint.shard = support::shard_from_env();
+
+  parse_source_args(
+      args, kRunUsage, argc, argv, first,
+      [&](std::string_view arg, const FlagValue& next) {
+        if (arg == "--checkpoint-dir") {
+          args.checkpoint.directory = next("--checkpoint-dir");
+        } else if (arg == "--resume") {
+          if (args.checkpoint.directory.empty()) {
+            args.checkpoint.directory = "ethsm-checkpoints";
+          }
+        } else if (arg == "--shard") {
+          const auto shard = support::parse_shard(next("--shard"));
+          if (!shard) {
+            usage_fail("malformed --shard (want k/N with 0 <= k < N)");
+          }
+          args.checkpoint.shard = *shard;
+        } else if (arg == "--cell-shard") {
+          const auto shard = support::parse_shard(next("--cell-shard"));
+          if (!shard) {
+            usage_fail("malformed --cell-shard (want k/N with 0 <= k < N)");
+          }
+          args.cell_shard = *shard;
+        } else if (arg == "--max-new-jobs") {
+          const char* text = next("--max-new-jobs");
+          char* end = nullptr;
+          const unsigned long long value = std::strtoull(text, &end, 10);
+          if (*text == '\0' || *end != '\0' || *text == '-') {
+            usage_fail(
+                "malformed --max-new-jobs (want a non-negative integer)");
+          }
+          args.checkpoint.max_new_jobs = static_cast<std::size_t>(value);
+        } else if (arg == "--trace") {
+          args.trace_file = next("--trace");
+        } else if (arg == "--metrics-out") {
+          args.metrics_out = next("--metrics-out");
+        } else {
+          return false;
+        }
+        return true;
+      });
   if (!args.checkpoint.shard.is_whole_sweep() &&
       args.checkpoint.directory.empty()) {
     usage_fail("--shard requires --checkpoint-dir (shards merge through disk; "
@@ -505,32 +554,7 @@ int cmd_print(int argc, char** argv, int first) {
 /// expands to, in execution order, for inspection before a long run.
 int cmd_expand(int argc, char** argv, int first) {
   RunArgs args;
-  for (int i = first; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    auto next = [&](const char* what) -> const char* {
-      if (i + 1 >= argc) usage_fail(std::string(what) + " needs a value");
-      return argv[++i];
-    };
-    if (arg == "--quick") {
-      args.request.quick = true;
-    } else if (arg == "--all") {
-      args.request.all = true;
-    } else if (arg == "--set") {
-      args.request.overrides.emplace_back(next("--set"));
-    } else if (!arg.empty() && arg.front() == '-') {
-      usage_fail("unknown argument " + std::string(arg));
-    } else if (args.request.study_file.empty()) {
-      args.request.study_file = std::string(arg);
-    } else {
-      usage_fail("unexpected argument " + std::string(arg));
-    }
-  }
-  if (args.request.all && !args.request.study_file.empty()) {
-    usage_fail("expand takes a study file or --all, not both");
-  }
-  if (!args.request.all && args.request.study_file.empty()) {
-    usage_fail("expand needs a study file or --all");
-  }
+  parse_source_args(args, kExpandUsage, argc, argv, first);
 
   const SpecRequest::Expansion expansion = args.request.expand();
   std::cout << "# study " << expansion.name << ": "
@@ -656,42 +680,36 @@ int cmd_checkpoint_stats(int argc, char** argv, int first) {
               << file->bytes << " bytes)\n";
   }
 
-  if (prune && dry_run) {
-    // Same selection as a real prune, zero filesystem writes: lets an
+  if (prune) {
+    // A dry run makes the same selection with zero filesystem writes: lets an
     // operator audit what a shared checkpoint directory would lose before
     // committing (a forgotten --keep-study shows up here, not as data loss).
-    std::uint64_t would_free = 0;
-    std::size_t would_remove = 0;
-    for (const auto& file : files) {
-      if (!file.readable) continue;  // never guess about foreign files
-      if (owners.count(file.fingerprint) != 0) continue;
-      std::cout << "would prune " << hex64(file.fingerprint) << " "
-                << file.path << " (" << file.bytes << " bytes)\n";
-      ++would_remove;
-      would_free += file.bytes;
-    }
-    std::cout << "dry run: would prune " << would_remove
-              << " file(s), freeing " << would_free
-              << " bytes; re-run without --dry-run to delete\n";
-  } else if (prune) {
     std::uint64_t freed = 0;
     std::size_t removed = 0;
     for (const auto& file : files) {
       if (!file.readable) continue;  // never guess about foreign files
       if (owners.count(file.fingerprint) != 0) continue;
-      std::error_code ec;
-      if (std::filesystem::remove(file.path, ec) && !ec) {
-        ++removed;
-        freed += file.bytes;
-      } else {
+      if (dry_run) {
+        std::cout << "would prune " << hex64(file.fingerprint) << " "
+                  << file.path << " (" << file.bytes << " bytes)\n";
+      } else if (std::error_code ec;
+                 !std::filesystem::remove(file.path, ec) || ec) {
         std::fprintf(stderr, "warning: could not remove %s\n",
                      file.path.c_str());
+        continue;
       }
+      ++removed;
+      freed += file.bytes;
     }
-    std::cout << "pruned " << removed << " file(s), freed " << freed
-              << " bytes (kept every fingerprint a registered preset"
-              << (keep_studies.empty() ? "" : " or --keep-study expansion")
-              << " references)\n";
+    if (dry_run) {
+      std::cout << "dry run: would prune " << removed << " file(s), freeing "
+                << freed << " bytes; re-run without --dry-run to delete\n";
+    } else {
+      std::cout << "pruned " << removed << " file(s), freed " << freed
+                << " bytes (kept every fingerprint a registered preset"
+                << (keep_studies.empty() ? "" : " or --keep-study expansion")
+                << " references)\n";
+    }
   } else {
     std::size_t unreferenced = 0;
     for (const auto& [fingerprint, stat] : sweeps) {
@@ -827,116 +845,68 @@ int cmd_serve(int argc, char** argv, int start) {
 /// src/orchestrate/orchestrate.h for the coordinator contract and
 /// docs/OPERATIONS.md for deployment recipes.
 int cmd_orchestrate(int argc, char** argv, int first) {
-  SpecRequest request;
-  OutputFormat format = OutputFormat::table;
-  bool format_set = false;
-  std::string out_file;
+  RunArgs args;
+  args.retry = 2;
   std::string checkpoint_dir = "ethsm-checkpoints";
   std::size_t workers = 2;
   bool workers_set = false;
   std::vector<std::string> hosts;
   std::size_t units = 0;
-  int retry = 2;
   std::size_t worker_threads = 0;
   std::string remote_binary = "ethsm";
   std::string remote_root = "/tmp/ethsm-orchestrate";
   std::string trace_file;
   bool quiet = false;
 
-  for (int i = first; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    auto next = [&](const char* what) -> const char* {
-      if (i + 1 >= argc) usage_fail(std::string(what) + " needs a value");
-      return argv[++i];
-    };
-    auto next_count = [&](const char* what, bool allow_zero) -> std::size_t {
-      const char* text = next(what);
-      char* end = nullptr;
-      const unsigned long long value = std::strtoull(text, &end, 10);
-      if (*text == '\0' || *end != '\0' || *text == '-' ||
-          (!allow_zero && value == 0)) {
-        usage_fail(std::string(what) + " wants a positive integer");
-      }
-      return static_cast<std::size_t>(value);
-    };
-    if (arg == "--quick") {
-      request.quick = true;
-    } else if (arg == "--spec") {
-      request.spec_file = next("--spec");
-    } else if (arg == "--study") {
-      request.study_file = next("--study");
-    } else if (arg == "--all") {
-      request.all = true;
-    } else if (arg == "--set") {
-      request.overrides.emplace_back(next("--set"));
-    } else if (arg == "--format") {
-      format = output_format_from_string(next("--format"));
-      format_set = true;
-    } else if (arg == "--out") {
-      out_file = next("--out");
-    } else if (arg == "--checkpoint-dir") {
-      checkpoint_dir = next("--checkpoint-dir");
-    } else if (arg == "--workers") {
-      workers = next_count("--workers", false);
-      workers_set = true;
-    } else if (arg == "--hosts") {
-      // Comma-separated host list, one worker slot per host.
-      const std::string list = next("--hosts");
-      std::size_t start = 0;
-      while (start <= list.size()) {
-        const std::size_t comma = list.find(',', start);
-        const std::string host =
-            list.substr(start, comma == std::string::npos ? std::string::npos
-                                                          : comma - start);
-        if (!host.empty()) hosts.push_back(host);
-        if (comma == std::string::npos) break;
-        start = comma + 1;
-      }
-      if (hosts.empty()) usage_fail("--hosts wants a comma-separated list");
-    } else if (arg == "--units") {
-      units = next_count("--units", false);
-    } else if (arg == "--retry") {
-      const char* text = next("--retry");
-      char* end = nullptr;
-      const long value = std::strtol(text, &end, 10);
-      if (*text == '\0' || *end != '\0' || value < 0 || value > 100) {
-        usage_fail("malformed --retry (want an integer in [0, 100])");
-      }
-      retry = static_cast<int>(value);
-    } else if (arg == "--worker-threads") {
-      worker_threads = next_count("--worker-threads", false);
-    } else if (arg == "--remote-binary") {
-      remote_binary = next("--remote-binary");
-    } else if (arg == "--remote-root") {
-      remote_root = next("--remote-root");
-    } else if (arg == "--trace") {
-      trace_file = next("--trace");
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else if (!arg.empty() && arg.front() == '-') {
-      usage_fail("unknown orchestrate argument " + std::string(arg));
-    } else if (request.preset.empty() && request.spec_file.empty()) {
-      request.preset = std::string(arg);
-    } else {
-      usage_fail("unexpected argument " + std::string(arg));
-    }
-  }
-
-  const int sources = (request.preset.empty() ? 0 : 1) +
-                      (request.spec_file.empty() ? 0 : 1) +
-                      (request.study_file.empty() ? 0 : 1) +
-                      (request.all ? 1 : 0);
-  if (sources == 0) {
-    usage_fail("orchestrate needs a preset name, --spec FILE, --study FILE "
-               "or --all");
-  }
-  if (sources > 1) {
-    usage_fail("pick exactly one of <preset>, --spec, --study and --all");
-  }
-  if (request.is_study() && format_set) {
-    usage_fail("--format does not apply to study runs: the results tree "
-               "always carries table.txt + data.csv + data.json per spec");
-  }
+  parse_source_args(
+      args, kOrchestrateUsage, argc, argv, first,
+      [&](std::string_view arg, const FlagValue& next) {
+        auto next_count = [&](const char* what) -> std::size_t {
+          const char* text = next(what);
+          char* end = nullptr;
+          const unsigned long long value = std::strtoull(text, &end, 10);
+          if (*text == '\0' || *end != '\0' || *text == '-' || value == 0) {
+            usage_fail(std::string(what) + " wants a positive integer");
+          }
+          return static_cast<std::size_t>(value);
+        };
+        if (arg == "--checkpoint-dir") {
+          checkpoint_dir = next("--checkpoint-dir");
+        } else if (arg == "--workers") {
+          workers = next_count("--workers");
+          workers_set = true;
+        } else if (arg == "--hosts") {
+          // Comma-separated host list, one worker slot per host.
+          const std::string list = next("--hosts");
+          std::size_t start = 0;
+          while (start <= list.size()) {
+            const std::size_t comma = list.find(',', start);
+            const std::string host = list.substr(
+                start,
+                comma == std::string::npos ? std::string::npos : comma - start);
+            if (!host.empty()) hosts.push_back(host);
+            if (comma == std::string::npos) break;
+            start = comma + 1;
+          }
+          if (hosts.empty()) usage_fail("--hosts wants a comma-separated list");
+        } else if (arg == "--units") {
+          units = next_count("--units");
+        } else if (arg == "--worker-threads") {
+          worker_threads = next_count("--worker-threads");
+        } else if (arg == "--remote-binary") {
+          remote_binary = next("--remote-binary");
+        } else if (arg == "--remote-root") {
+          remote_root = next("--remote-root");
+        } else if (arg == "--trace") {
+          trace_file = next("--trace");
+        } else if (arg == "--quiet") {
+          quiet = true;
+        } else {
+          return false;
+        }
+        return true;
+      });
+  const SpecRequest& request = args.request;
   if (workers_set && !hosts.empty()) {
     usage_fail("pick --workers N (local) or --hosts a,b,c (ssh), not both");
   }
@@ -975,7 +945,7 @@ int cmd_orchestrate(int argc, char** argv, int first) {
   config.units = units > 0 ? units : 2 * transport.slots();
   config.coordinator_dir = checkpoint_dir;
   config.work_dir = work_dir;
-  config.retry.attempts = retry + 1;
+  config.retry.attempts = args.retry + 1;
   config.retry.initial_backoff_ms = 250.0;
   config.kill = orchestrate::kill_plan_from_env();
   if (!quiet) {
@@ -1023,9 +993,9 @@ int cmd_orchestrate(int argc, char** argv, int first) {
   // without the coordinator silently recomputing a dead shard's work.
   RunArgs merge;
   merge.request = request;
-  merge.format = format;
-  merge.format_set = format_set;
-  merge.out_file = out_file;
+  merge.format = args.format;
+  merge.format_set = args.format_set;
+  merge.out_file = args.out_file;
   merge.checkpoint.directory = checkpoint_dir;
   if (!outcome.ok()) merge.checkpoint.max_new_jobs = 0;
   const int merge_rc = cmd_run(merge);

@@ -8,6 +8,8 @@
 #include <cstdlib>
 #include <memory>
 #include <sstream>
+#include <type_traits>
+#include <variant>
 
 #include "net/net_sim.h"
 #include "net/topology.h"
@@ -50,20 +52,6 @@ double parse_double(std::string_view key, std::string_view text) {
          "'");
   }
   return value;
-}
-
-std::uint64_t parse_u64(std::string_view key, std::string_view text) {
-  const std::string buffer(trim(text));
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(buffer.c_str(), &end, 0);
-  // strtoull silently wraps "-5" to a huge value; a negative count/seed is a
-  // typo, not a 2^64-block simulation.
-  if (buffer.empty() || end != buffer.c_str() + buffer.size() ||
-      buffer.front() == '-') {
-    fail("spec key '" + std::string(key) + "': malformed integer '" + buffer +
-         "'");
-  }
-  return static_cast<std::uint64_t>(value);
 }
 
 int parse_int(std::string_view key, std::string_view text) {
@@ -129,18 +117,22 @@ std::vector<double> parse_grid(std::string_view key, std::string_view text) {
 
 /// Shortest decimal form that parses back to exactly the same double, so
 /// print -> parse round-trips bitwise (shared with the net grammars).
-std::string print_double(double value) {
+std::string print_value(double value) {
   return support::print_shortest_double(value);
 }
 
-std::string print_grid(const std::vector<double>& grid) {
+std::string print_value(const std::vector<double>& grid) {
   std::string out;
   for (std::size_t i = 0; i < grid.size(); ++i) {
     if (i) out += ',';
-    out += print_double(grid[i]);
+    out += print_value(grid[i]);
   }
   return out;
 }
+
+std::string print_value(int value) { return std::to_string(value); }
+std::string print_value(std::uint64_t value) { return std::to_string(value); }
+std::string print_value(const std::string& value) { return value; }
 
 std::string print_hex(std::uint64_t value) {
   char buffer[32];
@@ -182,6 +174,122 @@ bool apply_series_key(ExperimentSpec& spec, std::string_view key,
          std::string(key) + "'");
   }
   return true;
+}
+
+// Value grammars of the table's member types, the inverses of print_value.
+void parse_value(std::string_view key, std::string_view text, double& out) {
+  out = parse_double(key, text);
+}
+
+void parse_value(std::string_view key, std::string_view text, int& out) {
+  out = parse_int(key, text);
+}
+
+void parse_value(std::string_view key, std::string_view text,
+                 std::uint64_t& out) {
+  const std::string buffer(trim(text));
+  char* end = nullptr;
+  const unsigned long long value = std::strtoull(buffer.c_str(), &end, 0);
+  // strtoull silently wraps "-5" to a huge value; a negative count/seed is a
+  // typo, not a 2^64-block simulation.
+  if (buffer.empty() || end != buffer.c_str() + buffer.size() ||
+      buffer.front() == '-') {
+    fail("spec key '" + std::string(key) + "': malformed integer '" + buffer +
+         "'");
+  }
+  out = static_cast<std::uint64_t>(value);
+}
+
+void parse_value(std::string_view key, std::string_view text,
+                 std::vector<double>& out) {
+  out = parse_grid(key, text);
+}
+
+void parse_value(std::string_view /*key*/, std::string_view text,
+                 std::string& out) {
+  out = std::string(trim(text));
+}
+
+/// Eager validator of a string key's own grammar; raises SpecError.
+using Check = void (*)(std::string_view key, std::string_view value);
+
+void check_rewards(std::string_view /*key*/, std::string_view value) {
+  (void)parse_reward_spec(value);
+}
+
+/// The net grammars report a malformed value as std::invalid_argument; it is
+/// rewrapped here, once, as a SpecError naming the key.
+template <auto parse>
+void check_net(std::string_view key, std::string_view value) {
+  try {
+    (void)parse(value);
+  } catch (const std::invalid_argument& e) {
+    fail("spec key '" + std::string(key) + "': " + e.what());
+  }
+}
+
+template <typename T>
+using Member = T ExperimentSpec::*;
+
+/// One spec key: its name and the ExperimentSpec member it sets. The
+/// member's type picks the value grammar (number, integer, unsigned, grid or
+/// free string); `check` validates a string with a grammar of its own, and
+/// `hex` prints an unsigned as 0x... (seeds).
+struct KeyRow {
+  std::string_view key;
+  std::variant<Member<double>, Member<int>, Member<std::uint64_t>,
+               Member<std::vector<double>>, Member<std::string>>
+      member;
+  Check check = nullptr;
+  bool hex = false;
+};
+
+/// Every key but `kind` and `series.N.*`, in print order: print_spec's bytes
+/// -- hence spec_fingerprint and every checkpoint key -- follow this order.
+constexpr std::array<KeyRow, 30> kKeys{{
+    {"title", &ExperimentSpec::title},
+    {"gamma", &ExperimentSpec::gamma},
+    {"scenario", &ExperimentSpec::scenario},
+    {"alpha", &ExperimentSpec::alpha},
+    {"alphas", &ExperimentSpec::alphas},
+    {"gammas", &ExperimentSpec::gammas},
+    {"ku_values", &ExperimentSpec::ku_values},
+    {"delays", &ExperimentSpec::delays},
+    {"rewards", &ExperimentSpec::rewards, check_rewards},
+    {"max_lead", &ExperimentSpec::max_lead},
+    {"tolerance", &ExperimentSpec::tolerance},
+    {"alpha_min", &ExperimentSpec::alpha_min},
+    {"alpha_max", &ExperimentSpec::alpha_max},
+    {"threshold_max_lead", &ExperimentSpec::threshold_max_lead},
+    {"sim_runs", &ExperimentSpec::sim_runs},
+    {"sim_blocks", &ExperimentSpec::sim_blocks},
+    {"sim_seed", &ExperimentSpec::sim_seed, nullptr, true},
+    {"shares", &ExperimentSpec::shares},
+    {"delay", &ExperimentSpec::delay},
+    {"net.topology", &ExperimentSpec::net_topology,
+     check_net<net::parse_topology_spec>},
+    {"net.nodes", &ExperimentSpec::net_nodes},
+    {"net.latency", &ExperimentSpec::net_latency,
+     check_net<net::parse_latency_spec>},
+    {"net.relay", &ExperimentSpec::net_relay,
+     check_net<net::relay_mode_from_string>},
+    {"net.faults.drop", &ExperimentSpec::net_fault_drop},
+    {"net.faults.churn", &ExperimentSpec::net_fault_churn,
+     check_net<net::parse_churn_spec>},
+    {"net.faults.partition", &ExperimentSpec::net_fault_partition,
+     check_net<net::parse_partition_spec>},
+    {"net.faults.eclipse", &ExperimentSpec::net_fault_eclipse,
+     check_net<net::parse_eclipse_spec>},
+    {"epoch_blocks", &ExperimentSpec::epoch_blocks},
+    {"epochs", &ExperimentSpec::epochs},
+    {"phase1_blocks", &ExperimentSpec::phase1_blocks},
+}};
+
+const KeyRow* find_key(std::string_view key) {
+  for (const KeyRow& row : kKeys) {
+    if (row.key == key) return &row;
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -235,97 +343,10 @@ ExperimentSpec spec_from_entries(const SpecEntries& entries) {
   for (const auto& [key, value] : entries) {
     if (key == "kind") {
       spec.kind = experiment_kind_from_string(trim(value));
-    } else if (key == "title") {
-      spec.title = std::string(trim(value));
-    } else if (key == "gamma") {
-      spec.gamma = parse_double(key, value);
-    } else if (key == "scenario") {
-      spec.scenario = parse_int(key, value);
-    } else if (key == "alpha") {
-      spec.alpha = parse_double(key, value);
-    } else if (key == "alphas") {
-      spec.alphas = parse_grid(key, value);
-    } else if (key == "gammas") {
-      spec.gammas = parse_grid(key, value);
-    } else if (key == "ku_values") {
-      spec.ku_values = parse_grid(key, value);
-    } else if (key == "delays") {
-      spec.delays = parse_grid(key, value);
-    } else if (key == "rewards") {
-      spec.rewards = std::string(trim(value));
-      (void)parse_reward_spec(spec.rewards);  // validate eagerly
-    } else if (key == "max_lead") {
-      spec.max_lead = parse_int(key, value);
-    } else if (key == "tolerance") {
-      spec.tolerance = parse_double(key, value);
-    } else if (key == "alpha_min") {
-      spec.alpha_min = parse_double(key, value);
-    } else if (key == "alpha_max") {
-      spec.alpha_max = parse_double(key, value);
-    } else if (key == "threshold_max_lead") {
-      spec.threshold_max_lead = parse_int(key, value);
-    } else if (key == "sim_runs") {
-      spec.sim_runs = parse_int(key, value);
-    } else if (key == "sim_blocks") {
-      spec.sim_blocks = parse_u64(key, value);
-    } else if (key == "sim_seed") {
-      spec.sim_seed = parse_u64(key, value);
-    } else if (key == "shares") {
-      spec.shares = parse_grid(key, value);
-    } else if (key == "delay") {
-      spec.delay = parse_double(key, value);
-    } else if (key == "net.topology") {
-      spec.net_topology = std::string(trim(value));
-      try {
-        (void)net::parse_topology_spec(spec.net_topology);  // validate eagerly
-      } catch (const std::invalid_argument& e) {
-        fail("spec key 'net.topology': " + std::string(e.what()));
-      }
-    } else if (key == "net.nodes") {
-      spec.net_nodes = parse_int(key, value);
-    } else if (key == "net.latency") {
-      spec.net_latency = std::string(trim(value));
-      try {
-        (void)net::parse_latency_spec(spec.net_latency);
-      } catch (const std::invalid_argument& e) {
-        fail("spec key 'net.latency': " + std::string(e.what()));
-      }
-    } else if (key == "net.relay") {
-      spec.net_relay = std::string(trim(value));
-      try {
-        (void)net::relay_mode_from_string(spec.net_relay);
-      } catch (const std::invalid_argument& e) {
-        fail("spec key 'net.relay': " + std::string(e.what()));
-      }
-    } else if (key == "net.faults.drop") {
-      spec.net_fault_drop = parse_double(key, value);
-    } else if (key == "net.faults.churn") {
-      spec.net_fault_churn = std::string(trim(value));
-      try {
-        (void)net::parse_churn_spec(spec.net_fault_churn);
-      } catch (const std::invalid_argument& e) {
-        fail("spec key 'net.faults.churn': " + std::string(e.what()));
-      }
-    } else if (key == "net.faults.partition") {
-      spec.net_fault_partition = std::string(trim(value));
-      try {
-        (void)net::parse_partition_spec(spec.net_fault_partition);
-      } catch (const std::invalid_argument& e) {
-        fail("spec key 'net.faults.partition': " + std::string(e.what()));
-      }
-    } else if (key == "net.faults.eclipse") {
-      spec.net_fault_eclipse = std::string(trim(value));
-      try {
-        (void)net::parse_eclipse_spec(spec.net_fault_eclipse);
-      } catch (const std::invalid_argument& e) {
-        fail("spec key 'net.faults.eclipse': " + std::string(e.what()));
-      }
-    } else if (key == "epoch_blocks") {
-      spec.epoch_blocks = parse_u64(key, value);
-    } else if (key == "epochs") {
-      spec.epochs = parse_int(key, value);
-    } else if (key == "phase1_blocks") {
-      spec.phase1_blocks = parse_double(key, value);
+    } else if (const KeyRow* row = find_key(key)) {
+      std::visit([&](auto member) { parse_value(key, value, spec.*member); },
+                 row->member);
+      if (row->check != nullptr) row->check(key, trim(value));
     } else if (!apply_series_key(spec, key, value)) {
       // A spec file carrying study grammar is the single most common mix-up
       // -- point at the right subcommand instead of a bare unknown-key error.
@@ -390,73 +411,18 @@ std::string print_spec(const ExperimentSpec& spec) {
     }
     os << key << " = " << value << "\n";
   };
-  if (spec.title != defaults.title) put("title", spec.title);
-  if (spec.gamma != defaults.gamma) put("gamma", print_double(spec.gamma));
-  if (spec.scenario != defaults.scenario) {
-    put("scenario", std::to_string(spec.scenario));
-  }
-  if (spec.alpha != defaults.alpha) put("alpha", print_double(spec.alpha));
-  if (!spec.alphas.empty()) put("alphas", print_grid(spec.alphas));
-  if (!spec.gammas.empty()) put("gammas", print_grid(spec.gammas));
-  if (!spec.ku_values.empty()) put("ku_values", print_grid(spec.ku_values));
-  if (!spec.delays.empty()) put("delays", print_grid(spec.delays));
-  if (spec.rewards != defaults.rewards) put("rewards", spec.rewards);
-  if (spec.max_lead != defaults.max_lead) {
-    put("max_lead", std::to_string(spec.max_lead));
-  }
-  if (spec.tolerance != defaults.tolerance) {
-    put("tolerance", print_double(spec.tolerance));
-  }
-  if (spec.alpha_min != defaults.alpha_min) {
-    put("alpha_min", print_double(spec.alpha_min));
-  }
-  if (spec.alpha_max != defaults.alpha_max) {
-    put("alpha_max", print_double(spec.alpha_max));
-  }
-  if (spec.threshold_max_lead != defaults.threshold_max_lead) {
-    put("threshold_max_lead", std::to_string(spec.threshold_max_lead));
-  }
-  if (spec.sim_runs != defaults.sim_runs) {
-    put("sim_runs", std::to_string(spec.sim_runs));
-  }
-  if (spec.sim_blocks != defaults.sim_blocks) {
-    put("sim_blocks", std::to_string(spec.sim_blocks));
-  }
-  if (spec.sim_seed != defaults.sim_seed) {
-    put("sim_seed", print_hex(spec.sim_seed));
-  }
-  if (!spec.shares.empty()) put("shares", print_grid(spec.shares));
-  if (spec.delay != defaults.delay) put("delay", print_double(spec.delay));
-  if (spec.net_topology != defaults.net_topology) {
-    put("net.topology", spec.net_topology);
-  }
-  if (spec.net_nodes != defaults.net_nodes) {
-    put("net.nodes", std::to_string(spec.net_nodes));
-  }
-  if (spec.net_latency != defaults.net_latency) {
-    put("net.latency", spec.net_latency);
-  }
-  if (spec.net_relay != defaults.net_relay) put("net.relay", spec.net_relay);
-  if (spec.net_fault_drop != defaults.net_fault_drop) {
-    put("net.faults.drop", print_double(spec.net_fault_drop));
-  }
-  if (spec.net_fault_churn != defaults.net_fault_churn) {
-    put("net.faults.churn", spec.net_fault_churn);
-  }
-  if (spec.net_fault_partition != defaults.net_fault_partition) {
-    put("net.faults.partition", spec.net_fault_partition);
-  }
-  if (spec.net_fault_eclipse != defaults.net_fault_eclipse) {
-    put("net.faults.eclipse", spec.net_fault_eclipse);
-  }
-  if (spec.epoch_blocks != defaults.epoch_blocks) {
-    put("epoch_blocks", std::to_string(spec.epoch_blocks));
-  }
-  if (spec.epochs != defaults.epochs) {
-    put("epochs", std::to_string(spec.epochs));
-  }
-  if (spec.phase1_blocks != defaults.phase1_blocks) {
-    put("phase1_blocks", print_double(spec.phase1_blocks));
+  for (const KeyRow& row : kKeys) {
+    std::visit(
+        [&](auto member) {
+          const auto& value = spec.*member;
+          if (value == defaults.*member) return;
+          if constexpr (std::is_same_v<std::decay_t<decltype(value)>,
+                                       std::uint64_t>) {
+            if (row.hex) return put(row.key, print_hex(value));
+          }
+          put(row.key, print_value(value));
+        },
+        row.member);
   }
   for (std::size_t i = 0; i < spec.series.size(); ++i) {
     const SeriesSpec& series = spec.series[i];

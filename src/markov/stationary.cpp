@@ -237,15 +237,11 @@ StationaryDistribution solve_stationary(const TransitionModel& model,
 
   // A state whose self-loop carries (almost) the whole row makes the
   // Gauss-Seidel update 1/(1 - self_rate) degenerate -- alpha = 0 puts the
-  // entire unit rate on the (0,0) self-loop -- so such chains go straight to
-  // power iteration.
-  bool degenerate_diagonal = false;
-  for (double s : model.incoming().self_rate) {
-    if (s >= 1.0 - 1e-12) {
-      degenerate_diagonal = true;
-      break;
-    }
-  }
+  // entire unit rate on the (0,0) self-loop -- so such chains (inv_diag
+  // zeroed by the model) go straight to power iteration.
+  const auto& inv_diag = model.incoming().inv_diag;
+  const bool degenerate_diagonal =
+      std::find(inv_diag.begin(), inv_diag.end(), 0.0) != inv_diag.end();
 
   SolveMethod method = options.method;
   if (method == SolveMethod::automatic) {

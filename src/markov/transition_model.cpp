@@ -54,12 +54,10 @@ void TransitionModel::build() {
   columns_.clear();
   rates_.clear();
   kinds_.clear();
-  transitions_.clear();
   const auto reserve = static_cast<std::size_t>(n) * 3;
   columns_.reserve(reserve);
   rates_.reserve(reserve);
   kinds_.reserve(reserve);
-  transitions_.reserve(reserve);
 
   auto idx = [this](int ls, int lh) {
     const int i = space_.index_of(State{ls, lh});
@@ -76,7 +74,6 @@ void TransitionModel::build() {
         columns_.push_back(to);
         rates_.push_back(rate);
         kinds_.push_back(kind);
-        transitions_.push_back(Transition{s, to, rate, kind});
       }
     };
 
@@ -172,50 +169,43 @@ void TransitionModel::build_kind_batched() {
 
 void TransitionModel::build_incoming() {
   const auto n = static_cast<std::size_t>(space_.size());
-  const std::size_t nnz = rates_.size();
   incoming_.col_offsets.assign(n + 1, 0);
-  incoming_.self_rate.assign(n, 0.0);
+  std::vector<double> self_rate(n, 0.0);
 
-  // Counting sort by target column; self-loops go to self_rate instead of
-  // the entry arrays (Gauss-Seidel divides them out).
-  std::size_t off_diagonal = 0;
-  for (std::size_t e = 0; e < nnz; ++e) {
-    const auto to = static_cast<std::size_t>(columns_[e]);
-    if (static_cast<int>(to) == transitions_[e].from) continue;
-    ++incoming_.col_offsets[to + 1];
-    ++off_diagonal;
+  // Counting sort by target column, row by row in CSR order; self-loops go
+  // to self_rate instead of the entry arrays (Gauss-Seidel divides them out).
+  for (std::size_t s = 0; s < n; ++s) {
+    for (std::uint32_t e = row_offsets_[s]; e < row_offsets_[s + 1]; ++e) {
+      const auto to = static_cast<std::size_t>(columns_[e]);
+      if (to != s) ++incoming_.col_offsets[to + 1];
+    }
   }
   for (std::size_t c = 0; c < n; ++c) {
     incoming_.col_offsets[c + 1] += incoming_.col_offsets[c];
   }
-  incoming_.source.resize(off_diagonal);
-  incoming_.rate.resize(off_diagonal);
+  incoming_.source.resize(incoming_.col_offsets[n]);
+  incoming_.rate.resize(incoming_.col_offsets[n]);
 
   std::vector<std::uint32_t> cursor(incoming_.col_offsets.begin(),
                                     incoming_.col_offsets.end() - 1);
-  for (const Transition& t : transitions_) {
-    if (t.from == t.to) {
-      incoming_.self_rate[static_cast<std::size_t>(t.from)] += t.rate;
-      continue;
+  for (std::size_t s = 0; s < n; ++s) {
+    for (std::uint32_t e = row_offsets_[s]; e < row_offsets_[s + 1]; ++e) {
+      const auto to = static_cast<std::size_t>(columns_[e]);
+      if (to == s) {
+        self_rate[s] += rates_[e];
+        continue;
+      }
+      const auto slot = cursor[to]++;
+      incoming_.source[slot] = static_cast<std::int32_t>(s);
+      incoming_.rate[slot] = rates_[e];
     }
-    const auto slot = cursor[static_cast<std::size_t>(t.to)]++;
-    incoming_.source[slot] = t.from;
-    incoming_.rate[slot] = t.rate;
   }
 
   incoming_.inv_diag.resize(n);
   for (std::size_t c = 0; c < n; ++c) {
-    const double d = 1.0 - incoming_.self_rate[c];
+    const double d = 1.0 - self_rate[c];
     incoming_.inv_diag[c] = d > 1e-12 ? 1.0 / d : 0.0;
   }
-}
-
-std::pair<const Transition*, const Transition*> TransitionModel::outgoing(
-    int index) const {
-  ETHSM_EXPECTS(index >= 0 && index < space_.size(), "state index out of range");
-  const auto* base = transitions_.data();
-  return {base + row_offsets_[static_cast<std::size_t>(index)],
-          base + row_offsets_[static_cast<std::size_t>(index) + 1]};
 }
 
 }  // namespace ethsm::markov

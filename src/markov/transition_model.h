@@ -46,13 +46,6 @@ enum class TransitionKind : std::uint8_t {
 /// in sync with the enum).
 inline constexpr int kNumTransitionKinds = 12;
 
-struct Transition {
-  int from = -1;
-  int to = -1;
-  double rate = 0.0;
-  TransitionKind kind{};
-};
-
 /// All outgoing transitions for every state in the (truncated) space.
 /// Invariant: outgoing rates of every state sum to exactly 1 (the total block
 /// production rate after the Sec. IV-B time rescaling); at the truncation
@@ -63,8 +56,7 @@ struct Transition {
 /// range [row_offsets()[s], row_offsets()[s+1]) of the parallel column /
 /// rate / kind arrays. The power-iteration solver streams those arrays
 /// row-contiguously (structure-of-arrays: the rate sweep touches no kind
-/// bytes); the array-of-structs `transitions()` edge list is kept as the
-/// convenient view for the reward analysis and the tests.
+/// bytes); the uncle-distance analysis and the tests walk the same rows.
 ///
 /// Two derived layouts are built alongside the CSR arrays (once per model,
 /// one counting-sort pass each):
@@ -98,26 +90,19 @@ class TransitionModel {
 
   /// Transposed (CSC) view: column c spans
   /// [col_offsets[c], col_offsets[c+1]) of the source/rate arrays; self-loop
-  /// entries (truncation boundary, (0,0)) are *excluded* -- their total rate
-  /// per state is in self_rate. Gauss-Seidel consumes this directly:
-  /// pi[c] = (sum of inflows) / (1 - self_rate[c]).
+  /// entries (truncation boundary, (0,0)) are *excluded* and folded into
+  /// inv_diag. Gauss-Seidel consumes this directly:
+  /// pi[c] = (sum of inflows) * inv_diag[c].
   struct Incoming {
     std::vector<std::uint32_t> col_offsets;  ///< size() + 1 offsets
     std::vector<std::int32_t> source;        ///< source-state index per entry
     std::vector<double> rate;                ///< transition rate per entry
-    std::vector<double> self_rate;           ///< self-loop rate per state
-    /// 1 / (1 - self_rate) per state, precomputed so the Gauss-Seidel inner
-    /// loop multiplies instead of divides; 0.0 for a degenerate diagonal
-    /// (self_rate ~ 1), which the solver routes to power iteration anyway.
+    /// 1 / (1 - self-loop rate) per state, precomputed so the Gauss-Seidel
+    /// inner loop multiplies instead of divides; 0.0 for a degenerate
+    /// diagonal (self-loop rate within 1e-12 of 1), which the solver routes
+    /// to power iteration.
     std::vector<double> inv_diag;
   };
-
-  [[nodiscard]] const std::vector<Transition>& transitions() const noexcept {
-    return transitions_;
-  }
-  /// Transitions leaving state `index` (contiguous in the vector).
-  [[nodiscard]] std::pair<const Transition*, const Transition*> outgoing(
-      int index) const;
 
   /// CSR row offsets: size() + 1 entries; row s spans
   /// [row_offsets()[s], row_offsets()[s+1]) of the arrays below.
@@ -159,8 +144,6 @@ class TransitionModel {
   std::vector<std::int32_t> columns_;
   std::vector<double> rates_;
   std::vector<TransitionKind> kinds_;
-  // Edge-list view (same order as the CSR arrays).
-  std::vector<Transition> transitions_;
   // Derived layouts (built once in the constructor).
   KindBatched batched_;
   Incoming incoming_;

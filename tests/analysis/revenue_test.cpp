@@ -58,12 +58,17 @@ TEST_P(RevenueParamTest, BlockConservation) {
   const auto pi = markov::solve_stationary(model);
   const auto config = rewards::RewardConfig::ethereum_byzantium();
   double regular = 0.0, uncle = 0.0, rate_total = 0.0;
-  for (const auto& t : model.transitions()) {
-    const auto f = expected_rewards(space.state_at(t.from), t.kind,
-                                    model.params(), config);
-    regular += pi[t.from] * t.rate * f.regular_probability;
-    uncle += pi[t.from] * t.rate * f.referenced_uncle_probability;
-    rate_total += pi[t.from] * t.rate;
+  const auto& row = model.row_offsets();
+  for (int s = 0; s < space.size(); ++s) {
+    for (std::uint32_t e = row[static_cast<std::size_t>(s)];
+         e < row[static_cast<std::size_t>(s) + 1]; ++e) {
+      const auto f = expected_rewards(space.state_at(s), model.kinds()[e],
+                                      model.params(), config);
+      const double weight = pi[s] * model.rates()[e];
+      regular += weight * f.regular_probability;
+      uncle += weight * f.referenced_uncle_probability;
+      rate_total += weight;
+    }
   }
   EXPECT_NEAR(rate_total, 1.0, 1e-10);
   EXPECT_LE(regular + uncle, 1.0 + 1e-10);

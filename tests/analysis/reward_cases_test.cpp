@@ -193,12 +193,16 @@ TEST(RewardCases, ExpectedRewardNeverExceedsMaxPayout) {
       const MiningParams p{alpha, gamma};
       markov::StateSpace space(20);
       markov::TransitionModel model(space, p);
-      for (const auto& t : model.transitions()) {
-        const auto f =
-            expected_rewards(space.state_at(t.from), t.kind, p, kByz);
-        EXPECT_LE(f.pool_total() + f.honest_total(), cap + 1e-12);
-        EXPECT_GE(f.pool_total(), 0.0);
-        EXPECT_GE(f.honest_total(), 0.0);
+      const auto& row = model.row_offsets();
+      for (int s = 0; s < space.size(); ++s) {
+        for (std::uint32_t e = row[static_cast<std::size_t>(s)];
+             e < row[static_cast<std::size_t>(s) + 1]; ++e) {
+          const auto f =
+              expected_rewards(space.state_at(s), model.kinds()[e], p, kByz);
+          EXPECT_LE(f.pool_total() + f.honest_total(), cap + 1e-12);
+          EXPECT_GE(f.pool_total(), 0.0);
+          EXPECT_GE(f.honest_total(), 0.0);
+        }
       }
     }
   }

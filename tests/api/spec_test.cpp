@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/sweep.h"
+#include "api/all_keys_spec.h"
 #include "api/presets.h"
 #include "api/result.h"
 
@@ -223,6 +224,53 @@ TEST(SpecCodec, StrategySpecStrings) {
 
   EXPECT_THROW((void)parse_strategy_spec("yolo"), SpecError);
   EXPECT_THROW((void)parse_strategy_spec("trail:0"), SpecError);
+}
+
+TEST(SpecCodec, AllKeysPrintBytesArePinned) {
+  // print_spec's bytes -- key order included -- are what spec_fingerprint,
+  // checkpoint keys, study manifests and served payloads hash, so the
+  // canonical text of a spec with every key off its default is frozen here.
+  const char* kGolden =
+      "kind = net\n"
+      "title = Every key, off its default\n"
+      "gamma = 0.25\n"
+      "scenario = 2\n"
+      "alpha = 0.2\n"
+      "alphas = 0.1,0.2\n"
+      "gammas = 0,0.5\n"
+      "ku_values = 0.25\n"
+      "delays = 0.05,0.1\n"
+      "rewards = table:0.9,0.5\n"
+      "max_lead = 12\n"
+      "tolerance = 0.001\n"
+      "alpha_min = 0.01\n"
+      "alpha_max = 0.45\n"
+      "threshold_max_lead = 10\n"
+      "sim_runs = 2\n"
+      "sim_blocks = 300\n"
+      "sim_seed = 0xabcdef\n"
+      "shares = 0.5,0.3,0.2\n"
+      "delay = 0.2\n"
+      "net.topology = ring\n"
+      "net.nodes = 6\n"
+      "net.latency = uniform:1:5\n"
+      "net.relay = announce\n"
+      "net.faults.drop = 0.05\n"
+      "net.faults.churn = 500:100\n"
+      "net.faults.partition = 100:400\n"
+      "net.faults.eclipse = 1:50\n"
+      "epoch_blocks = 100\n"
+      "epochs = 5\n"
+      "phase1_blocks = 300\n"
+      "series.0.label = first\n"
+      "series.0.rewards = flat:0.5\n"
+      "series.0.strategy = lead\n"
+      "series.1.label = second\n"
+      "series.1.rewards = bitcoin\n"
+      "series.1.strategy = fork+trail:2\n";
+  const ExperimentSpec spec = testutil::all_keys_spec();
+  EXPECT_EQ(print_spec(spec), kGolden);
+  EXPECT_EQ(parse_spec(kGolden), spec);
 }
 
 TEST(SpecCodec, FingerprintSeparatesSpecs) {

@@ -61,14 +61,24 @@ std::vector<double> reference_solve_stationary_power(
   const auto n = static_cast<std::size_t>(model.space().size());
   std::vector<double> pi(n, 0.0), next(n, 0.0);
   pi[0] = 1.0;
-  const auto& edges = model.transitions();
+  // The seed solver's array-of-structs edge list, rebuilt from the CSR rows
+  // in the same entry order.
+  struct Edge {
+    std::size_t from, to;
+    double rate;
+  };
+  std::vector<Edge> edges;
+  for (std::size_t s = 0; s < n; ++s) {
+    for (std::uint32_t e = model.row_offsets()[s];
+         e < model.row_offsets()[s + 1]; ++e) {
+      edges.push_back({s, static_cast<std::size_t>(model.columns()[e]),
+                       model.rates()[e]});
+    }
+  }
   double diff = 1.0;
   for (int iter = 0; iter < max_iterations && diff > tolerance; ++iter) {
     std::fill(next.begin(), next.end(), 0.0);
-    for (const markov::Transition& t : edges) {
-      next[static_cast<std::size_t>(t.to)] +=
-          pi[static_cast<std::size_t>(t.from)] * t.rate;
-    }
+    for (const Edge& t : edges) next[t.to] += pi[t.from] * t.rate;
     diff = 0.0;
     for (std::size_t s = 0; s < n; ++s) diff += std::fabs(next[s] - pi[s]);
     pi.swap(next);

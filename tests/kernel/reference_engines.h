@@ -31,7 +31,7 @@ namespace ethsm::testing {
     const markov::StationaryDistribution& pi,
     const markov::TransitionModel& model, const rewards::RewardConfig& config);
 
-/// Naive power iteration over the raw transitions() edge list, started from
+/// Naive power iteration over an edge list of the CSR entries, started from
 /// the point mass at (0,0). Returns the normalised stationary vector.
 [[nodiscard]] std::vector<double> reference_solve_stationary_power(
     const markov::TransitionModel& model, double tolerance = 1e-14,

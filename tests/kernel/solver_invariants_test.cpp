@@ -76,10 +76,13 @@ TEST(KernelSolverInvariants, RowsStochasticIncludingTruncationBoundary) {
   }
   // Boundary states (12, j) must carry an explicit self-loop of rate alpha.
   bool found_boundary_loop = false;
-  for (const Transition& t : model.transitions()) {
-    if (t.from == t.to && space.state_at(t.from).ls == 12) {
-      EXPECT_NEAR(t.rate, 0.45, 1e-15);
-      found_boundary_loop = true;
+  for (int s = 0; s < space.size(); ++s) {
+    for (std::uint32_t k = row[static_cast<std::size_t>(s)];
+         k < row[static_cast<std::size_t>(s) + 1]; ++k) {
+      if (model.columns()[k] == s && space.state_at(s).ls == 12) {
+        EXPECT_NEAR(rate[k], 0.45, 1e-15);
+        found_boundary_loop = true;
+      }
     }
   }
   EXPECT_TRUE(found_boundary_loop);

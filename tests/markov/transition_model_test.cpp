@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "support/math_util.h"
 
@@ -19,34 +21,61 @@ TEST(MiningParams, Validation) {
   EXPECT_DOUBLE_EQ((MiningParams{0.3, 0.5}.beta()), 0.7);
 }
 
+/// One stored transition, read back from the model's CSR arrays.
+struct Entry {
+  int from = -1;
+  int to = -1;
+  double rate = 0.0;
+  TransitionKind kind{};
+};
+
+/// CSR row `s`: the transitions leaving state s, in storage order.
+std::vector<Entry> row_of(const TransitionModel& model, int s) {
+  std::vector<Entry> out;
+  const auto& row = model.row_offsets();
+  for (std::uint32_t e = row[static_cast<std::size_t>(s)];
+       e < row[static_cast<std::size_t>(s) + 1]; ++e) {
+    out.push_back({s, model.columns()[e], model.rates()[e], model.kinds()[e]});
+  }
+  return out;
+}
+
 class ModelFixture : public ::testing::Test {
  protected:
   StateSpace space{30};
   MiningParams params{0.3, 0.4};
   TransitionModel model{space, params};
 
-  std::map<std::pair<int, TransitionKind>, Transition> by_kind(int from) {
-    std::map<std::pair<int, TransitionKind>, Transition> out;
-    auto [begin, end] = model.outgoing(from);
-    for (auto* t = begin; t != end; ++t) out[{t->from, t->kind}] = *t;
+  std::map<std::pair<int, TransitionKind>, Entry> by_kind(int from) {
+    std::map<std::pair<int, TransitionKind>, Entry> out;
+    for (const Entry& t : row_of(model, from)) out[{t.from, t.kind}] = t;
     return out;
   }
 };
 
+TEST_F(ModelFixture, CsrArraysAreConsistent) {
+  const auto& row = model.row_offsets();
+  ASSERT_EQ(row.size(), static_cast<std::size_t>(space.size()) + 1);
+  EXPECT_EQ(row.front(), 0u);
+  EXPECT_TRUE(std::is_sorted(row.begin(), row.end()));
+  EXPECT_EQ(row.back(), model.columns().size());
+  EXPECT_EQ(model.rates().size(), model.columns().size());
+  EXPECT_EQ(model.kinds().size(), model.columns().size());
+}
+
 TEST_F(ModelFixture, OutgoingRatesSumToOneEverywhere) {
   for (int s = 0; s < space.size(); ++s) {
     double total = 0.0;
-    auto [begin, end] = model.outgoing(s);
-    for (auto* t = begin; t != end; ++t) total += t->rate;
+    for (const Entry& t : row_of(model, s)) total += t.rate;
     EXPECT_NEAR(total, 1.0, 1e-12) << "state " << s;
   }
 }
 
 TEST_F(ModelFixture, EveryTargetInsideStateSpace) {
-  for (const Transition& t : model.transitions()) {
-    EXPECT_GE(t.to, 0);
-    EXPECT_LT(t.to, space.size());
-    EXPECT_TRUE(space.state_at(t.to).valid());
+  for (const std::int32_t to : model.columns()) {
+    EXPECT_GE(to, 0);
+    EXPECT_LT(to, space.size());
+    EXPECT_TRUE(space.state_at(to).valid());
   }
 }
 
@@ -119,11 +148,10 @@ TEST_F(ModelFixture, ForkedLeadTwoResolvesBothWays) {
 
 TEST_F(ModelFixture, TruncationBoundarySelfLoops) {
   const int s = space.index_of(State{30, 0});
-  auto [begin, end] = model.outgoing(s);
   bool found_self_loop = false;
-  for (auto* t = begin; t != end; ++t) {
-    if (t->kind == TransitionKind::pool_extend_lead) {
-      EXPECT_EQ(t->to, s);
+  for (const Entry& t : row_of(model, s)) {
+    if (t.kind == TransitionKind::pool_extend_lead) {
+      EXPECT_EQ(t.to, s);
       found_self_loop = true;
     }
   }
@@ -133,18 +161,18 @@ TEST_F(ModelFixture, TruncationBoundarySelfLoops) {
 TEST(TransitionModel, GammaZeroOmitsRerootTransitions) {
   StateSpace space(10);
   TransitionModel model(space, MiningParams{0.3, 0.0});
-  for (const Transition& t : model.transitions()) {
-    EXPECT_NE(t.kind, TransitionKind::honest_prefix_reroot);
-    EXPECT_NE(t.kind, TransitionKind::honest_resolve_lead2_prefix);
+  for (const TransitionKind kind : model.kinds()) {
+    EXPECT_NE(kind, TransitionKind::honest_prefix_reroot);
+    EXPECT_NE(kind, TransitionKind::honest_resolve_lead2_prefix);
   }
 }
 
 TEST(TransitionModel, GammaOneOmitsForkExtension) {
   StateSpace space(10);
   TransitionModel model(space, MiningParams{0.3, 1.0});
-  for (const Transition& t : model.transitions()) {
-    EXPECT_NE(t.kind, TransitionKind::honest_fork_extend);
-    EXPECT_NE(t.kind, TransitionKind::honest_resolve_lead2_fork);
+  for (const TransitionKind kind : model.kinds()) {
+    EXPECT_NE(kind, TransitionKind::honest_fork_extend);
+    EXPECT_NE(kind, TransitionKind::honest_resolve_lead2_fork);
   }
 }
 
