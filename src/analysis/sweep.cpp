@@ -1,5 +1,7 @@
 #include "analysis/sweep.h"
 
+#include <algorithm>
+
 #include "analysis/bitcoin_es.h"
 #include "support/check.h"
 #include "support/parallel.h"
@@ -94,15 +96,32 @@ std::uint64_t threshold_curve_fingerprint(
 
 std::vector<RevenuePoint> revenue_curve(const RevenueCurveOptions& options,
                                         support::SweepOutcome* outcome) {
-  const std::vector<double> alphas = curve_alphas(options);
-  // {Markov key[, simulation key when sim_runs > 0]}.
-  const std::vector<std::uint64_t> keys = revenue_curve_fingerprints(options);
+  return revenue_curve(std::vector<RevenueCurveOptions>{options},
+                       options.checkpoint, outcome)
+      .front();
+}
 
-  // Markov analysis: one independent job per alpha.
+std::vector<std::vector<RevenuePoint>> revenue_curve(
+    const std::vector<RevenueCurveOptions>& curves,
+    const support::SweepCheckpoint& checkpoint,
+    support::SweepOutcome* outcome) {
+  std::vector<std::vector<double>> alphas;
+  // {Markov key[, simulation key when sim_runs > 0]} per curve.
+  std::vector<std::vector<std::uint64_t>> keys;
+  std::vector<support::SweepKey> markov_sweeps;
+  for (const RevenueCurveOptions& options : curves) {
+    alphas.push_back(curve_alphas(options));
+    keys.push_back(revenue_curve_fingerprints(options));
+    markov_sweeps.push_back({keys.back()[0], alphas.back().size()});
+  }
+
+  // Markov analysis: one independent job per (curve, alpha).
+  support::SweepOutcome progress;
   const auto markov = support::run_checkpointed<RevenuePoint>(
-      options.checkpoint, outcome, keys[0], alphas.size(),
-      [&](std::size_t i) {
-        const double alpha = alphas[i];
+      checkpoint, &progress, markov_sweeps,
+      [&](std::size_t c, std::size_t i) {
+        const RevenueCurveOptions& options = curves[c];
+        const double alpha = alphas[c][i];
         RevenuePoint point;
         point.alpha = alpha;
 
@@ -118,74 +137,96 @@ std::vector<RevenuePoint> revenue_curve(const RevenueCurveOptions& options,
         return point;
       });
 
-  std::vector<RevenuePoint> curve(alphas.size());
-  for (std::size_t i = 0; i < alphas.size(); ++i) {
-    if (markov.have[i]) {
-      curve[i] = markov.results[i];
-    } else {
-      curve[i].alpha = alphas[i];  // grid position even without a result
+  std::vector<std::vector<RevenuePoint>> out(curves.size());
+  for (std::size_t c = 0; c < curves.size(); ++c) {
+    out[c].resize(alphas[c].size());
+    for (std::size_t i = 0; i < alphas[c].size(); ++i) {
+      if (markov[c].have[i]) {
+        out[c][i] = markov[c].results[i];
+      } else {
+        out[c][i].alpha = alphas[c][i];  // grid position even without a result
+      }
     }
   }
 
-  // Monte-Carlo cross-checks: fan out over (alpha x run) jobs, the finest
-  // granularity available, so a 19-alpha x 10-run sweep keeps every core
-  // busy. Per-run seeds replicate the serial run_many chain exactly and the
-  // per-point aggregation below absorbs in run order, so the curve is
+  // Monte-Carlo cross-checks: fan out over (curve x alpha x run) jobs, the
+  // finest granularity available, so a 19-alpha x 10-run sweep keeps every
+  // core busy. Per-run seeds replicate the serial run_many chain exactly and
+  // the per-point aggregation below absorbs in run order, so each curve is
   // bitwise-identical for any thread count -- and, checkpointed, across
   // resume/shard splits. The sim fingerprint excludes the scenario: per-run
   // results do not depend on it (it only weighs the aggregation), so records
   // are shared across scenario changes.
-  if (keys.size() > 1) {
-    struct SimJob {
-      std::size_t point_index = 0;
-      int run = 0;
-    };
-    std::vector<SimJob> jobs;
-    jobs.reserve(alphas.size() * static_cast<std::size_t>(options.sim_runs));
-    for (std::size_t i = 0; i < alphas.size(); ++i) {
-      if (alphas[i] <= 0.0) continue;
-      for (int r = 0; r < options.sim_runs; ++r) jobs.push_back({i, r});
+  struct SimJob {
+    std::size_t point_index = 0;
+    int run = 0;
+  };
+  std::vector<std::size_t> sim_curves;  // curves with a simulation key
+  std::vector<std::vector<SimJob>> jobs;
+  std::vector<support::SweepKey> sim_sweeps;
+  for (std::size_t c = 0; c < curves.size(); ++c) {
+    if (keys[c].size() < 2) continue;
+    sim_curves.push_back(c);
+    auto& curve_jobs = jobs.emplace_back();
+    for (std::size_t i = 0; i < alphas[c].size(); ++i) {
+      if (alphas[c][i] <= 0.0) continue;
+      for (int r = 0; r < curves[c].sim_runs; ++r) curve_jobs.push_back({i, r});
     }
-
+    sim_sweeps.push_back({keys[c][1], curve_jobs.size()});
+  }
+  if (!sim_sweeps.empty()) {
+    // The simulation pass gets what the Markov pass left of the budget.
+    support::SweepCheckpoint sim_checkpoint = checkpoint;
+    sim_checkpoint.max_new_jobs -=
+        std::min(progress.computed, sim_checkpoint.max_new_jobs);
     const auto sims = support::run_checkpointed<sim::SimResult>(
-        options.checkpoint, outcome, keys[1], jobs.size(), [&](std::size_t j) {
-          const SimJob& job = jobs[j];
+        sim_checkpoint, &progress, sim_sweeps,
+        [&](std::size_t k, std::size_t j) {
+          const std::size_t c = sim_curves[k];
+          const RevenueCurveOptions& options = curves[c];
+          const double alpha = alphas[c][jobs[k][j].point_index];
           sim::SimConfig sim_config;
-          sim_config.alpha = alphas[job.point_index];
+          sim_config.alpha = alpha;
           sim_config.gamma = options.gamma;
           sim_config.rewards = options.rewards;
           sim_config.num_blocks = options.sim_blocks;
-          sim_config.seed = support::derive_seed(
-              point_seed(options, alphas[job.point_index]),
-              static_cast<std::uint64_t>(job.run));
+          sim_config.seed =
+              support::derive_seed(point_seed(options, alpha),
+                                   static_cast<std::uint64_t>(jobs[k][j].run));
           return sim::run_simulation(sim_config);
         });
 
     // A point's simulation columns are filled only when every one of its
-    // runs is present (absorbed in run order); with a partial shard they stay
-    // nullopt until the merge run sees all shards' records.
-    std::size_t j = 0;
-    for (std::size_t i = 0; i < alphas.size(); ++i) {
-      if (alphas[i] <= 0.0) continue;
-      const std::size_t first = j;
-      bool all_present = true;
-      for (int r = 0; r < options.sim_runs; ++r) {
-        if (!sims.have[j++]) all_present = false;
+    // runs is present (absorbed in run order); with a partial shard they
+    // stay nullopt until the merge run sees all shards' records.
+    for (std::size_t k = 0; k < sim_curves.size(); ++k) {
+      const std::size_t c = sim_curves[k];
+      const RevenueCurveOptions& options = curves[c];
+      const auto& sweep = sims[k];
+      std::size_t j = 0;
+      for (std::size_t i = 0; i < alphas[c].size(); ++i) {
+        if (alphas[c][i] <= 0.0) continue;
+        const std::size_t first = j;
+        bool all_present = true;
+        for (int r = 0; r < options.sim_runs; ++r) {
+          if (!sweep.have[j++]) all_present = false;
+        }
+        if (!all_present) continue;
+        sim::MultiRunSummary sum;
+        for (std::size_t m = first; m < j; ++m) sum.absorb(sweep.results[m]);
+        RevenuePoint& point = out[c][i];
+        point.pool_revenue_sim = sum.pool_revenue(options.scenario).mean();
+        point.honest_revenue_sim = sum.honest_revenue(options.scenario).mean();
+        point.pool_revenue_sim_ci =
+            sum.pool_revenue(options.scenario).ci_halfwidth();
+        point.honest_revenue_sim_ci =
+            sum.honest_revenue(options.scenario).ci_halfwidth();
       }
-      if (!all_present) continue;
-      sim::MultiRunSummary sum;
-      for (std::size_t k = first; k < j; ++k) sum.absorb(sims.results[k]);
-      RevenuePoint& point = curve[i];
-      point.pool_revenue_sim = sum.pool_revenue(options.scenario).mean();
-      point.honest_revenue_sim = sum.honest_revenue(options.scenario).mean();
-      point.pool_revenue_sim_ci =
-          sum.pool_revenue(options.scenario).ci_halfwidth();
-      point.honest_revenue_sim_ci =
-          sum.honest_revenue(options.scenario).ci_halfwidth();
+      ETHSM_ENSURES(j == sweep.results.size(), "sim job accounting mismatch");
     }
-    ETHSM_ENSURES(j == sims.results.size(), "sim job accounting mismatch");
   }
-  return curve;
+  support::report_progress(outcome, progress);
+  return out;
 }
 
 std::vector<ThresholdPoint> threshold_curve(const ThresholdCurveOptions& options,

@@ -56,6 +56,16 @@ struct RevenueCurveOptions {
     const RevenueCurveOptions& options,
     support::SweepOutcome* outcome = nullptr);
 
+/// revenue_curve over a list of curves: every curve's Markov points run in
+/// one pool region, then every curve's simulation runs in a second. One job
+/// budget covers both passes, Markov first, under `checkpoint` (the curves'
+/// own `checkpoint` members are not read). Curve k is bitwise-identical to
+/// revenue_curve(curves[k]) on the same store.
+[[nodiscard]] std::vector<std::vector<RevenuePoint>> revenue_curve(
+    const std::vector<RevenueCurveOptions>& curves,
+    const support::SweepCheckpoint& checkpoint,
+    support::SweepOutcome* outcome = nullptr);
+
 /// One point of the threshold-vs-gamma comparison (Fig. 10).
 struct ThresholdPoint {
   double gamma = 0.0;

@@ -12,6 +12,7 @@
 #include "sim/retarget_sim.h"
 #include "sim/simulator.h"
 #include "support/check.h"
+#include "support/parallel.h"
 #include "support/table.h"
 #include "support/trace.h"
 
@@ -142,14 +143,9 @@ int simulation_runs(const ExperimentSpec& spec) {
 // order: the grid and series it resolves, alpha x series nesting, the
 // sim_runs gate and the clean baseline of a faulted net spec are decided
 // here; every simulated sweep runs simulation_runs(spec) seeded copies.
-// run_<kind> executes its list and sweep_fingerprints digests it, so the keys
-// a study manifest lists and the checkpoint GC keeps are exactly the keys the
-// runs write.
-
-struct StubbornSweep {
-  sim::SimConfig config;
-  miner::StubbornConfig strategy;
-};
+// run_<kind> executes its whole list in one driver call (one pool region, one
+// job budget) and sweep_fingerprints digests it, so the keys a study manifest
+// lists and the checkpoint GC keeps are exactly the keys the runs write.
 
 struct NetSweep {
   net::NetSimConfig config;
@@ -183,12 +179,11 @@ std::vector<sim::SimConfig> uncle_distance_sweeps(const ExperimentSpec& spec) {
   return sweeps;
 }
 
-/// One row per alpha, one sweep per series within it: sweeps[a][k] is
-/// variant k at alpha a, run (and keyed) alpha-major.
-std::vector<std::vector<StubbornSweep>> stubborn_sweeps(
-    const ExperimentSpec& spec) {
+/// One sweep per (alpha, series), alpha-major: variant k at alpha a is
+/// sweeps[a * series + k].
+std::vector<sim::StubbornSweep> stubborn_sweeps(const ExperimentSpec& spec) {
   const auto series = resolved_series(spec);
-  std::vector<std::vector<StubbornSweep>> sweeps;
+  std::vector<sim::StubbornSweep> sweeps;
   for (double alpha : resolved_alphas(spec)) {
     sim::SimConfig config;
     config.alpha = alpha;
@@ -197,9 +192,8 @@ std::vector<std::vector<StubbornSweep>> stubborn_sweeps(
     // Per-alpha seed chain: master + round(alpha * 1e4).
     config.seed = spec.sim_seed + static_cast<std::uint64_t>(alpha * 1e4);
     config.rewards = parse_reward_spec(spec.rewards);
-    auto& row = sweeps.emplace_back();
     for (const SeriesSpec& s : series) {
-      row.push_back({config, parse_strategy_spec(s.strategy)});
+      sweeps.push_back({config, parse_strategy_spec(s.strategy)});
     }
   }
   return sweeps;
@@ -255,11 +249,8 @@ void run_revenue(const ExperimentSpec& spec, const RunOptions& options,
                  ExperimentResult& result) {
   const auto series = resolved_series(spec);
   support::SweepOutcome outcome;
-  std::vector<std::vector<analysis::RevenuePoint>> curves;
-  for (analysis::RevenueCurveOptions opt : revenue_sweeps(spec)) {
-    opt.checkpoint = options.checkpoint;
-    curves.push_back(analysis::revenue_curve(opt, &outcome));
-  }
+  const auto curves = analysis::revenue_curve(revenue_sweeps(spec),
+                                              options.checkpoint, &outcome);
   result.outcome = outcome;
   if (!outcome.complete()) return;
 
@@ -385,13 +376,27 @@ void run_threshold(const ExperimentSpec& spec, const RunOptions& options,
 
 void run_reward_design(const ExperimentSpec& spec, ExperimentResult& result) {
   const auto series = resolved_series(spec);
+  const auto ku_values = resolved_ku_values(spec);
   const auto opt = threshold_search_options(spec);
 
-  auto threshold_of = [&](const rewards::RewardConfig& config,
-                          sim::Scenario scenario) {
-    return analysis::profitability_threshold(spec.gamma, config, scenario,
-                                             opt);
-  };
+  // One row per schedule, series first, then the flat-Ku sweep; each row
+  // searches both scenarios. The searches share nothing (each owns its
+  // RevenueCache), so all of them run as one pool region.
+  std::vector<rewards::RewardConfig> rows;
+  for (const SeriesSpec& s : series) {
+    rows.push_back(parse_reward_spec(s.rewards));
+  }
+  for (double ku : ku_values) {
+    rows.push_back(rewards::RewardConfig::ethereum_flat(ku));
+  }
+  const auto thresholds =
+      support::parallel_map(2 * rows.size(), [&](std::size_t j) {
+        return analysis::profitability_threshold(
+            spec.gamma, rows[j / 2],
+            j % 2 == 0 ? sim::Scenario::regular_rate_one
+                       : sim::Scenario::regular_and_uncle_rate_one,
+            opt);
+      });
 
   ResultTable headline;
   headline.title = "Thresholds per schedule (gamma = " +
@@ -399,29 +404,22 @@ void run_reward_design(const ExperimentSpec& spec, ExperimentResult& result) {
   headline.columns = {Column::make_text("Schedule"),
                       Column::make_numeric("alpha* scenario 1", 3, "never"),
                       Column::make_numeric("alpha* scenario 2", 3, "never")};
-  for (const SeriesSpec& s : series) {
-    const auto config = parse_reward_spec(s.rewards);
-    headline.columns[0].text.push_back(s.label);
-    headline.columns[1].numbers.push_back(
-        threshold_of(config, sim::Scenario::regular_rate_one));
-    headline.columns[2].numbers.push_back(
-        threshold_of(config, sim::Scenario::regular_and_uncle_rate_one));
-  }
-  result.tables.push_back(std::move(headline));
-
   ResultTable sweep;
   sweep.title = "Designer sweep: flat Ku value vs threshold";
   sweep.columns = {Column::make_numeric("ku", 4),
                    Column::make_numeric("threshold_s1", 3, "never"),
                    Column::make_numeric("threshold_s2", 3, "never")};
-  for (double ku : resolved_ku_values(spec)) {
-    const auto config = rewards::RewardConfig::ethereum_flat(ku);
-    sweep.columns[0].numbers.push_back(ku);
-    sweep.columns[1].numbers.push_back(
-        threshold_of(config, sim::Scenario::regular_rate_one));
-    sweep.columns[2].numbers.push_back(
-        threshold_of(config, sim::Scenario::regular_and_uncle_rate_one));
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    ResultTable& table = r < series.size() ? headline : sweep;
+    if (r < series.size()) {
+      table.columns[0].text.push_back(series[r].label);
+    } else {
+      table.columns[0].numbers.push_back(ku_values[r - series.size()]);
+    }
+    table.columns[1].numbers.push_back(thresholds[2 * r]);
+    table.columns[2].numbers.push_back(thresholds[2 * r + 1]);
   }
+  result.tables.push_back(std::move(headline));
   result.tables.push_back(std::move(sweep));
   result.csv_table = 1;  // the historical sec6 CSV payload
   result.notes.push_back(
@@ -434,18 +432,16 @@ void run_uncle_distance(const ExperimentSpec& spec, const RunOptions& options,
   const auto alphas = resolved_alphas(spec);
   ETHSM_EXPECTS(!alphas.empty(), "uncle_distance needs at least one alpha");
 
-  std::vector<analysis::UncleDistanceDistribution> analysis_side;
-  for (double alpha : alphas) {
-    analysis_side.push_back(analysis::honest_uncle_distance_distribution(
-        {alpha, spec.gamma}, spec.max_lead));
-  }
+  const auto analysis_side =
+      support::parallel_map(alphas.size(), [&](std::size_t a) {
+        return analysis::honest_uncle_distance_distribution(
+            {alphas[a], spec.gamma}, spec.max_lead);
+      });
 
   support::SweepOutcome outcome;
-  std::vector<sim::MultiRunSummary> sims;  // one per alpha, or none
-  for (const sim::SimConfig& config : uncle_distance_sweeps(spec)) {
-    sims.push_back(sim::run_many(config, simulation_runs(spec),
-                                 options.checkpoint, &outcome));
-  }
+  const auto sims =  // one per alpha, or none
+      sim::run_many(uncle_distance_sweeps(spec), simulation_runs(spec),
+                    options.checkpoint, &outcome);
   result.outcome = outcome;
   if (!outcome.complete()) return;
   const bool with_sim = !sims.empty();
@@ -537,20 +533,14 @@ void run_stubborn_sim(const ExperimentSpec& spec, const RunOptions& options,
   const sim::Scenario scenario = scenario_of(spec);
 
   support::SweepOutcome outcome;
-  std::vector<std::vector<sim::MultiRunSummary>> summaries;  // [alpha][k]
-  for (const auto& row : stubborn_sweeps(spec)) {
-    auto& out = summaries.emplace_back();
-    for (const StubbornSweep& s : row) {
-      out.push_back(sim::run_stubborn_many(s.config, s.strategy,
-                                           simulation_runs(spec),
-                                           options.checkpoint, &outcome));
-    }
-  }
+  const auto summaries =
+      sim::run_stubborn_many(stubborn_sweeps(spec), simulation_runs(spec),
+                             options.checkpoint, &outcome);
   result.outcome = outcome;
   if (!outcome.complete()) return;
   // Pool revenue of variant k at alphas[a].
   auto revenue = [&](std::size_t a, std::size_t k) {
-    return summaries[a][k].pool_revenue(scenario).mean();
+    return summaries[a * series.size() + k].pool_revenue(scenario).mean();
   };
 
   ResultTable table;
@@ -588,15 +578,21 @@ void run_timeline(const ExperimentSpec& spec, ExperimentResult& result) {
                    Column::make_numeric("bleed rate (s2)"),
                    Column::make_numeric("gain rate (s2)"),
                    Column::make_numeric("breakeven blocks (s2)", 0, "never")};
-  for (double alpha : resolved_alphas(spec)) {
-    const auto s1 = analysis::compute_attack_timeline(
-        {alpha, spec.gamma}, config, sim::Scenario::regular_rate_one,
-        spec.max_lead);
-    const auto s2 = analysis::compute_attack_timeline(
-        {alpha, spec.gamma}, config,
-        sim::Scenario::regular_and_uncle_rate_one, spec.max_lead);
+  // Timeline 2a is scenario 1 at alphas[a], 2a + 1 scenario 2.
+  const auto alphas = resolved_alphas(spec);
+  const auto timelines =
+      support::parallel_map(2 * alphas.size(), [&](std::size_t j) {
+        return analysis::compute_attack_timeline(
+            {alphas[j / 2], spec.gamma}, config,
+            j % 2 == 0 ? sim::Scenario::regular_rate_one
+                       : sim::Scenario::regular_and_uncle_rate_one,
+            spec.max_lead);
+      });
+  for (std::size_t a = 0; a < alphas.size(); ++a) {
+    const auto& s1 = timelines[2 * a];
+    const auto& s2 = timelines[2 * a + 1];
     std::size_t c = 0;
-    table.columns[c++].numbers.push_back(alpha);
+    table.columns[c++].numbers.push_back(alphas[a]);
     table.columns[c++].numbers.push_back(s1.initial_bleed_rate());
     table.columns[c++].numbers.push_back(s1.steady_gain_rate());
     table.columns[c++].numbers.push_back(
@@ -671,11 +667,8 @@ void run_delay(const ExperimentSpec& spec, const RunOptions& options,
   const int runs = simulation_runs(spec);
 
   support::SweepOutcome outcome;
-  std::vector<sim::DelayMultiRunSummary> summaries;
-  for (const sim::DelaySimConfig& config : delay_sweeps(spec)) {
-    summaries.push_back(
-        sim::run_delay_many(config, runs, options.checkpoint, &outcome));
-  }
+  const auto summaries = sim::run_delay_many(delay_sweeps(spec), runs,
+                                             options.checkpoint, &outcome);
   result.outcome = outcome;
   if (!outcome.complete()) return;
 
@@ -708,17 +701,33 @@ void run_net(const ExperimentSpec& spec, const RunOptions& options,
   const sim::Scenario scenario = scenario_of(spec);
   const auto rewards_config = parse_reward_spec(spec.rewards);
 
+  const auto sweeps = net_sweeps(spec);
+  std::vector<net::NetSimConfig> configs;
+  for (const NetSweep& s : sweeps) configs.push_back(s.config);
   support::SweepOutcome outcome;
-  std::vector<net::NetMultiRunSummary> summaries;
-  std::vector<net::NetMultiRunSummary> clean;  // one per alpha when faulted
-  for (const NetSweep& s : net_sweeps(spec)) {
-    (s.clean_baseline ? clean : summaries)
-        .push_back(net::run_net_many(s.config, simulation_runs(spec),
-                                     options.checkpoint, &outcome));
-  }
+  auto all = net::run_net_many(configs, simulation_runs(spec),
+                               options.checkpoint, &outcome);
   result.outcome = outcome;
   if (!outcome.complete()) return;
+  std::vector<net::NetMultiRunSummary> summaries;
+  std::vector<net::NetMultiRunSummary> clean;  // one per alpha when faulted
+  for (std::size_t k = 0; k < sweeps.size(); ++k) {
+    (sweeps[k].clean_baseline ? clean : summaries).push_back(std::move(all[k]));
+  }
   const bool faulted = !clean.empty();
+
+  // The Markov model at the measured gamma (job 2i) and at the spec's fixed
+  // gamma (job 2i + 1), for alphas[i].
+  const auto markov_us =
+      support::parallel_map(2 * alphas.size(), [&](std::size_t j) {
+        const std::size_t i = j / 2;
+        const double gamma =
+            j % 2 == 0 ? summaries[i].gamma.mean() : spec.gamma;
+        return analysis::pool_absolute_revenue(
+            analysis::compute_revenue({alphas[i], gamma}, rewards_config,
+                                      spec.max_lead),
+            scenario);
+      });
 
   // Headline: the measured-gamma curve against the Markov model evaluated
   // both at the measured gamma (does the aggregate theory predict the
@@ -753,19 +762,13 @@ void run_net(const ExperimentSpec& spec, const RunOptions& options,
   for (std::size_t i = 0; i < alphas.size(); ++i) {
     const net::NetMultiRunSummary& s = summaries[i];
     const double gamma_net = s.gamma.mean();
-    const auto at_net_gamma = analysis::compute_revenue(
-        {alphas[i], gamma_net}, rewards_config, spec.max_lead);
-    const auto at_fixed_gamma = analysis::compute_revenue(
-        {alphas[i], spec.gamma}, rewards_config, spec.max_lead);
     std::size_t c = 0;
     table.columns[c++].numbers.push_back(alphas[i]);
     table.columns[c++].numbers.push_back(gamma_net);
     table.columns[c++].numbers.push_back(s.gamma.ci_halfwidth());
     table.columns[c++].numbers.push_back(s.pool_revenue(scenario).mean());
-    table.columns[c++].numbers.push_back(
-        analysis::pool_absolute_revenue(at_net_gamma, scenario));
-    table.columns[c++].numbers.push_back(
-        analysis::pool_absolute_revenue(at_fixed_gamma, scenario));
+    table.columns[c++].numbers.push_back(markov_us[2 * i]);
+    table.columns[c++].numbers.push_back(markov_us[2 * i + 1]);
     table.columns[c++].numbers.push_back(s.honest_revenue(scenario).mean());
     table.columns[c++].numbers.push_back(s.uncle_rate.mean());
     table.columns[c++].numbers.push_back(s.stale_rate.mean());
@@ -903,11 +906,9 @@ std::vector<std::uint64_t> sweep_fingerprints(const ExperimentSpec& spec) {
       }
       break;
     case ExperimentKind::stubborn_sim:
-      for (const auto& row : stubborn_sweeps(spec)) {
-        for (const StubbornSweep& s : row) {
-          fps.push_back(
-              sim::run_stubborn_many_fingerprint(s.config, s.strategy, runs));
-        }
+      for (const sim::StubbornSweep& s : stubborn_sweeps(spec)) {
+        fps.push_back(
+            sim::run_stubborn_many_fingerprint(s.config, s.strategy, runs));
       }
       break;
     case ExperimentKind::delay:

@@ -604,18 +604,33 @@ std::uint64_t run_net_many_fingerprint(const NetSimConfig& config, int runs) {
 NetMultiRunSummary run_net_many(const NetSimConfig& config, int runs,
                                 const support::SweepCheckpoint& checkpoint,
                                 support::SweepOutcome* outcome) {
-  config.validate();
-  NetMultiRunSummary summary;
+  return run_net_many(std::vector<NetSimConfig>{config}, runs, checkpoint,
+                      outcome)
+      .front();
+}
+
+std::vector<NetMultiRunSummary> run_net_many(
+    const std::vector<NetSimConfig>& configs, int runs,
+    const support::SweepCheckpoint& checkpoint,
+    support::SweepOutcome* outcome) {
+  std::vector<support::SeededSweep> sweeps;
+  for (const NetSimConfig& config : configs) {
+    config.validate();
+    sweeps.push_back(
+        {run_net_many_fingerprint(config, runs), config.seed, runs});
+  }
+  std::vector<NetMultiRunSummary> summaries(configs.size());
   support::run_seeded(
-      checkpoint, outcome, run_net_many_fingerprint(config, runs), config.seed,
-      runs,
-      [&config](std::uint64_t seed) {
-        NetSimConfig run_config = config;
+      checkpoint, outcome, sweeps,
+      [&configs](std::size_t s, std::uint64_t seed) {
+        NetSimConfig run_config = configs[s];
         run_config.seed = seed;
         return run_net_simulation(run_config);
       },
-      [&summary](const NetSimResult& r) { summary.absorb(r); });
-  return summary;
+      [&summaries](std::size_t s, const NetSimResult& r) {
+        summaries[s].absorb(r);
+      });
+  return summaries;
 }
 
 }  // namespace ethsm::net

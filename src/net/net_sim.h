@@ -176,6 +176,13 @@ struct NetMultiRunSummary {
     const support::SweepCheckpoint& checkpoint = {},
     support::SweepOutcome* outcome = nullptr);
 
+/// run_net_many over a list of configurations in one pool region (one job
+/// budget, one outcome); summary k is exactly run_net_many(configs[k], ...).
+[[nodiscard]] std::vector<NetMultiRunSummary> run_net_many(
+    const std::vector<NetSimConfig>& configs, int runs,
+    const support::SweepCheckpoint& checkpoint = {},
+    support::SweepOutcome* outcome = nullptr);
+
 /// Checkpoint-store fingerprint of a run_net_many sweep (checkpoint GC).
 [[nodiscard]] std::uint64_t run_net_many_fingerprint(const NetSimConfig& config,
                                                      int runs);

@@ -170,30 +170,44 @@ std::uint64_t run_delay_many_fingerprint(const DelaySimConfig& config,
 DelayMultiRunSummary run_delay_many(const DelaySimConfig& config, int runs,
                                     const support::SweepCheckpoint& checkpoint,
                                     support::SweepOutcome* outcome) {
-  config.validate();
-  const auto num_miners = config.effective_shares().size();
+  return run_delay_many(std::vector<DelaySimConfig>{config}, runs, checkpoint,
+                        outcome)
+      .front();
+}
 
-  DelayMultiRunSummary summary;
-  summary.per_miner_stale_fraction.resize(num_miners);
+std::vector<DelayMultiRunSummary> run_delay_many(
+    const std::vector<DelaySimConfig>& configs, int runs,
+    const support::SweepCheckpoint& checkpoint,
+    support::SweepOutcome* outcome) {
+  std::vector<support::SeededSweep> sweeps;
+  std::vector<DelayMultiRunSummary> summaries(configs.size());
+  for (std::size_t s = 0; s < configs.size(); ++s) {
+    configs[s].validate();
+    sweeps.push_back(
+        {run_delay_many_fingerprint(configs[s], runs), configs[s].seed, runs});
+    summaries[s].per_miner_stale_fraction.resize(
+        configs[s].effective_shares().size());
+  }
   support::run_seeded(
-      checkpoint, outcome, run_delay_many_fingerprint(config, runs),
-      config.seed, runs,
-      [&config](std::uint64_t seed) {
-        DelaySimConfig run_config = config;
+      checkpoint, outcome, sweeps,
+      [&configs](std::size_t s, std::uint64_t seed) {
+        DelaySimConfig run_config = configs[s];
         run_config.seed = seed;
         return run_delay_simulation(run_config);
       },
-      [&](const DelaySimResult& r) {
+      [&summaries](std::size_t s, const DelaySimResult& r) {
+        DelayMultiRunSummary& summary = summaries[s];
         summary.uncle_rate.add(r.uncle_rate());
         summary.stale_rate.add(r.stale_rate());
         summary.duration.add(r.duration);
-        for (std::size_t m = 0; m < num_miners; ++m) {
+        for (std::size_t m = 0; m < summary.per_miner_stale_fraction.size();
+             ++m) {
           summary.per_miner_stale_fraction[m].add(
               r.per_miner_stale_fraction[m]);
         }
         ++summary.runs;
       });
-  return summary;
+  return summaries;
 }
 
 }  // namespace ethsm::sim

@@ -84,6 +84,13 @@ struct DelayMultiRunSummary {
     const support::SweepCheckpoint& checkpoint = {},
     support::SweepOutcome* outcome = nullptr);
 
+/// run_delay_many over a list of configurations in one pool region;
+/// semantics as the list form of run_many.
+[[nodiscard]] std::vector<DelayMultiRunSummary> run_delay_many(
+    const std::vector<DelaySimConfig>& configs, int runs,
+    const support::SweepCheckpoint& checkpoint = {},
+    support::SweepOutcome* outcome = nullptr);
+
 /// Checkpoint-store fingerprint of a run_delay_many sweep (checkpoint GC).
 [[nodiscard]] std::uint64_t run_delay_many_fingerprint(
     const DelaySimConfig& config, int runs);

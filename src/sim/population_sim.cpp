@@ -147,14 +147,14 @@ PopulationMultiRunSummary run_population_many(
   summary.pool_size = config.pool_size();
   summary.effective_alpha = config.effective_alpha();
   support::run_seeded(
-      checkpoint, outcome, run_population_many_fingerprint(config, runs),
-      config.base.seed, runs,
-      [&config](std::uint64_t seed) {
+      checkpoint, outcome,
+      {{run_population_many_fingerprint(config, runs), config.base.seed, runs}},
+      [&config](std::size_t, std::uint64_t seed) {
         PopulationConfig run_config = config;
         run_config.base.seed = seed;
         return run_population_simulation(run_config);
       },
-      [&summary](const PopulationResult& r) {
+      [&summary](std::size_t, const PopulationResult& r) {
         summary.sim.absorb(r.sim);
         summary.pool_member_share.add(r.pool_member_share());
       });

@@ -128,18 +128,31 @@ SimResult run_simulation(const SimConfig& config) {
 MultiRunSummary run_many(const SimConfig& config, int runs,
                          const support::SweepCheckpoint& checkpoint,
                          support::SweepOutcome* outcome) {
-  config.validate();
-  MultiRunSummary summary;
+  return run_many(std::vector<SimConfig>{config}, runs, checkpoint, outcome)
+      .front();
+}
+
+std::vector<MultiRunSummary> run_many(
+    const std::vector<SimConfig>& configs, int runs,
+    const support::SweepCheckpoint& checkpoint,
+    support::SweepOutcome* outcome) {
+  std::vector<support::SeededSweep> sweeps;
+  for (const SimConfig& config : configs) {
+    config.validate();
+    sweeps.push_back({run_many_fingerprint(config, runs), config.seed, runs});
+  }
+  std::vector<MultiRunSummary> summaries(configs.size());
   support::run_seeded(
-      checkpoint, outcome, run_many_fingerprint(config, runs), config.seed,
-      runs,
-      [&config](std::uint64_t seed) {
-        SimConfig run_config = config;
+      checkpoint, outcome, sweeps,
+      [&configs](std::size_t s, std::uint64_t seed) {
+        SimConfig run_config = configs[s];
         run_config.seed = seed;
         return run_simulation(run_config);
       },
-      [&summary](const SimResult& r) { summary.absorb(r); });
-  return summary;
+      [&summaries](std::size_t s, const SimResult& r) {
+        summaries[s].absorb(r);
+      });
+  return summaries;
 }
 
 SimResult run_stubborn_simulation(const SimConfig& config,
@@ -162,20 +175,36 @@ MultiRunSummary run_stubborn_many(const SimConfig& config,
                                   int runs,
                                   const support::SweepCheckpoint& checkpoint,
                                   support::SweepOutcome* outcome) {
-  config.validate();
-  ETHSM_EXPECTS(config.pool_uses_selfish_strategy,
-                "stubborn variants require an attacking pool");
-  MultiRunSummary summary;
+  return run_stubborn_many(std::vector<StubbornSweep>{{config, strategy}},
+                           runs, checkpoint, outcome)
+      .front();
+}
+
+std::vector<MultiRunSummary> run_stubborn_many(
+    const std::vector<StubbornSweep>& sweeps, int runs,
+    const support::SweepCheckpoint& checkpoint,
+    support::SweepOutcome* outcome) {
+  std::vector<support::SeededSweep> seeded;
+  for (const StubbornSweep& sweep : sweeps) {
+    sweep.config.validate();
+    ETHSM_EXPECTS(sweep.config.pool_uses_selfish_strategy,
+                  "stubborn variants require an attacking pool");
+    seeded.push_back(
+        {run_stubborn_many_fingerprint(sweep.config, sweep.strategy, runs),
+         sweep.config.seed, runs});
+  }
+  std::vector<MultiRunSummary> summaries(sweeps.size());
   support::run_seeded(
-      checkpoint, outcome,
-      run_stubborn_many_fingerprint(config, strategy, runs), config.seed, runs,
-      [&config, &strategy](std::uint64_t seed) {
-        SimConfig run_config = config;
+      checkpoint, outcome, seeded,
+      [&sweeps](std::size_t s, std::uint64_t seed) {
+        SimConfig run_config = sweeps[s].config;
         run_config.seed = seed;
-        return run_stubborn_simulation(run_config, strategy);
+        return run_stubborn_simulation(run_config, sweeps[s].strategy);
       },
-      [&summary](const SimResult& r) { summary.absorb(r); });
-  return summary;
+      [&summaries](std::size_t s, const SimResult& r) {
+        summaries[s].absorb(r);
+      });
+  return summaries;
 }
 
 }  // namespace ethsm::sim

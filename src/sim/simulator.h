@@ -14,6 +14,8 @@
 #ifndef ETHSM_SIM_SIMULATOR_H
 #define ETHSM_SIM_SIMULATOR_H
 
+#include <vector>
+
 #include "miner/stubborn_policy.h"
 #include "sim/sim_config.h"
 #include "sim/sim_result.h"
@@ -39,6 +41,14 @@ namespace ethsm::sim {
     const support::SweepCheckpoint& checkpoint = {},
     support::SweepOutcome* outcome = nullptr);
 
+/// run_many over a list of configurations in one pool region (one job
+/// budget, one outcome): summary k aggregates configs[k]'s runs, exactly as
+/// run_many(configs[k], runs) would.
+[[nodiscard]] std::vector<MultiRunSummary> run_many(
+    const std::vector<SimConfig>& configs, int runs,
+    const support::SweepCheckpoint& checkpoint = {},
+    support::SweepOutcome* outcome = nullptr);
+
 /// As run_simulation, but the pool runs a stubborn-mining variant
 /// (miner/stubborn_policy.h) instead of Algorithm 1. With a default-initialized
 /// StubbornConfig the result is distributionally identical to run_simulation.
@@ -48,6 +58,19 @@ namespace ethsm::sim {
 /// Multi-run aggregation for stubborn variants; semantics as run_many.
 [[nodiscard]] MultiRunSummary run_stubborn_many(
     const SimConfig& config, const miner::StubbornConfig& strategy, int runs,
+    const support::SweepCheckpoint& checkpoint = {},
+    support::SweepOutcome* outcome = nullptr);
+
+/// One sweep of a stubborn list: the base configuration and the variant.
+struct StubbornSweep {
+  SimConfig config;
+  miner::StubbornConfig strategy;
+};
+
+/// run_stubborn_many over a list of sweeps in one pool region; semantics as
+/// the list form of run_many.
+[[nodiscard]] std::vector<MultiRunSummary> run_stubborn_many(
+    const std::vector<StubbornSweep>& sweeps, int runs,
     const support::SweepCheckpoint& checkpoint = {},
     support::SweepOutcome* outcome = nullptr);
 

@@ -4,12 +4,15 @@
 // jobs are pure functions of their index, results land in an index-ordered
 // vector, and any order-sensitive reduction is the caller's to perform
 // serially afterwards. Under that discipline every aggregate is
-// bitwise-identical whether the pool has 1 thread or 64.
+// bitwise-identical whether the pool has 1 thread or 64. Dispatch order
+// (which thread claims which job, and when) is the pool's; key and absorb
+// order are the caller's, and never depend on it.
 
 #ifndef ETHSM_SUPPORT_PARALLEL_H
 #define ETHSM_SUPPORT_PARALLEL_H
 
 #include <cstddef>
+#include <memory>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -18,6 +21,7 @@
 #include "support/checkpoint.h"
 #include "support/rng.h"
 #include "support/thread_pool.h"
+#include "support/trace.h"
 
 namespace ethsm::support {
 
@@ -29,15 +33,18 @@ void parallel_for(std::size_t n, F&& fn) {
 
 /// Maps i -> fn(i) into a vector with results at their job index. The result
 /// type must be default-constructible (job slots are pre-allocated so no
-/// synchronisation is needed on the output).
+/// synchronisation is needed on the output). Each job is one `sweep.job`
+/// trace span, as in run_checkpointed.
 template <typename F>
 [[nodiscard]] auto parallel_map(std::size_t n, F&& fn) {
   using Result = std::decay_t<std::invoke_result_t<F&, std::size_t>>;
   static_assert(std::is_default_constructible_v<Result>,
                 "parallel_map pre-allocates result slots");
   std::vector<Result> results(n);
-  ThreadPool::global().for_each_index(
-      n, [&](std::size_t i) { results[i] = fn(i); });
+  ThreadPool::global().for_each_index(n, [&](std::size_t i) {
+    trace::Span span("sweep.job");
+    results[i] = fn(i);
+  });
   return results;
 }
 
@@ -51,92 +58,167 @@ struct CheckpointedSweep {
   std::vector<char> have;       ///< char, not bool: parallel writers
 };
 
-/// parallel_map with persistence: jobs already present in the checkpoint
-/// store are decoded instead of recomputed; the rest (restricted to this
-/// process's shard and job budget) run on the pool, each result appended to
-/// the store as it completes, so an interrupted sweep resumes where it
-/// stopped. Because jobs are pure functions of their index and payloads are
-/// raw bit patterns, a resumed or sharded sweep is bitwise-identical to a
-/// fresh one. `fingerprint` must cover every parameter the jobs depend on;
-/// records from other fingerprints in the same directory are ignored.
-///
-/// The sweep's progress is merged into `*outcome`. A sweep left incomplete
+/// One sweep of a batched region: the checkpoint key its records live under
+/// and its job count.
+struct SweepKey {
+  std::uint64_t fingerprint = 0;
+  std::size_t n = 0;
+};
+
+/// Merges one region's progress into `*outcome`. A region left incomplete
 /// (some jobs belong to other shards or exceed the job budget) is refused
 /// unless the caller passed `outcome` to inspect: a partial result must
 /// never pass for a whole one.
-///
-/// With checkpointing disabled (`!ckpt.enabled()`) this is exactly
-/// parallel_map: sharding and budgets only apply when there is a store to
-/// merge partial results through.
-template <typename Result, typename F>
-[[nodiscard]] CheckpointedSweep<Result> run_checkpointed(
-    const SweepCheckpoint& ckpt, SweepOutcome* outcome,
-    std::uint64_t fingerprint, std::size_t n, F&& fn) {
-  static_assert(std::is_default_constructible_v<Result>,
-                "run_checkpointed pre-allocates result slots");
-  CheckpointedSweep<Result> sweep;
-  SweepOutcome progress;
-  progress.jobs_total = n;
-
-  if (!ckpt.enabled()) {
-    sweep.results = parallel_map(n, std::forward<F>(fn));
-    sweep.have.assign(n, 1);
-    progress.computed = n;
-  } else {
-    sweep.results.resize(n);
-    sweep.have.assign(n, 0);
-    CheckpointStore store(ckpt.directory, fingerprint, ckpt.shard);
-
-    std::vector<std::size_t> todo;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (store.contains(i)) {
-        ByteReader reader(store.payload(i));
-        sweep.results[i] = CheckpointCodec<Result>::decode(reader);
-        sweep.have[i] = 1;
-        ++progress.loaded;
-      } else if (ckpt.shard.owns(i) && todo.size() < ckpt.max_new_jobs) {
-        todo.push_back(i);
-      }
-    }
-
-    parallel_for(todo.size(), [&](std::size_t k) {
-      const std::size_t i = todo[k];
-      Result result = fn(i);
-      ByteWriter writer;
-      CheckpointCodec<Result>::encode(writer, result);
-      store.append(i, writer.bytes());  // thread-safe, flushed per record
-      sweep.results[i] = std::move(result);
-      sweep.have[i] = 1;
-    });
-    progress.computed = todo.size();
-    progress.skipped = n - progress.loaded - progress.computed;
-  }
-
+inline void report_progress(SweepOutcome* outcome,
+                            const SweepOutcome& progress) {
   ETHSM_EXPECTS(outcome != nullptr || progress.complete(),
                 "incomplete sharded/budgeted sweep: pass a SweepOutcome to "
                 "consume partial results");
   if (outcome != nullptr) outcome->merge(progress);
-  return sweep;
 }
 
-/// `runs` seeded copies of one configuration -- the shape of every
-/// run_*_many driver. Job r calls `run(derive_seed(seed, r))`; the available
-/// results are then handed to `absorb` in run order, so the aggregate is
-/// bitwise-identical for any thread count and across resume/shard splits.
-/// Checkpoint and outcome semantics as run_checkpointed.
+/// parallel_map with persistence, over a list of sweeps at once: job
+/// (s, i) is fn(s, i), and every pending job of every sweep runs in ONE pool
+/// region, so a cell's sweeps never wait on each other's stragglers. Jobs
+/// already present in sweep s's checkpoint store (keyed by its fingerprint)
+/// are decoded instead of recomputed; the rest, restricted to this process's
+/// shard (per (s, i): index i % N == k) and to ONE job budget taken in
+/// (sweep, index) order, run on the pool, each result appended to its
+/// sweep's store as it completes, so an interrupted region resumes where it
+/// stopped. Because jobs are pure functions of (s, i) and payloads are raw
+/// bit patterns, results land at their (s, i) slot bitwise-identical to a
+/// fresh, unsharded, single-threaded run; which thread runs a job, and when,
+/// never shows. A sweep whose fingerprint repeats an earlier one in the
+/// list shares that sweep's store and results (counted as loaded, as if it
+/// had run after it). Each fingerprint must cover every parameter its jobs
+/// depend on; records from other fingerprints in the same directory are
+/// ignored.
+///
+/// If a job throws, the region still drains: every other job finishes and
+/// is appended, then the first error is rethrown, so a rerun resumes from
+/// everything that completed. Progress (summed over the list) goes through
+/// report_progress.
+///
+/// With checkpointing disabled (`!ckpt.enabled()`) this is exactly
+/// parallel_map over the flattened list: sharding and budgets only apply
+/// when there is a store to merge partial results through.
+template <typename Result, typename F>
+[[nodiscard]] std::vector<CheckpointedSweep<Result>> run_checkpointed(
+    const SweepCheckpoint& ckpt, SweepOutcome* outcome,
+    const std::vector<SweepKey>& sweeps, F&& fn) {
+  static_assert(std::is_default_constructible_v<Result>,
+                "run_checkpointed pre-allocates result slots");
+  struct Job {
+    std::size_t sweep = 0;
+    std::size_t index = 0;
+  };
+  std::vector<CheckpointedSweep<Result>> out(sweeps.size());
+  std::vector<std::unique_ptr<CheckpointStore>> stores(sweeps.size());
+  std::vector<std::size_t> owner(sweeps.size());  // first sweep with its key
+  std::vector<Job> todo;
+  SweepOutcome progress;
+
+  for (std::size_t s = 0; s < sweeps.size(); ++s) {
+    const std::size_t n = sweeps[s].n;
+    out[s].results.resize(n);
+    out[s].have.assign(n, 0);
+    progress.jobs_total += n;
+    owner[s] = s;
+    if (!ckpt.enabled()) {
+      for (std::size_t i = 0; i < n; ++i) todo.push_back({s, i});
+      continue;
+    }
+    for (std::size_t t = 0; t < s; ++t) {
+      if (sweeps[t].fingerprint == sweeps[s].fingerprint) {
+        ETHSM_EXPECTS(sweeps[t].n == n, "one fingerprint, two job counts");
+        owner[s] = t;
+        break;
+      }
+    }
+    if (owner[s] != s) continue;
+    stores[s] = std::make_unique<CheckpointStore>(
+        ckpt.directory, sweeps[s].fingerprint, ckpt.shard);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (stores[s]->contains(i)) {
+        ByteReader reader(stores[s]->payload(i));
+        out[s].results[i] = CheckpointCodec<Result>::decode(reader);
+        out[s].have[i] = 1;
+        ++progress.loaded;
+      } else if (ckpt.shard.owns(i) && todo.size() < ckpt.max_new_jobs) {
+        todo.push_back({s, i});
+      }
+    }
+  }
+
+  parallel_for(todo.size(), [&](std::size_t k) {
+    trace::Span span("sweep.job");
+    const Job job = todo[k];
+    Result result = fn(job.sweep, job.index);
+    if (stores[job.sweep]) {
+      ByteWriter writer;
+      CheckpointCodec<Result>::encode(writer, result);
+      stores[job.sweep]->append(job.index, writer.bytes());  // thread-safe
+    }
+    out[job.sweep].results[job.index] = std::move(result);
+    out[job.sweep].have[job.index] = 1;
+  });
+  progress.computed = todo.size();
+
+  for (std::size_t s = 0; s < sweeps.size(); ++s) {
+    if (owner[s] == s) continue;
+    out[s] = out[owner[s]];
+    for (const char have : out[s].have) progress.loaded += have != 0 ? 1 : 0;
+  }
+  progress.skipped = progress.jobs_total - progress.loaded - progress.computed;
+  report_progress(outcome, progress);
+  return out;
+}
+
+/// A single sweep: the list form above with one entry, job i = fn(i).
+template <typename Result, typename F>
+[[nodiscard]] CheckpointedSweep<Result> run_checkpointed(
+    const SweepCheckpoint& ckpt, SweepOutcome* outcome,
+    std::uint64_t fingerprint, std::size_t n, F&& fn) {
+  return std::move(run_checkpointed<Result>(
+                       ckpt, outcome, {{fingerprint, n}},
+                       [&](std::size_t, std::size_t i) { return fn(i); })
+                       .front());
+}
+
+/// `runs` seeded copies of one configuration -- one sweep of a run_*_many
+/// driver. Job r of the sweep runs with derive_seed(seed, r).
+struct SeededSweep {
+  std::uint64_t fingerprint = 0;
+  std::uint64_t seed = 0;
+  int runs = 0;
+};
+
+/// The shape of every run_*_many driver, over a list of seeded sweeps in one
+/// region: job (s, r) calls `run(s, derive_seed(sweeps[s].seed, r))`; the
+/// available results are then handed to `absorb(s, result)` in (sweep, run)
+/// order, so every aggregate is bitwise-identical for any thread count and
+/// across resume/shard splits. Checkpoint, budget and outcome semantics as
+/// run_checkpointed.
 template <typename Run, typename Absorb>
 void run_seeded(const SweepCheckpoint& ckpt, SweepOutcome* outcome,
-                std::uint64_t fingerprint, std::uint64_t seed, int runs,
-                Run&& run, Absorb&& absorb) {
-  using Result = std::decay_t<std::invoke_result_t<Run&, std::uint64_t>>;
-  ETHSM_EXPECTS(runs > 0, "need at least one run");
-  const auto sweep = run_checkpointed<Result>(
-      ckpt, outcome, fingerprint, static_cast<std::size_t>(runs),
-      [&](std::size_t r) {
-        return run(derive_seed(seed, static_cast<std::uint64_t>(r)));
+                const std::vector<SeededSweep>& sweeps, Run&& run,
+                Absorb&& absorb) {
+  using Result =
+      std::decay_t<std::invoke_result_t<Run&, std::size_t, std::uint64_t>>;
+  std::vector<SweepKey> keys;
+  for (const SeededSweep& sweep : sweeps) {
+    ETHSM_EXPECTS(sweep.runs > 0, "need at least one run");
+    keys.push_back({sweep.fingerprint, static_cast<std::size_t>(sweep.runs)});
+  }
+  const auto results = run_checkpointed<Result>(
+      ckpt, outcome, keys, [&](std::size_t s, std::size_t r) {
+        return run(s,
+                   derive_seed(sweeps[s].seed, static_cast<std::uint64_t>(r)));
       });
-  for (std::size_t r = 0; r < sweep.results.size(); ++r) {
-    if (sweep.have[r]) absorb(sweep.results[r]);
+  for (std::size_t s = 0; s < results.size(); ++s) {
+    for (std::size_t r = 0; r < results[s].results.size(); ++r) {
+      if (results[s].have[r]) absorb(s, results[s].results[r]);
+    }
   }
 }
 

@@ -177,7 +177,17 @@ void ThreadPool::for_each_index(std::size_t n,
                                 const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
   if (n == 1 || concurrency_ == 1 || t_inside_pool_job) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
+    // Inline, but with the region's error contract: every job runs, then the
+    // first error is rethrown.
+    std::exception_ptr first_error;
+    for (std::size_t i = 0; i < n; ++i) {
+      try {
+        fn(i);
+      } catch (...) {
+        if (!first_error) first_error = std::current_exception();
+      }
+    }
+    if (first_error) std::rethrow_exception(first_error);
     return;
   }
   run_region(n, fn);

@@ -47,8 +47,9 @@ class ThreadPool {
   /// Runs fn(i) exactly once for every i in [0, n), distributing indices over
   /// the pool plus the calling thread; blocks until all n jobs finished.
   /// The first exception thrown by any job is rethrown on the caller after
-  /// the region drains. Reentrant calls (from inside a pool job) and pools
-  /// with concurrency 1 execute serially inline. Concurrent top-level calls
+  /// the region drains (every other job still runs, at any concurrency).
+  /// Reentrant calls (from inside a pool job) and pools with concurrency 1
+  /// execute serially inline. Concurrent top-level calls
   /// from different threads are safe: every region completes correctly, but
   /// the workers only assist the most recently published one (earlier
   /// regions drain on their callers alone).

@@ -164,7 +164,12 @@ Span::Span(std::string name) {
   active_ = true;
 }
 
-Span::Span(const char* name) : Span(std::string(name)) {}
+Span::Span(const char* name) {
+  if (!enabled()) return;  // no string is built for a disarmed tracer
+  name_ = name;
+  begin_us_ = now_us();
+  active_ = true;
+}
 
 Span::~Span() {
   if (!active_) return;

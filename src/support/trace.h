@@ -42,7 +42,9 @@ void complete_event(const std::string& name, std::uint64_t begin_us,
 
 /// RAII span: records a complete event covering its lifetime when tracing
 /// is armed at construction. The name is copied, so dynamic names (route
-/// paths, study-cell names) are fine.
+/// paths, study-cell names) are fine. With the tracer disarmed, a span
+/// named by a `const char*` costs one relaxed load (per-job spans use it);
+/// a std::string name is built by the caller either way.
 class Span {
  public:
   explicit Span(const char* name);

@@ -3,13 +3,23 @@
 // per-run seeds depend only on the run index and reductions happen serially
 // in index order (support/parallel.h). These tests run the same experiment
 // at 1, 4 and hardware threads and compare every statistic with exact
-// floating-point equality.
+// floating-point equality. A cell's sweep list runs as ONE pool region, so
+// the list forms are checked too: every sweep of a batched net or stubborn
+// list equals its own serial run at 1, 2, 3, 4 and 7 threads, and the
+// Markov passes api::run moved onto the pool (reward_design, timeline,
+// uncle_distance) render the same at 1 and 4 threads.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "analysis/sweep.h"
+#include "api/presets.h"
+#include "api/render.h"
+#include "api/runner.h"
+#include "net/net_sim.h"
 #include "sim/delay_sim.h"
 #include "sim/population_sim.h"
 #include "sim/simulator.h"
@@ -234,6 +244,120 @@ TEST_F(DeterminismTest, DelayManyIsBitwiseIdenticalAcrossThreadCounts) {
     } else {
       EXPECT_EQ(reference, fp) << "thread count " << threads;
     }
+  }
+}
+
+std::vector<double> fingerprint(const net::NetMultiRunSummary& s) {
+  std::vector<double> out;
+  append_stats(out, s.gamma);
+  append_stats(out, s.pool_revenue_s1);
+  append_stats(out, s.pool_revenue_s2);
+  append_stats(out, s.honest_revenue_s1);
+  append_stats(out, s.honest_revenue_s2);
+  append_stats(out, s.pool_share);
+  append_stats(out, s.uncle_rate);
+  append_stats(out, s.stale_rate);
+  for (std::uint64_t v : s.distance_blocks) {
+    out.push_back(static_cast<double>(v));
+  }
+  for (std::uint64_t v : s.distance_stale) {
+    out.push_back(static_cast<double>(v));
+  }
+  for (std::uint64_t v :
+       {s.race_samples, s.natural_forks, s.resyncs, s.events_processed,
+        s.faults_messages_dropped, s.faults_mining_lost,
+        s.faults_downtime_events}) {
+    out.push_back(static_cast<double>(v));
+  }
+  out.push_back(static_cast<double>(s.runs));
+  return out;
+}
+
+const std::vector<unsigned> kBatchThreadCounts = {1u, 2u, 3u, 4u, 7u};
+
+TEST_F(DeterminismTest, BatchedNetSweepsMatchTheirSerialRuns) {
+  // Per alpha, a faulted sweep and its fault-free twin: the net_faults shape.
+  std::vector<net::NetSimConfig> configs;
+  for (double alpha : {0.2, 0.35}) {
+    net::NetSimConfig config;
+    config.alpha = alpha;
+    config.honest_nodes = 6;
+    config.num_blocks = 300;
+    config.seed = 31;
+    config.faults.drop = 0.1;
+    config.faults.churn = net::parse_churn_spec("400:100");
+    configs.push_back(config);
+    config.faults = net::FaultSpec{};
+    configs.push_back(config);
+  }
+  constexpr int kRuns = 3;
+
+  ThreadPool::set_global_concurrency(1);
+  std::vector<std::vector<double>> serial;
+  for (const auto& config : configs) {
+    serial.push_back(fingerprint(net::run_net_many(config, kRuns)));
+  }
+  for (unsigned threads : kBatchThreadCounts) {
+    ThreadPool::set_global_concurrency(threads);
+    const auto batch = net::run_net_many(configs, kRuns);
+    ASSERT_EQ(batch.size(), configs.size());
+    for (std::size_t k = 0; k < configs.size(); ++k) {
+      EXPECT_EQ(serial[k], fingerprint(batch[k]))
+          << "sweep " << k << " at " << threads << " threads";
+    }
+  }
+}
+
+TEST_F(DeterminismTest, BatchedStubbornSweepsMatchTheirSerialRuns) {
+  // Alpha-major (alpha x series) list, as the stubborn_sim kind runs it.
+  std::vector<StubbornSweep> sweeps;
+  for (double alpha : {0.25, 0.35, 0.45}) {
+    SimConfig config;
+    config.alpha = alpha;
+    config.gamma = 0.5;
+    config.num_blocks = 2'000;
+    config.seed = 0x57ab + static_cast<std::uint64_t>(alpha * 1e4);
+    miner::StubbornConfig selfish;
+    miner::StubbornConfig lead;
+    lead.lead_stubborn = true;
+    miner::StubbornConfig trail;
+    trail.trail_stubbornness = 2;
+    for (const auto& strategy : {selfish, lead, trail}) {
+      sweeps.push_back({config, strategy});
+    }
+  }
+  constexpr int kRuns = 3;
+
+  ThreadPool::set_global_concurrency(1);
+  std::vector<std::vector<double>> serial;
+  for (const auto& s : sweeps) {
+    serial.push_back(
+        fingerprint(run_stubborn_many(s.config, s.strategy, kRuns)));
+  }
+  for (unsigned threads : kBatchThreadCounts) {
+    ThreadPool::set_global_concurrency(threads);
+    const auto batch = run_stubborn_many(sweeps, kRuns);
+    ASSERT_EQ(batch.size(), sweeps.size());
+    for (std::size_t k = 0; k < sweeps.size(); ++k) {
+      EXPECT_EQ(serial[k], fingerprint(batch[k]))
+          << "sweep " << k << " at " << threads << " threads";
+    }
+  }
+}
+
+TEST_F(DeterminismTest, MarkovPassesOnThePoolRenderTheSameAtOneAndFourThreads) {
+  std::vector<api::ExperimentSpec> specs = {
+      api::preset_spec("sec6_reward_design", /*quick=*/true),
+      api::preset_spec("ext_timeline", /*quick=*/true),
+      api::preset_spec("table2", /*quick=*/true),
+  };
+  specs[2].sim_blocks = 2'000;  // the analysis half is under test here
+  for (const api::ExperimentSpec& spec : specs) {
+    ThreadPool::set_global_concurrency(1);
+    const std::string serial = api::render_json(api::run(spec));
+    ThreadPool::set_global_concurrency(4);
+    EXPECT_EQ(serial, api::render_json(api::run(spec)))
+        << api::to_string(spec.kind);
   }
 }
 

@@ -7,17 +7,20 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "support/parallel.h"
 #include "support/rng.h"
 #include "support/temp_dir.h"
+#include "support/thread_pool.h"
 
 namespace ethsm::support {
 namespace {
@@ -426,9 +429,9 @@ TEST(CheckpointedRun, SeededRunsAbsorbInRunOrder) {
   SweepOutcome outcome;
   std::vector<std::uint64_t> absorbed;
   run_seeded(
-      SweepCheckpoint{}, &outcome, 0x6ULL, 42, 5,
-      [](std::uint64_t seed) { return seed; },
-      [&](std::uint64_t seed) { absorbed.push_back(seed); });
+      SweepCheckpoint{}, &outcome, {{0x6ULL, 42, 5}},
+      [](std::size_t, std::uint64_t seed) { return seed; },
+      [&](std::size_t, std::uint64_t seed) { absorbed.push_back(seed); });
   ASSERT_EQ(absorbed.size(), 5u);
   for (std::uint64_t r = 0; r < 5; ++r) {
     EXPECT_EQ(absorbed[r], derive_seed(42, r)) << "run " << r;
@@ -436,6 +439,113 @@ TEST(CheckpointedRun, SeededRunsAbsorbInRunOrder) {
   EXPECT_EQ(outcome.jobs_total, 5u);
   EXPECT_EQ(outcome.computed, 5u);
 }
+
+// ------------------------------------------------- batched run_checkpointed --
+
+/// Three sweeps of one batched region; job (s, i) is a pure function of both.
+const std::vector<SweepKey> kBatch = {{0x71ULL, 5}, {0x72ULL, 6}, {0x73ULL, 4}};
+
+double batch_value(std::size_t s, std::size_t i) {
+  return job_value(10 * s + i);
+}
+
+class CheckpointedBatch : public ::testing::TestWithParam<unsigned> {
+ protected:
+  void SetUp() override { ThreadPool::set_global_concurrency(GetParam()); }
+  void TearDown() override {
+    ThreadPool::set_global_concurrency(ThreadPool::default_concurrency());
+  }
+};
+
+TEST_P(CheckpointedBatch, EverySweepMatchesItsSingleSweepRun) {
+  SweepOutcome outcome;
+  const auto batch = run_checkpointed<double>(SweepCheckpoint{}, &outcome,
+                                              kBatch, batch_value);
+  ASSERT_EQ(batch.size(), kBatch.size());
+  EXPECT_EQ(outcome.jobs_total, 15u);
+  EXPECT_EQ(outcome.computed, 15u);
+  for (std::size_t s = 0; s < kBatch.size(); ++s) {
+    const auto single = run_checkpointed<double>(
+        SweepCheckpoint{}, nullptr, kBatch[s].fingerprint, kBatch[s].n,
+        [s](std::size_t i) { return batch_value(s, i); });
+    EXPECT_EQ(batch[s].results, single.results) << "sweep " << s;
+  }
+}
+
+TEST_P(CheckpointedBatch, OneBudgetIsTakenInSweepIndexOrder) {
+  SweepCheckpoint ckpt;
+  ckpt.directory = temp_path("budget");
+  ckpt.max_new_jobs = 7;  // all of sweep 0, then the first two of sweep 1
+  SweepOutcome outcome;
+  const auto part =
+      run_checkpointed<double>(ckpt, &outcome, kBatch, batch_value);
+  EXPECT_EQ(outcome.computed, 7u);
+  EXPECT_EQ(outcome.skipped, 8u);
+  EXPECT_EQ(part[0].have, std::vector<char>(5, 1));
+  EXPECT_EQ(part[1].have, (std::vector<char>{1, 1, 0, 0, 0, 0}));
+  EXPECT_EQ(part[2].have, std::vector<char>(4, 0));
+}
+
+TEST_P(CheckpointedBatch, FailedJobDrainsTheRegionAndTheRerunResumes) {
+  const auto fresh =
+      run_checkpointed<double>(SweepCheckpoint{}, nullptr, kBatch, batch_value);
+
+  SweepCheckpoint ckpt;
+  ckpt.directory = temp_path("failing");
+  std::atomic<int> finished{0};
+  EXPECT_THROW(
+      (void)run_checkpointed<double>(
+          ckpt, nullptr, kBatch,
+          [&](std::size_t s, std::size_t i) {
+            if (s == 1 && i == 2) throw std::runtime_error("job (1, 2) failed");
+            finished.fetch_add(1);
+            return batch_value(s, i);
+          }),
+      std::runtime_error);
+  // The error surfaced only after every other job of every sweep ran and
+  // was appended to its sweep's store.
+  EXPECT_EQ(finished.load(), 14);
+  EXPECT_EQ(read_checkpoint_records(ckpt.directory, 0x71ULL).size(), 5u);
+  EXPECT_EQ(read_checkpoint_records(ckpt.directory, 0x72ULL).size(), 5u);
+  EXPECT_EQ(read_checkpoint_records(ckpt.directory, 0x73ULL).size(), 4u);
+
+  // The fail-soft retry: a rerun loads what finished and computes the rest.
+  SweepOutcome outcome;
+  const auto resumed =
+      run_checkpointed<double>(ckpt, &outcome, kBatch, batch_value);
+  ASSERT_TRUE(outcome.complete());
+  EXPECT_EQ(outcome.loaded, 14u);
+  EXPECT_EQ(outcome.computed, 1u);
+  for (std::size_t s = 0; s < kBatch.size(); ++s) {
+    EXPECT_EQ(resumed[s].results, fresh[s].results) << "sweep " << s;
+  }
+}
+
+TEST_P(CheckpointedBatch, RepeatedFingerprintSharesTheEarlierSweep) {
+  // Two series with the same key: the second is satisfied by the first, as
+  // if it had run after it, and nothing is computed twice.
+  const std::vector<SweepKey> twice = {{0x81ULL, 4}, {0x81ULL, 4}};
+  SweepCheckpoint ckpt;
+  ckpt.directory = temp_path("repeated");
+  SweepOutcome outcome;
+  std::atomic<int> calls{0};
+  const auto sweeps = run_checkpointed<double>(
+      ckpt, &outcome, twice, [&](std::size_t, std::size_t i) {
+        calls.fetch_add(1);
+        return job_value(i);
+      });
+  EXPECT_EQ(calls.load(), 4);
+  EXPECT_EQ(outcome.computed, 4u);
+  EXPECT_EQ(outcome.loaded, 4u);
+  EXPECT_TRUE(outcome.complete());
+  EXPECT_EQ(sweeps[1].results, sweeps[0].results);
+}
+
+INSTANTIATE_TEST_SUITE_P(Checkpoint, CheckpointedBatch,
+                         ::testing::Values(1u, 4u),
+                         [](const auto& info) {
+                           return std::to_string(info.param) + "_threads";
+                         });
 
 }  // namespace
 }  // namespace ethsm::support
