@@ -54,7 +54,7 @@ constexpr const char* kUsage =
     "  ethsm run --all | --study FILE     (writes a results tree + manifest)\n"
     "            [--quick] [--set key=value ...] [--out DIR]\n"
     "            [--checkpoint-dir DIR | --resume] [--shard k/N]\n"
-    "            [--cell-shard k/N] [--max-new-jobs N] [--retry N]\n"
+    "            [--max-new-jobs N] [--retry N]\n"
     "            [--trace FILE] [--metrics-out FILE]\n"
     "  ethsm expand <study file> | --all [--quick] [--set key=value ...]\n"
     "  ethsm checkpoint-stats <dir> [--prune [--dry-run]]\n"
@@ -191,7 +191,6 @@ struct RunArgs {
   bool format_set = false;
   std::string out_file;  ///< file for single runs, directory for studies
   support::SweepCheckpoint checkpoint;
-  support::ShardSpec cell_shard;  ///< whole-cell round-robin (study runs)
   int retry = 0;  ///< --retry N: extra attempts per failing study cell
   std::string trace_file;   ///< --trace FILE: Chrome trace-event JSON
   std::string metrics_out;  ///< --metrics-out FILE: registry JSON snapshot
@@ -327,12 +326,6 @@ RunArgs parse_run_args(int argc, char** argv, int first) {
             usage_fail("malformed --shard (want k/N with 0 <= k < N)");
           }
           args.checkpoint.shard = *shard;
-        } else if (arg == "--cell-shard") {
-          const auto shard = support::parse_shard(next("--cell-shard"));
-          if (!shard) {
-            usage_fail("malformed --cell-shard (want k/N with 0 <= k < N)");
-          }
-          args.cell_shard = *shard;
         } else if (arg == "--max-new-jobs") {
           const char* text = next("--max-new-jobs");
           char* end = nullptr;
@@ -356,18 +349,9 @@ RunArgs parse_run_args(int argc, char** argv, int first) {
     usage_fail("--shard requires --checkpoint-dir (shards merge through disk; "
                "without it this shard's work would be discarded)");
   }
-  if (!args.cell_shard.is_whole_sweep() && !args.request.is_study()) {
-    usage_fail("--cell-shard applies to study runs (--study FILE or --all); "
-               "use --shard k/N to stripe a single spec's jobs");
-  }
   if (args.retry > 0 && !args.request.is_study()) {
     usage_fail("--retry applies to study runs (--study FILE or --all): a "
                "single run's failure already exits with the error");
-  }
-  if (!args.cell_shard.is_whole_sweep() && args.checkpoint.directory.empty()) {
-    usage_fail("--cell-shard requires --checkpoint-dir (the merge pass "
-               "collects every shard's cells through disk; without it this "
-               "shard's work would be discarded)");
   }
   return args;
 }
@@ -418,16 +402,12 @@ int cmd_run_study(const RunArgs& args) {
             << "   sweep threads: "
             << support::ThreadPool::global().concurrency()
             << " (override with ETHSM_THREADS)\n";
-  if (!args.cell_shard.is_whole_sweep()) {
-    std::size_t owned = 0;
-    for (std::size_t i = 0; i < expansion.entries.size(); ++i) {
-      if (args.cell_shard.owns(i)) ++owned;
-    }
-    std::cout << "   cell shard " << args.cell_shard.index << "/"
-              << args.cell_shard.count << ": running " << owned << " of "
-              << expansion.entries.size()
-              << " cells (cell i -> shard i % N; merge with a final run "
-                 "without --cell-shard)\n";
+  const support::ShardSpec& shard = args.checkpoint.shard;
+  if (!shard.is_whole_sweep()) {
+    std::cout << "   shard " << shard.index << "/" << shard.count
+              << ": this stripe of every checkpointed sweep; cells without "
+                 "one are left to the merge pass (a final run without "
+                 "--shard)\n";
   }
 
   RunOptions options;
@@ -438,8 +418,9 @@ int cmd_run_study(const RunArgs& args) {
       expansion.name, expansion.title, expansion.entries, options,
       [&](std::size_t index, std::size_t total, const StudyEntryResult& e) {
         std::cout << "[" << index << "/" << total << "] " << e.name << ": ";
-        if (e.skipped) {
-          std::cout << "skipped (cell of shard " << e.cell_owner << ")";
+        if (e.result.skipped) {
+          std::cout << "skipped (no checkpointed sweep; left to the merge "
+                       "pass)";
         } else if (e.failed) {
           std::cout << "FAILED after " << e.attempts << " attempt"
                     << (e.attempts == 1 ? "" : "s") << ": " << e.error;
@@ -452,7 +433,7 @@ int cmd_run_study(const RunArgs& args) {
         }
         std::cout << "\n" << std::flush;
       },
-      args.cell_shard, failure);
+      failure);
 
   write_study_results(study, out_root);
 
@@ -460,10 +441,10 @@ int cmd_run_study(const RunArgs& args) {
     std::cout << support::describe(args.checkpoint, study.outcome) << "\n";
   }
   if (!study.complete()) {
-    if (!args.cell_shard.is_whole_sweep()) {
-      std::cout << "Partial study (cell shard): run the remaining shards, "
-                   "then merge with a final run sharing --checkpoint-dir and "
-                   "no --cell-shard.\n";
+    if (!shard.is_whole_sweep()) {
+      std::cout << "Partial study (shard): run the remaining shards, then "
+                   "merge with a final run sharing --checkpoint-dir and no "
+                   "--shard.\n";
     } else {
       std::cout << "Partial study: some sweeps are missing jobs; re-run with "
                    "the same --checkpoint-dir to finish.\n";
@@ -471,7 +452,7 @@ int cmd_run_study(const RunArgs& args) {
   }
   std::size_t written = 0;
   for (const StudyEntryResult& e : study.entries) {
-    if (!e.skipped && !e.failed) ++written;
+    if (!e.result.skipped && !e.failed) ++written;
   }
   std::cout << "Results under " << out_root << " (" << written
             << " spec directories + manifest.json)\n";
@@ -939,10 +920,10 @@ int cmd_orchestrate(int argc, char** argv, int first) {
 
   orchestrate::OrchestrateConfig config;
   config.transport = &transport;
-  config.study = request.is_study();
-  // Finer units than slots so a dead worker's queue re-balances across the
-  // survivors instead of serializing behind one retry.
-  config.units = units > 0 ? units : 2 * transport.slots();
+  // Three job stripes per slot: a unit is a third of a slot's share, short
+  // enough that the last units to finish leave little idle tail, and a dead
+  // worker's queue re-balances across the survivors.
+  config.units = units > 0 ? units : 3 * transport.slots();
   config.coordinator_dir = checkpoint_dir;
   config.work_dir = work_dir;
   config.retry.attempts = args.retry + 1;

@@ -38,6 +38,11 @@ void render_text(const ExperimentResult& result, std::ostream& os) {
     }
     os << "\n";
   }
+  if (result.skipped) {
+    os << "Skipped: no checkpointed sweep, so a sharded run leaves this spec "
+          "to the merge pass (the same --checkpoint-dir, no --shard).\n";
+    return;
+  }
   if (!result.complete()) {
     os << "Partial sweep: aggregates suppressed until every shard's records "
           "are present; re-run with the same --checkpoint-dir to merge.\n";

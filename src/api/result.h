@@ -79,6 +79,9 @@ struct ExperimentResult {
   /// Merged resume/shard progress across every sweep the run touched.
   support::SweepOutcome outcome;
   bool checkpoint_enabled = false;
+  /// A sharded run left this spec to the merge pass: its kind has no
+  /// checkpointed sweep, so nothing it computed would persist.
+  bool skipped = false;
 
   /// Provenance: fingerprint of print_spec(spec) -- two results carry the
   /// same fingerprint iff they came from the same resolved spec.
@@ -86,7 +89,9 @@ struct ExperimentResult {
   /// Checkpoint-store fingerprints of the sweeps this run consulted.
   std::vector<std::uint64_t> sweep_fingerprints;
 
-  [[nodiscard]] bool complete() const noexcept { return outcome.complete(); }
+  [[nodiscard]] bool complete() const noexcept {
+    return !skipped && outcome.complete();
+  }
 };
 
 /// Fingerprint of a spec's canonical text form (the provenance digest).

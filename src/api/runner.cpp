@@ -432,12 +432,6 @@ void run_uncle_distance(const ExperimentSpec& spec, const RunOptions& options,
   const auto alphas = resolved_alphas(spec);
   ETHSM_EXPECTS(!alphas.empty(), "uncle_distance needs at least one alpha");
 
-  const auto analysis_side =
-      support::parallel_map(alphas.size(), [&](std::size_t a) {
-        return analysis::honest_uncle_distance_distribution(
-            {alphas[a], spec.gamma}, spec.max_lead);
-      });
-
   support::SweepOutcome outcome;
   const auto sims =  // one per alpha, or none
       sim::run_many(uncle_distance_sweeps(spec), simulation_runs(spec),
@@ -445,6 +439,11 @@ void run_uncle_distance(const ExperimentSpec& spec, const RunOptions& options,
   result.outcome = outcome;
   if (!outcome.complete()) return;
   const bool with_sim = !sims.empty();
+  const auto analysis_side =
+      support::parallel_map(alphas.size(), [&](std::size_t a) {
+        return analysis::honest_uncle_distance_distribution(
+            {alphas[a], spec.gamma}, spec.max_lead);
+      });
 
   ResultTable table;
   table.columns.push_back(Column::make_text("Referencing distance"));
@@ -850,6 +849,14 @@ ExperimentResult run(const ExperimentSpec& spec, const RunOptions& options) {
   result.spec_fingerprint = spec_fingerprint(spec);
   result.sweep_fingerprints = sweep_fingerprints(spec);
   result.checkpoint_enabled = options.checkpoint.enabled();
+  // A sharded process computes only what it persists: a kind with no
+  // checkpointed sweep is left whole to the merge pass.
+  if (result.checkpoint_enabled &&
+      !options.checkpoint.shard.is_whole_sweep() &&
+      result.sweep_fingerprints.empty()) {
+    result.skipped = true;
+    return result;
+  }
 
   switch (spec.kind) {
     case ExperimentKind::revenue:

@@ -18,13 +18,15 @@ namespace ethsm::api {
 
 struct RunOptions {
   /// Resume/shard persistence threaded into every checkpoint-aware sweep the
-  /// spec touches (kinds without a sweep driver ignore it).
+  /// spec touches. Under a shard, kinds without a sweep driver are skipped.
   support::SweepCheckpoint checkpoint;
 };
 
 /// Executes the spec. On an incomplete (sharded / job-budgeted) sweep the
 /// result carries only the outcome accounting; tables/notes are populated
-/// only when every job is merged (render_text enforces the suppression).
+/// only when every job is merged (render_text enforces the suppression). A
+/// sharded run of a kind with no checkpointed sweep computes nothing and
+/// returns a `skipped` result: the merge pass computes it once.
 [[nodiscard]] ExperimentResult run(const ExperimentSpec& spec,
                                    const RunOptions& options = {});
 

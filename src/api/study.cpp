@@ -294,98 +294,80 @@ std::vector<StudyEntry> paper_study_entries(bool quick) {
 StudyResult run_study(std::string name, std::string title,
                       const std::vector<StudyEntry>& entries,
                       const RunOptions& options, const StudyProgress& progress,
-                      support::ShardSpec cell_shard,
                       const StudyFailurePolicy& failure) {
   StudyResult study;
   study.name = std::move(name);
   study.title = std::move(title);
   study.checkpoint_enabled = options.checkpoint.enabled();
-  study.cell_shard = cell_shard;
   study.entries.reserve(entries.size());
 
   // One budget for the whole study: every spec sees what the previous ones
   // left over, so --max-new-jobs interrupts the study as a unit and a resume
   // picks up at the first unfinished sweep.
   support::SweepCheckpoint remaining = options.checkpoint;
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const StudyEntry& entry = entries[i];
+  for (const StudyEntry& entry : entries) {
     StudyEntryResult entry_result;
     entry_result.name = entry.name;
     entry_result.dir = entry.dir;
-    entry_result.cell_owner =
-        static_cast<std::uint32_t>(i % cell_shard.count);
-    if (!cell_shard.owns(i)) {
-      // Not this shard's cell: record provenance (so the manifest names the
-      // assignment and GC keep-sets still see the fingerprints) but run
-      // nothing -- unlike job-level striping, a foreign cell costs zero work.
-      entry_result.skipped = true;
-      entry_result.result.spec = entry.spec;
-      entry_result.result.spec_fingerprint = spec_fingerprint(entry.spec);
-      entry_result.result.sweep_fingerprints = sweep_fingerprints(entry.spec);
-      study.entries.push_back(std::move(entry_result));
-    } else {
-      RunOptions entry_options;
-      entry_options.checkpoint = remaining;
-      support::RetryPolicy policy;
-      policy.attempts = std::max(failure.retries, 0) + 1;
-      policy.initial_backoff_ms = failure.initial_backoff_ms;
-      policy.sleeper = failure.sleeper;
-      // Observability only (fills StudyEntryTiming / a study-cell span);
-      // entries run sequentially, so global-registry deltas around the cell
-      // are exactly this cell's solver work. Write-only: nothing below reads
-      // these values back into the run.
-      support::trace::Span cell_span("study.cell " + entry.name);
-      auto& reg = support::metrics::registry();
-      support::metrics::Counter& solver_solves =
-          reg.counter("ethsm_solver_solves_total");
-      support::metrics::Counter& solver_iters =
-          reg.counter("ethsm_solver_iterations_total");
-      support::metrics::Counter& solver_fallbacks =
-          reg.counter("ethsm_solver_fallbacks_total");
-      const std::uint64_t solves_before = solver_solves.value();
-      const std::uint64_t iters_before = solver_iters.value();
-      const std::uint64_t fallbacks_before = solver_fallbacks.value();
-      const auto cell_start = std::chrono::steady_clock::now();
-      try {
-        ExperimentResult result = support::retry(policy, [&] {
-          ++entry_result.attempts;
-          return run(entry.spec, entry_options);
-        });
-        if (remaining.max_new_jobs != static_cast<std::size_t>(-1)) {
-          remaining.max_new_jobs -=
-              std::min(result.outcome.computed, remaining.max_new_jobs);
-        }
-        study.outcome.merge(result.outcome);
-        entry_result.timing.jobs_computed = result.outcome.computed;
-        entry_result.timing.jobs_loaded = result.outcome.loaded;
-        entry_result.result = std::move(result);
-      } catch (const std::exception& e) {
-        // Fail-soft: one bad cell must not discard its siblings' work. The
-        // failure (and its error text) lands in the manifest; the CLI turns
-        // any_failed() into a nonzero exit after the study finishes.
-        entry_result.failed = true;
-        entry_result.error = e.what();
-        entry_result.result.spec = entry.spec;
-        try {
-          entry_result.result.spec_fingerprint = spec_fingerprint(entry.spec);
-          entry_result.result.sweep_fingerprints =
-              sweep_fingerprints(entry.spec);
-        } catch (const std::exception&) {
-          // A spec broken enough to fail fingerprinting still gets its
-          // failure recorded -- just without provenance hashes.
-        }
+    RunOptions entry_options;
+    entry_options.checkpoint = remaining;
+    support::RetryPolicy policy;
+    policy.attempts = std::max(failure.retries, 0) + 1;
+    policy.initial_backoff_ms = failure.initial_backoff_ms;
+    policy.sleeper = failure.sleeper;
+    // Observability only (fills StudyEntryTiming / a study-cell span);
+    // entries run sequentially, so global-registry deltas around the cell
+    // are exactly this cell's solver work. Write-only: nothing below reads
+    // these values back into the run.
+    support::trace::Span cell_span("study.cell " + entry.name);
+    auto& reg = support::metrics::registry();
+    support::metrics::Counter& solver_solves =
+        reg.counter("ethsm_solver_solves_total");
+    support::metrics::Counter& solver_iters =
+        reg.counter("ethsm_solver_iterations_total");
+    support::metrics::Counter& solver_fallbacks =
+        reg.counter("ethsm_solver_fallbacks_total");
+    const std::uint64_t solves_before = solver_solves.value();
+    const std::uint64_t iters_before = solver_iters.value();
+    const std::uint64_t fallbacks_before = solver_fallbacks.value();
+    const auto cell_start = std::chrono::steady_clock::now();
+    try {
+      ExperimentResult result = support::retry(policy, [&] {
+        ++entry_result.attempts;
+        return run(entry.spec, entry_options);
+      });
+      if (remaining.max_new_jobs != static_cast<std::size_t>(-1)) {
+        remaining.max_new_jobs -=
+            std::min(result.outcome.computed, remaining.max_new_jobs);
       }
-      entry_result.timing.wall_ms =
-          std::chrono::duration<double, std::milli>(
-              std::chrono::steady_clock::now() - cell_start)
-              .count();
-      entry_result.timing.solver_solves = solver_solves.value() - solves_before;
-      entry_result.timing.solver_iterations =
-          solver_iters.value() - iters_before;
-      entry_result.timing.solver_fallbacks =
-          solver_fallbacks.value() - fallbacks_before;
-      study.entries.push_back(std::move(entry_result));
+      study.outcome.merge(result.outcome);
+      entry_result.timing.jobs_computed = result.outcome.computed;
+      entry_result.timing.jobs_loaded = result.outcome.loaded;
+      entry_result.result = std::move(result);
+    } catch (const std::exception& e) {
+      // Fail-soft: one bad cell must not discard its siblings' work. The
+      // failure (and its error text) lands in the manifest; the CLI turns
+      // any_failed() into a nonzero exit after the study finishes.
+      entry_result.failed = true;
+      entry_result.error = e.what();
+      entry_result.result.spec = entry.spec;
+      try {
+        entry_result.result.spec_fingerprint = spec_fingerprint(entry.spec);
+        entry_result.result.sweep_fingerprints = sweep_fingerprints(entry.spec);
+      } catch (const std::exception&) {
+        // A spec broken enough to fail fingerprinting still gets its
+        // failure recorded -- just without provenance hashes.
+      }
     }
+    entry_result.timing.wall_ms =
+        std::chrono::duration<double, std::milli>(
+            std::chrono::steady_clock::now() - cell_start)
+            .count();
+    entry_result.timing.solver_solves = solver_solves.value() - solves_before;
+    entry_result.timing.solver_iterations = solver_iters.value() - iters_before;
+    entry_result.timing.solver_fallbacks =
+        solver_fallbacks.value() - fallbacks_before;
+    study.entries.push_back(std::move(entry_result));
     if (progress) {
       progress(study.entries.size(), entries.size(), study.entries.back());
     }
@@ -425,21 +407,18 @@ void write_study_results(const StudyResult& study,
   manifest << "  \"title\": \"" << json_escape(study.title) << "\",\n";
   manifest << "  \"complete\": " << (study.complete() ? "true" : "false")
            << ",\n";
-  if (!study.cell_shard.is_whole_sweep()) {
-    manifest << "  \"cell_shard\": \"" << study.cell_shard.index << "/"
-             << study.cell_shard.count << "\",\n";
-  }
   manifest << "  \"entries\": [";
 
   for (std::size_t i = 0; i < study.entries.size(); ++i) {
     const StudyEntryResult& entry = study.entries[i];
+    const bool skipped = entry.result.skipped;
     std::vector<std::string> files;
     if (entry.failed) {
       // A failed cell writes no artefacts; an earlier successful run may have
       // left a directory here, and it must not survive to contradict the
       // manifest's status=failed record.
       fs::remove_all(fs::path(out_root) / entry.dir, ec);
-    } else if (!entry.skipped) {
+    } else if (!skipped) {
       const fs::path dir = fs::path(out_root) / entry.dir;
       fs::create_directories(dir, ec);
       if (ec) {
@@ -471,8 +450,8 @@ void write_study_results(const StudyResult& study,
       write_file(dir / "data.json", render_json(view));
       files.push_back("data.json");
     }
-    // A skipped cell (foreign cell shard) gets a manifest record -- with the
-    // shard assignment -- but no files and no directory; whatever a previous
+    // A skipped cell (left to the merge pass by a sharded run) gets a
+    // manifest record but no files and no directory; whatever a previous
     // merge pass wrote there is left untouched.
 
     manifest << (i ? ",\n" : "\n");
@@ -483,39 +462,30 @@ void write_study_results(const StudyResult& study,
              << "\",\n     \"spec_fingerprint\": \""
              << hex64(entry.result.spec_fingerprint)
              << "\", \"complete\": "
-             << (entry.result.complete() && !entry.skipped && !entry.failed
-                     ? "true"
-                     : "false");
+             << (entry.result.complete() && !entry.failed ? "true" : "false");
     manifest << ", \"status\": \""
-             << (entry.failed ? "failed" : entry.skipped ? "skipped" : "ok")
-             << '"';
+             << (entry.failed ? "failed" : skipped ? "skipped" : "ok") << '"';
     if (entry.failed) {
       manifest << ",\n     \"error\": \"" << json_escape(entry.error)
                << "\", \"attempts\": " << entry.attempts;
-    } else if (!entry.skipped) {
+    } else if (!skipped) {
       // Deterministic job count of the cell's sweeps (same value fresh or
       // resumed): what `ethsm orchestrate` and shard planners size units by.
       manifest << ", \"jobs\": " << entry.result.outcome.jobs_total;
     }
-    if (!entry.skipped) {
-      // Run-mode-dependent accounting lives in ONE flat object so bitwise
-      // tree comparisons can mask it (`,\s*"timing": \{[^}]*\}` -- see
-      // StudyEntryTiming in study.h and tools/compare_trees.py). Keys must
-      // stay flat: no nested braces, no strings containing '}' or '"dir"'.
-      char wall[32];
-      std::snprintf(wall, sizeof(wall), "%.3f", entry.timing.wall_ms);
-      manifest << ",\n     \"timing\": {\"wall_ms\": " << wall
-               << ", \"jobs_computed\": " << entry.timing.jobs_computed
-               << ", \"jobs_loaded\": " << entry.timing.jobs_loaded
-               << ", \"solver_solves\": " << entry.timing.solver_solves
-               << ", \"solver_iterations\": " << entry.timing.solver_iterations
-               << ", \"solver_fallbacks\": " << entry.timing.solver_fallbacks
-               << "}";
-    }
-    if (!study.cell_shard.is_whole_sweep()) {
-      manifest << ", \"cell_owner\": " << entry.cell_owner
-               << ", \"skipped\": " << (entry.skipped ? "true" : "false");
-    }
+    // Run-mode-dependent accounting lives in ONE flat object so bitwise
+    // tree comparisons can mask it (`,\s*"timing": \{[^}]*\}` -- see
+    // StudyEntryTiming in study.h and tools/compare_trees.py). Keys must
+    // stay flat: no nested braces, no strings containing '}' or '"dir"'.
+    char wall[32];
+    std::snprintf(wall, sizeof(wall), "%.3f", entry.timing.wall_ms);
+    manifest << ",\n     \"timing\": {\"wall_ms\": " << wall
+             << ", \"jobs_computed\": " << entry.timing.jobs_computed
+             << ", \"jobs_loaded\": " << entry.timing.jobs_loaded
+             << ", \"solver_solves\": " << entry.timing.solver_solves
+             << ", \"solver_iterations\": " << entry.timing.solver_iterations
+             << ", \"solver_fallbacks\": " << entry.timing.solver_fallbacks
+             << "}";
     manifest << ",\n     \"sweep_fingerprints\": [";
     for (std::size_t f = 0; f < entry.result.sweep_fingerprints.size(); ++f) {
       manifest << (f ? ", " : "") << '"'

@@ -126,12 +126,9 @@ struct StudyEntryTiming {
 struct StudyEntryResult {
   std::string name;
   std::string dir;
+  /// `result.skipped` marks a cell a sharded run left to the merge pass: it
+  /// carries its spec/sweep fingerprints but no tables.
   ExperimentResult result;
-  /// Cell-level sharding (`--cell-shard k/N`): which shard owns this cell
-  /// (cell i -> shard i % N) and whether this invocation skipped it. A
-  /// skipped entry carries its spec/sweep fingerprints but no tables.
-  std::uint32_t cell_owner = 0;
-  bool skipped = false;
   /// Fail-soft: run(spec) threw on every attempt. The error lands in the
   /// manifest (`"status": "failed"`), the siblings still complete, and the
   /// CLI exits nonzero with a summary table.
@@ -160,12 +157,10 @@ struct StudyResult {
   /// are consumed across entries (a study is one interruptible unit).
   support::SweepOutcome outcome;
   bool checkpoint_enabled = false;
-  /// The cell-shard this invocation ran under ({0, 1} = whole study).
-  support::ShardSpec cell_shard;
 
   [[nodiscard]] bool complete() const noexcept {
     for (const StudyEntryResult& e : entries) {
-      if (e.skipped || e.failed || !e.result.complete()) return false;
+      if (e.failed || !e.result.complete()) return false;
     }
     return true;
   }
@@ -182,19 +177,14 @@ struct StudyResult {
 using StudyProgress =
     std::function<void(std::size_t, std::size_t, const StudyEntryResult&)>;
 
-/// `cell_shard` assigns whole cells round-robin to shards (cell i belongs to
-/// shard i % N) -- coarser than the per-job `--shard k/N` striping inside
-/// each sweep, and better balanced for multi-experiment studies: every
-/// machine runs complete cells instead of a slice of every sweep. Cells this
-/// invocation does not own are returned as skipped entries (fingerprints but
-/// no tables); a later run without a cell shard -- sharing the checkpoint
-/// directory -- merges everything from disk. The manifest records the
-/// assignment.
+/// Under a shard (`options.checkpoint.shard`), each cell computes only its
+/// stripe of every checkpointed sweep, and a cell with no checkpointed sweep
+/// is skipped (fingerprints but no tables); a later run without a shard --
+/// sharing the checkpoint directory -- merges everything from disk.
 [[nodiscard]] StudyResult run_study(std::string name, std::string title,
                                     const std::vector<StudyEntry>& entries,
                                     const RunOptions& options = {},
                                     const StudyProgress& progress = {},
-                                    support::ShardSpec cell_shard = {},
                                     const StudyFailurePolicy& failure = {});
 
 /// Renders the results tree under `out_root` (created with parents):

@@ -208,15 +208,10 @@ OrchestrateOutcome run_orchestrate(const OrchestrateConfig& config) {
     std::vector<std::string> args = config.base_args;
     args.push_back("--checkpoint-dir");
     args.push_back(transport->unit_checkpoint_dir(u));
-    if (config.study) {
-      args.push_back("--cell-shard");
-      args.push_back(shard_of(u));
-      args.push_back("--out");
-      args.push_back(transport->unit_scratch_dir(u));
-    } else {
-      args.push_back("--shard");
-      args.push_back(shard_of(u));
-    }
+    args.push_back("--shard");
+    args.push_back(shard_of(u));
+    args.push_back("--out");
+    args.push_back(transport->unit_scratch_dir(u));
     ++unit.attempts;
     unit.phase = UnitPhase::running;
     unit.worker = transport->slot_name(s);

@@ -2,10 +2,10 @@
 // orchestration").
 //
 // The coordinator never computes jobs itself. It splits a run into `units`
-// shard work units -- `--shard k/N` job striping for a single spec,
-// `--cell-shard k/N` whole-cell striping for a study -- launches them as
-// worker processes through a WorkerTransport (local subprocesses or ssh
-// hosts), and after *every* worker exit, clean or not, imports the unit's
+// `--shard k/N` job stripes -- for a study, a stripe of every cell's
+// checkpointed sweeps, so each unit is about 1/units of the whole -- launches
+// them as worker processes through a WorkerTransport (local subprocesses or
+// ssh hosts), and after *every* worker exit, clean or not, imports the unit's
 // checkpoint records into the coordinator's store via
 // CheckpointStore::import_directory. Because workers persist each job as
 // they finish and the import walk recovers a killed worker's valid prefix,
@@ -56,7 +56,7 @@ struct KillPlan {
 /// Final state of one shard work unit (one row of orchestrate-manifest.json).
 struct UnitOutcome {
   std::size_t unit = 0;
-  std::string shard;   ///< "k/N" as passed to --shard / --cell-shard
+  std::string shard;   ///< "k/N" as passed to --shard
   std::string worker;  ///< slot that ran the final attempt
   int attempts = 0;
   bool ok = false;
@@ -92,11 +92,9 @@ struct OrchestrateConfig {
 
   /// The ethsm invocation being distributed, minus binary and shard flags:
   /// {"run", "fig10", "--quick"} or {"run", "--study", "grid.study"}.
-  /// The coordinator appends --checkpoint-dir (the unit's private dir) and
-  /// --shard k/N -- or, when `study` is true, --cell-shard k/N plus a
-  /// scratch --out (study workers must not race on one results tree).
+  /// The coordinator appends --checkpoint-dir (the unit's private dir),
+  /// --shard k/N and a scratch --out (workers must not race on one output).
   std::vector<std::string> base_args;
-  bool study = false;
 
   /// Number of shard work units (N of k/N). More units than slots is the
   /// norm: finer units re-balance across surviving workers when one dies.

@@ -48,8 +48,9 @@ class WorkerTransport {
   [[nodiscard]] virtual std::string unit_checkpoint_dir(
       std::size_t unit) const = 0;
 
-  /// Scratch --out directory for study-shaped units (their results trees
-  /// are discarded; the coordinator's merge pass writes the real one).
+  /// Scratch --out path of a unit (a results tree for a study, a file for
+  /// one spec); discarded, as the coordinator's merge pass writes the real
+  /// output.
   [[nodiscard]] virtual std::string unit_scratch_dir(std::size_t unit) const = 0;
 
   /// Local argv that executes `ethsm <ethsm_args...>` on `slot`.

@@ -40,14 +40,18 @@ namespace ethsm::support {
 
 // ---------------------------------------------------------------- sharding --
 
-/// Cross-process shard selection: shard k of N owns job indices j with
-/// j % N == k. The default {0, 1} owns everything.
+/// Cross-process shard selection: shard k of N owns job j of the sweep keyed
+/// by `fingerprint` when (fingerprint + j) % N == k. The fingerprint offsets
+/// each sweep's stripe, so the many sweeps shorter than N still spread over
+/// every shard. Ownership is a pure function of the sweep key and index, so
+/// merges stay bitwise. The default {0, 1} owns everything.
 struct ShardSpec {
   std::uint32_t index = 0;
   std::uint32_t count = 1;
 
-  [[nodiscard]] bool owns(std::size_t job) const noexcept {
-    return job % count == index;
+  [[nodiscard]] bool owns(std::uint64_t fingerprint,
+                          std::size_t job) const noexcept {
+    return (fingerprint + job) % count == index;
   }
   [[nodiscard]] bool is_whole_sweep() const noexcept { return count == 1; }
 };

@@ -82,7 +82,7 @@ inline void report_progress(SweepOutcome* outcome,
 /// region, so a cell's sweeps never wait on each other's stragglers. Jobs
 /// already present in sweep s's checkpoint store (keyed by its fingerprint)
 /// are decoded instead of recomputed; the rest, restricted to this process's
-/// shard (per (s, i): index i % N == k) and to ONE job budget taken in
+/// shard (ShardSpec::owns(fingerprint, i)) and to ONE job budget taken in
 /// (sweep, index) order, run on the pool, each result appended to its
 /// sweep's store as it completes, so an interrupted region resumes where it
 /// stopped. Because jobs are pure functions of (s, i) and payloads are raw
@@ -144,7 +144,8 @@ template <typename Result, typename F>
         out[s].results[i] = CheckpointCodec<Result>::decode(reader);
         out[s].have[i] = 1;
         ++progress.loaded;
-      } else if (ckpt.shard.owns(i) && todo.size() < ckpt.max_new_jobs) {
+      } else if (ckpt.shard.owns(sweeps[s].fingerprint, i) &&
+                 todo.size() < ckpt.max_new_jobs) {
         todo.push_back({s, i});
       }
     }

@@ -98,7 +98,7 @@ TEST_F(StudyFailSoftTest, RetryPolicyReattemptsWithExponentialBackoff) {
   policy.sleeper = [&backoffs](double ms) { backoffs.push_back(ms); };
 
   const StudyResult study =
-      run_study("failsoft", "", entries, {}, {}, {}, policy);
+      run_study("failsoft", "", entries, {}, {}, policy);
 
   // A deterministic failure burns the whole attempt budget; the healthy
   // cells never retry and never sleep.

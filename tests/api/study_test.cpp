@@ -336,49 +336,66 @@ TEST_F(StudyRunTest, ManifestListsEveryEntryWithFingerprints) {
   }
 }
 
-TEST_F(StudyRunTest, CellShardsPartitionCellsAndMergeBitwise) {
-  const auto entries = expand_study(small_study(), false);
+TEST_F(StudyRunTest, JobShardsSkipNoSweepCellsAndMergeBitwise) {
+  // The small study's two threshold cells (2 checkpointed jobs each) plus a
+  // reward_design cell, a kind with no checkpointed sweep.
+  auto entries = expand_study(small_study(), false);
   ASSERT_EQ(entries.size(), 2u);
+  const auto design = expand_study(
+      parse_study("study = design\n"
+                  "kind = reward_design\n"
+                  "tolerance = 1e-2\n"
+                  "threshold_max_lead = 25\n"
+                  "ku_values = 0.5\n"),
+      false);
+  ASSERT_EQ(design.size(), 1u);
+  entries.push_back(design.front());
+  ASSERT_TRUE(sweep_fingerprints(entries[2].spec).empty());
 
   // The reference: an unsharded run's results tree.
-  write_study_results(run_study("small", "", entries, {}),
+  write_study_results(run_study("mixed", "", entries, {}),
                       (root_ / "fresh").string());
 
-  // Two cell shards share one checkpoint directory; cell i belongs to shard
-  // i % N, and a foreign cell is skipped outright (no jobs, no files).
+  // Two job shards share one checkpoint directory. Each computes its stripe
+  // of every checkpointed sweep and leaves the no-sweep cell, with zero
+  // solver work, to the merge pass.
   RunOptions options;
   options.checkpoint.directory = (root_ / "ck").string();
+  std::size_t computed = 0;
   for (std::uint32_t k = 0; k < 2; ++k) {
-    const StudyResult shard = run_study("small", "", entries, options, {},
-                                        support::ShardSpec{k, 2});
-    EXPECT_FALSE(shard.complete());  // the foreign cell is missing
-    ASSERT_EQ(shard.entries.size(), 2u);
-    for (std::size_t i = 0; i < shard.entries.size(); ++i) {
-      EXPECT_EQ(shard.entries[i].cell_owner, i % 2);
-      EXPECT_EQ(shard.entries[i].skipped, i % 2 != k);
-      // Skipped cells still carry provenance for GC keep-sets.
-      EXPECT_EQ(shard.entries[i].result.sweep_fingerprints,
-                sweep_fingerprints(entries[i].spec));
+    options.checkpoint.shard = support::ShardSpec{k, 2};
+    const StudyResult shard = run_study("mixed", "", entries, options);
+    EXPECT_FALSE(shard.complete());
+    ASSERT_EQ(shard.entries.size(), 3u);
+    for (std::size_t i = 0; i < 2; ++i) {
+      EXPECT_FALSE(shard.entries[i].result.skipped);
     }
-    EXPECT_EQ(shard.outcome.jobs_total, 2u);  // one owned cell = 2 gamma jobs
+    const StudyEntryResult& skipped = shard.entries[2];
+    EXPECT_TRUE(skipped.result.skipped);
+    EXPECT_FALSE(skipped.result.complete());
+    EXPECT_TRUE(skipped.result.tables.empty());
+    EXPECT_EQ(skipped.timing.solver_solves, 0u);
+    EXPECT_EQ(skipped.result.spec_fingerprint,
+              spec_fingerprint(entries[2].spec));
+    EXPECT_EQ(shard.outcome.jobs_total, 4u);
+    computed += shard.outcome.computed;
 
-    // The manifest records the assignment.
-    write_study_results(shard, (root_ / ("shard" + std::to_string(k))).string());
-    std::ifstream in(root_ / ("shard" + std::to_string(k)) / "manifest.json");
+    // The manifest marks the cell skipped, and it gets no directory.
+    const fs::path out = root_ / ("shard" + std::to_string(k));
+    write_study_results(shard, out.string());
+    std::ifstream in(out / "manifest.json");
     std::ostringstream os;
     os << in.rdbuf();
-    EXPECT_NE(os.str().find("\"cell_shard\": \"" + std::to_string(k) + "/2\""),
-              std::string::npos);
-    EXPECT_NE(os.str().find("\"cell_owner\": 1"), std::string::npos);
-    // A skipped cell writes no directory.
-    EXPECT_FALSE(fs::exists(root_ / ("shard" + std::to_string(k)) /
-                            entries[k == 0 ? 1 : 0].dir));
+    EXPECT_NE(os.str().find("\"status\": \"skipped\""), std::string::npos);
+    EXPECT_FALSE(fs::exists(out / entries[2].dir));
   }
+  EXPECT_EQ(computed, 4u);  // every job ran once, on its owning shard
 
-  // A merge pass without a cell shard loads everything from the shared
-  // checkpoint directory and writes a tree bitwise-identical to the fresh
-  // unsharded run.
-  const StudyResult merged = run_study("small", "", entries, options);
+  // A merge pass without a shard loads every job from the shared checkpoint
+  // directory, computes none, and writes a tree bitwise-identical to the
+  // fresh unsharded run.
+  options.checkpoint.shard = {};
+  const StudyResult merged = run_study("mixed", "", entries, options);
   EXPECT_TRUE(merged.complete());
   EXPECT_EQ(merged.outcome.loaded, 4u);
   EXPECT_EQ(merged.outcome.computed, 0u);

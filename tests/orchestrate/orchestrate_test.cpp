@@ -11,7 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <map>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -31,6 +34,24 @@ std::string read_file(const std::string& path) {
   std::ostringstream os;
   os << in.rdbuf();
   return os.str();
+}
+
+/// Every regular file under `root` by relative path, with the manifests'
+/// run-mode-dependent "timing" objects masked (the tools/compare_trees.py
+/// regex): equal maps are bitwise-equal results trees.
+std::map<std::string, std::string> tree_snapshot(const std::string& root) {
+  static const std::regex timing_re(R"(,\s*"timing": \{[^}]*\})");
+  std::map<std::string, std::string> files;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(root)) {
+    if (!entry.is_regular_file()) continue;
+    std::string contents = read_file(entry.path().string());
+    if (entry.path().filename() == "manifest.json") {
+      contents = std::regex_replace(contents, timing_re, "");
+    }
+    files[std::filesystem::relative(entry.path(), root).string()] = contents;
+  }
+  return files;
 }
 
 /// CLI binary under test, or empty (=> GTEST_SKIP) outside a CMake run.
@@ -191,13 +212,49 @@ TEST(OrchestrateEndToEnd, KilledWorkerIsRetriedAndOutputUnchanged) {
   EXPECT_NE(manifest.find("\"attempts\": 2"), std::string::npos) << manifest;
 }
 
+TEST(OrchestrateEndToEnd, OrchestratedStudyTreeEqualsSingleProcessTree) {
+  const std::string bin = cli_binary();
+  if (bin.empty()) GTEST_SKIP() << "ETHSM_CLI_BIN not set";
+  const std::string dir = temp_dir("e2e_study");
+
+  const ExitStatus direct =
+      run_and_wait({bin, "run", "--all", "--quick", "--out", dir + "/direct"},
+                   dir + "/direct.log");
+  ASSERT_TRUE(direct.ok()) << direct.describe();
+
+  // Every unit is a job stripe of the whole study; the no-sweep cells are
+  // left to the coordinator's merge pass, which then only loads jobs.
+  const ExitStatus orchestrated = run_and_wait(
+      {bin, "orchestrate", "--all", "--quick", "--workers", "2", "--units",
+       "6", "--checkpoint-dir", dir + "/ckpt", "--out", dir + "/merged"},
+      dir + "/orchestrate.log");
+  const std::string log = read_file(dir + "/orchestrate.log");
+  ASSERT_TRUE(orchestrated.ok()) << orchestrated.describe() << "\n" << log;
+  EXPECT_TRUE(std::regex_search(
+      log, std::regex(R"(checkpoint: (\d+) loaded \+ 0 computed of \1 jobs)")))
+      << log;
+
+  const auto merged = tree_snapshot(dir + "/merged");
+  ASSERT_FALSE(merged.empty());
+  EXPECT_EQ(merged, tree_snapshot(dir + "/direct"));
+
+  const std::string manifest =
+      read_file(dir + "/ckpt/orchestrate-manifest.json");
+  EXPECT_NE(manifest.find("\"status\": \"ok\""), std::string::npos);
+  for (int k = 0; k < 6; ++k) {
+    EXPECT_NE(manifest.find("\"shard\": \"" + std::to_string(k) + "/6\""),
+              std::string::npos)
+        << manifest;
+  }
+}
+
 TEST(OrchestrateEndToEnd, ShardWithoutCheckpointDirIsAHardUsageError) {
   const std::string bin = cli_binary();
   if (bin.empty()) GTEST_SKIP() << "ETHSM_CLI_BIN not set";
   const std::string dir = temp_dir("e2e_guard");
 
   // A sharded run without a checkpoint directory would silently discard the
-  // shard's work: both striping flags must refuse with a pointer to the fix.
+  // shard's work: it must refuse with a pointer to the fix.
   const ExitStatus sharded = run_and_wait(
       {bin, "run", "fig10", "--quick", "--shard", "0/2"}, dir + "/shard.log");
   EXPECT_TRUE(sharded.exited);
@@ -205,14 +262,15 @@ TEST(OrchestrateEndToEnd, ShardWithoutCheckpointDirIsAHardUsageError) {
   EXPECT_NE(read_file(dir + "/shard.log").find("requires --checkpoint-dir"),
             std::string::npos);
 
+  // --shard is the one way to split a run; whole-cell striping is gone.
   const ExitStatus cell_sharded =
       run_and_wait({bin, "run", "--all", "--quick", "--cell-shard", "0/2"},
                    dir + "/cellshard.log");
   EXPECT_TRUE(cell_sharded.exited);
   EXPECT_EQ(cell_sharded.code, 2);
-  EXPECT_NE(
-      read_file(dir + "/cellshard.log").find("requires --checkpoint-dir"),
-      std::string::npos);
+  EXPECT_NE(read_file(dir + "/cellshard.log")
+                .find("unknown argument --cell-shard"),
+            std::string::npos);
 }
 
 }  // namespace

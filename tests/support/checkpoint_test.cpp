@@ -40,9 +40,12 @@ TEST(CheckpointShardSpec, ParsesWellFormedSpecs) {
   ASSERT_TRUE(s.has_value());
   EXPECT_EQ(s->index, 2u);
   EXPECT_EQ(s->count, 5u);
-  EXPECT_TRUE(s->owns(2));
-  EXPECT_TRUE(s->owns(7));
-  EXPECT_FALSE(s->owns(3));
+  EXPECT_TRUE(s->owns(0, 2));
+  EXPECT_TRUE(s->owns(0, 7));
+  EXPECT_FALSE(s->owns(0, 3));
+  // The sweep fingerprint offsets the stripe: (fingerprint + job) % N == k.
+  EXPECT_TRUE(s->owns(3, 4));
+  EXPECT_FALSE(s->owns(3, 2));
 }
 
 TEST(CheckpointShardSpec, RejectsMalformedSpecs) {
@@ -55,7 +58,9 @@ TEST(CheckpointShardSpec, RejectsMalformedSpecs) {
 TEST(CheckpointShardSpec, DefaultOwnsEverything) {
   const ShardSpec whole;
   EXPECT_TRUE(whole.is_whole_sweep());
-  for (std::size_t j : {0u, 1u, 17u}) EXPECT_TRUE(whole.owns(j));
+  for (std::uint64_t fingerprint : {0ULL, 5ULL, ~0ULL}) {
+    for (std::size_t j : {0u, 1u, 17u}) EXPECT_TRUE(whole.owns(fingerprint, j));
+  }
 }
 
 TEST(CheckpointFingerprint, SensitiveToEveryMixedValue) {
@@ -409,10 +414,35 @@ TEST(CheckpointedRun, ShardsOnlyComputeOwnedIndices) {
   const auto part = run_checkpointed<std::uint64_t>(
       ckpt, &outcome, 0x4ULL, 10,
       [](std::size_t i) { return std::uint64_t{i}; });
-  EXPECT_EQ(outcome.computed, 3u);  // indices 1, 4, 7
+  EXPECT_EQ(outcome.computed, 4u);  // indices 0, 3, 6, 9: (4 + i) % 3 == 1
   for (std::size_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(part.have[i] != 0, i % 3 == 1) << "index " << i;
+    EXPECT_EQ(part.have[i] != 0, (0x4 + i) % 3 == 1) << "index " << i;
   }
+}
+
+TEST(CheckpointedRun, ShortSweepsTogetherReachEveryShard) {
+  // 16 sweeps of 3 jobs over 8 shards: striped by index alone, shards 3-7
+  // would own nothing. Offset by fingerprints 0..15, sweep s covers shards
+  // s, s + 1 and s + 2 (mod 8), so every shard owns exactly 6 of the 48.
+  std::vector<SweepKey> sweeps;
+  for (std::uint64_t s = 0; s < 16; ++s) sweeps.push_back({s, 3});
+  SweepCheckpoint ckpt;
+  ckpt.directory = temp_path("short_sweeps");
+  for (std::uint32_t k = 0; k < 8; ++k) {
+    ckpt.shard = ShardSpec{k, 8};
+    SweepOutcome outcome;
+    (void)run_checkpointed<std::uint64_t>(
+        ckpt, &outcome, sweeps,
+        [](std::size_t s, std::size_t i) { return std::uint64_t{s * 3 + i}; });
+    EXPECT_EQ(outcome.computed, 6u) << "shard " << k;
+  }
+  ckpt.shard = ShardSpec{};
+  SweepOutcome merged;
+  (void)run_checkpointed<std::uint64_t>(
+      ckpt, &merged, sweeps,
+      [](std::size_t s, std::size_t i) { return std::uint64_t{s * 3 + i}; });
+  EXPECT_EQ(merged.loaded, 48u);
+  EXPECT_EQ(merged.computed, 0u);
 }
 
 TEST(CheckpointedRun, IncompleteSweepWithoutOutcomeIsRefused) {
