@@ -392,8 +392,7 @@ void BM_SelfishPolicyStep(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     ethsm::chain::BlockTree tree(2100);
-    ethsm::miner::SelfishPolicy pool(
-        tree, ethsm::miner::SelfishPolicyConfig::from_rewards(config));
+    ethsm::miner::SelfishPolicy pool(tree, config);
     ethsm::miner::HonestPolicy honest(0.5, config);
     state.ResumeTiming();
     double now = 0.0;

@@ -19,7 +19,7 @@ class Narrator {
  public:
   Narrator()
       : config_(rewards::RewardConfig::ethereum_byzantium()),
-        pool_(tree_, miner::SelfishPolicyConfig::from_rewards(config_)),
+        pool_(tree_, config_),
         honest_(0.5, config_) {}
 
   chain::BlockId pool_mines(const std::string& label) {

@@ -486,27 +486,31 @@ rewards::RewardConfig parse_reward_spec(std::string_view text) {
        "table:<v1>,<v2>,...)");
 }
 
-miner::StubbornConfig parse_strategy_spec(std::string_view text) {
-  miner::StubbornConfig config;
+miner::Strategy parse_strategy_spec(std::string_view text) {
+  miner::Strategy strategy;
   const std::string_view trimmed = trim(text);
-  if (trimmed == "selfish") return config;  // Algorithm 1: all knobs off
+  if (trimmed == "selfish") return strategy;  // Algorithm 1: all knobs off
+  const auto repeated = [](std::string_view name) {
+    fail("strategy spec: repeated component '" + std::string(name) + "'");
+  };
   for (std::string_view part : split(trimmed, '+')) {
     part = trim(part);
     if (part == "lead") {
-      config.lead_stubborn = true;
+      if (strategy.lead) repeated("lead");
+      strategy.lead = true;
     } else if (part == "fork") {
-      config.equal_fork_stubborn = true;
+      if (strategy.fork) repeated("fork");
+      strategy.fork = true;
     } else if (part.rfind("trail:", 0) == 0) {
-      config.trail_stubbornness = parse_int("strategy", part.substr(6));
-      if (config.trail_stubbornness < 1) {
-        fail("strategy spec: trail:<j> needs j >= 1");
-      }
+      if (strategy.trail > 0) repeated("trail");
+      strategy.trail = parse_int("strategy", part.substr(6));
+      if (strategy.trail < 1) fail("strategy spec: trail:<j> needs j >= 1");
     } else {
       fail("unknown strategy component '" + std::string(part) +
            "' (want selfish, lead, fork, trail:<j> or a +combination)");
     }
   }
-  return config;
+  return strategy;
 }
 
 }  // namespace ethsm::api

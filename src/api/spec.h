@@ -35,7 +35,7 @@
 #include <utility>
 #include <vector>
 
-#include "miner/stubborn_policy.h"
+#include "miner/selfish_policy.h"
 #include "rewards/reward_schedule.h"
 
 namespace ethsm::api {
@@ -162,9 +162,10 @@ void apply_override(SpecEntries& entries, std::string_view assignment);
 /// Compact reward-schedule strings (see grammar above) -> RewardConfig.
 [[nodiscard]] rewards::RewardConfig parse_reward_spec(std::string_view text);
 
-/// Strategy strings -> StubbornConfig ("selfish" = all knobs off, which is
-/// exactly Algorithm 1).
-[[nodiscard]] miner::StubbornConfig parse_strategy_spec(std::string_view text);
+/// Strategy strings -> miner::Strategy ("selfish" = all knobs off, which is
+/// exactly Algorithm 1). Each component may appear once: SpecError names a
+/// repeated one.
+[[nodiscard]] miner::Strategy parse_strategy_spec(std::string_view text);
 
 }  // namespace ethsm::api
 

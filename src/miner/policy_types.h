@@ -23,16 +23,20 @@ struct PublicView {
   bool tie = false;
 };
 
-/// Telemetry: how often each branch of Algorithm 1 fired. Used by tests to
-/// pin the state machine to the paper's case analysis and by examples for
-/// narration.
-struct SelfishActionCounts {
+/// Telemetry: how often each branch of the attack state machine fired
+/// (miner/selfish_policy.h). Used by tests to pin the machine to the paper's
+/// case analysis and by examples for narration.
+struct ActionCounts {
   std::uint64_t adopt = 0;            ///< line 10-12: public branch won
-  std::uint64_t match = 0;            ///< line 13-14: publish last block (tie)
+  std::uint64_t match = 0;            ///< line 13-14: publish to tie
   std::uint64_t override_publish = 0; ///< line 15-17: publish all, pool wins
-  std::uint64_t publish_one = 0;      ///< line 18-19: publish first unpublished
+  std::uint64_t publish_one = 0;      ///< line 18-19: publish to keep level
   std::uint64_t reroot = 0;           ///< line 20: new fork on the prefix
-  std::uint64_t win_at_2_1 = 0;       ///< line 3-5: pool reaches (2,1), wins
+  std::uint64_t tie_win = 0;          ///< line 3-5: pool wins from a tie
+  std::uint64_t held_lead = 0;        ///< L: refused an override win
+  std::uint64_t held_fork = 0;        ///< F: kept a tie-winning block secret
+  std::uint64_t trailed = 0;          ///< T: kept mining while behind
+  std::uint64_t caught_up = 0;        ///< T: published after catching up
 };
 
 }  // namespace ethsm::miner

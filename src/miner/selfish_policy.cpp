@@ -8,14 +8,27 @@ namespace ethsm::miner {
 using chain::BlockId;
 using chain::kNoBlock;
 
-SelfishPolicy::SelfishPolicy(chain::BlockTree& tree, SelfishPolicyConfig config)
-    : tree_(tree), config_(config), base_(tree.genesis()) {
-  ETHSM_EXPECTS(config_.reference_horizon >= 0, "horizon must be >= 0");
-  ETHSM_EXPECTS(config_.max_uncles_per_block >= 0, "cap must be >= 0");
-}
+namespace {
 
-BlockId SelfishPolicy::private_tip() const noexcept {
-  return private_.empty() ? base_ : private_.back();
+/// Miner id stamped on pool blocks; rewards are attributed by MinerClass
+/// (the population simulator splits them across members afterwards).
+constexpr std::uint32_t kPoolMinerId = 0;
+
+}  // namespace
+
+SelfishPolicy::SelfishPolicy(chain::BlockTree& tree,
+                             const rewards::RewardConfig& rewards,
+                             Strategy strategy,
+                             std::span<const std::uint8_t> visibility)
+    : tree_(tree),
+      strategy_(strategy),
+      visibility_(visibility),
+      horizon_(rewards.reference_horizon()),
+      max_refs_(rewards.max_uncles_per_block),
+      base_(tree.genesis()) {
+  ETHSM_EXPECTS(strategy_.trail >= 0, "trail stubbornness must be >= 0");
+  ETHSM_EXPECTS(horizon_ >= 0, "horizon must be >= 0");
+  ETHSM_EXPECTS(max_refs_ >= 0, "cap must be >= 0");
 }
 
 BlockId SelfishPolicy::published_pool_tip() const noexcept {
@@ -23,18 +36,10 @@ BlockId SelfishPolicy::published_pool_tip() const noexcept {
                          : private_[static_cast<std::size_t>(published_ - 1)];
 }
 
-int SelfishPolicy::public_length() const noexcept {
-  // Both public branches always have equal length (paper Sec. III-C); the
-  // published prefix count equals the honest fork length, except in (i, 0)
-  // states where both are zero.
-  return honest_len_ > published_ ? honest_len_ : published_;
-}
-
 std::span<const BlockId> SelfishPolicy::make_references(BlockId parent) {
-  if (!config_.reference_uncles) return {};
-  chain::collect_uncle_references(tree_, parent, config_.reference_horizon,
-                                  config_.max_uncles_per_block, uncle_scratch_,
-                                  config_.uncle_visibility);
+  if (horizon_ == 0) return {};  // Bitcoin: no uncle mechanism at all
+  chain::collect_uncle_references(tree_, parent, horizon_, max_refs_,
+                                  uncle_scratch_, visibility_);
   return uncle_scratch_.refs;
 }
 
@@ -55,87 +60,109 @@ void SelfishPolicy::reset_to(BlockId new_base) {
 }
 
 BlockId SelfishPolicy::on_pool_block(double now) {
+  const bool was_tie = in_tie() &&
+                       private_length() == honest_len_;  // fully matched race
+  const bool was_behind = private_length() < honest_len_;
+
   // Algorithm 1 lines 1-2: reference uncles from the private branch, extend it.
   const BlockId parent = private_tip();
   const BlockId id = tree_.append(parent, chain::MinerClass::selfish,
-                                  config_.pool_miner_id, now,
-                                  make_references(parent));
+                                  kPoolMinerId, now, make_references(parent));
   private_.push_back(id);
+  const int ls = private_length();
 
-  // Lines 3-5: at (Ls, Lh) = (2, 1) the advantage is too small to keep
-  // racing -- publish everything; the 2-block branch beats the 1-block fork.
-  if (private_length() == 2 && public_length() == 1) {
-    publish_up_to(2, now);
-    ++actions_.win_at_2_1;
-    reset_to(private_.back());
+  if (was_tie) {
+    // Lines 3-5: won the block race from a tie ((Ls, Lh) = (2, 1) under
+    // Algorithm 1) -- the advantage is too small to keep racing, so publish
+    // everything; the longer branch beats the honest fork. The
+    // equal-fork-stubborn miner stays dark and keeps racing instead.
+    if (strategy_.fork) {
+      ++actions_.held_fork;
+    } else {
+      publish_up_to(ls, now);
+      ++actions_.tie_win;
+      reset_to(private_.back());
+    }
+  } else if (was_behind && ls == honest_len_) {
+    // Trail-stubborn catch-up: reveal the whole branch, forcing a tie race
+    // between two equal-length public branches.
+    publish_up_to(ls, now);
+    ++actions_.caught_up;
   }
-  // Line 7: otherwise keep mining privately; nothing is published.
+  // Otherwise (line 7): keep mining in the dark; this also covers the
+  // trailing case where the pool is still behind.
   return id;
 }
 
 void SelfishPolicy::on_honest_block(BlockId b, double now) {
-  const BlockId parent = tree_.parent(b);
   ETHSM_EXPECTS(tree_.is_published(b), "honest blocks must arrive published");
+  const BlockId parent = tree_.parent(b);
 
-  // Which public branch did the honest block extend, and is that branch a
-  // prefix of the private branch?
-  bool on_prefix;
+  // Line 9: which public branch did it extend?
   if (honest_len_ == 0 && published_ == 0) {
     // No fork in public view: the honest block must extend the consensus
     // base, which is by construction a prefix of the private branch.
     ETHSM_EXPECTS(parent == base_, "honest block off the public tip");
-    on_prefix = true;
+    honest_tip_ = b;
+    honest_len_ = 1;
   } else if (parent == honest_tip_) {
-    on_prefix = false;
-  } else if (parent == published_pool_tip()) {
-    on_prefix = true;
+    honest_tip_ = b;
+    ++honest_len_;
+  } else if (in_tie() && parent == published_pool_tip()) {
+    if (published_ == private_length()) {
+      // Our fully-published branch just became strictly longest public
+      // history; we hold no secrets, so consensus moves to b (lines 10-12).
+      ++actions_.adopt;
+      reset_to(b);
+      return;
+    }
+    // Line 20: the honest block forked off the published prefix tip; the
+    // prefix is common history now and the race restarts one level up.
+    base_ = private_[static_cast<std::size_t>(published_ - 1)];
+    private_.erase(private_.begin(), private_.begin() + published_);
+    published_ = 0;
+    honest_tip_ = b;
+    honest_len_ = 1;
+    ++actions_.reroot;
   } else {
     ETHSM_EXPECTS(false, "honest block extends neither public branch");
     return;  // unreachable
   }
 
-  // Algorithm 1 line 9: the extended public branch now has this length.
-  const int new_public_len = (on_prefix ? published_ : honest_len_) + 1;
   const int ls = private_length();
+  const int lh = honest_len_;
 
-  if (ls < new_public_len) {
-    // Lines 10-12: the public branch won; adopt it. The pool never abandons
-    // unpublished work here (only states with Ls <= 1 reach this branch).
-    ETHSM_ASSERT(published_ == ls);
-    ++actions_.adopt;
-    reset_to(b);
-  } else if (ls == new_public_len) {
-    // Lines 13-14: tie race -- publish the last (only) private block. Only
-    // reachable from (1, 0): leads of >= 2 resolve before a tie can form.
-    ETHSM_ASSERT(ls == 1 && published_ == 0 && on_prefix);
-    publish_up_to(1, now);
-    honest_tip_ = b;
-    honest_len_ = 1;
-    ++actions_.match;
-  } else if (ls == new_public_len + 1) {
-    // Lines 15-17: advantage down to one block -- publish the private branch;
-    // it is strictly longer, so every miner adopts it (honest fork dies).
-    publish_up_to(ls, now);
-    ++actions_.override_publish;
-    reset_to(private_.back());
-  } else {
-    // Lines 18-20: comfortable lead (Ls >= Lh + 2): release one more block.
-    if (on_prefix) {
-      if (published_ > 0) {
-        // Line 20: the honest block forked off the *published prefix tip*;
-        // everything up to that tip is now common history. Re-root there.
-        base_ = private_[static_cast<std::size_t>(published_ - 1)];
-        private_.erase(private_.begin(), private_.begin() + published_);
-        published_ = 0;
-        ++actions_.reroot;
-      }
-      honest_tip_ = b;
-      honest_len_ = 1;
+  if (ls < lh) {
+    if (lh - ls > strategy_.trail) {
+      // Lines 10-12: the public branch won; adopt it.
+      ++actions_.adopt;
+      reset_to(honest_tip_);
     } else {
-      honest_tip_ = b;
-      ++honest_len_;
+      // Trail-stubborn: keep mining the private branch from behind.
+      ++actions_.trailed;
     }
-    publish_up_to(honest_len_, now);
+  } else if (ls == lh) {
+    // Lines 13-14: honest drew level with the private branch: reveal
+    // everything and race.
+    publish_up_to(ls, now);
+    ++actions_.match;
+  } else if (ls == lh + 1) {
+    if (strategy_.lead) {
+      // Refuse the 1-block override win; tie the public race and keep the
+      // last block in reserve.
+      publish_up_to(lh, now);
+      ++actions_.held_lead;
+    } else {
+      // Lines 15-17: advantage down to one block -- publish the private
+      // branch; it is strictly longer, so every miner adopts it.
+      publish_up_to(ls, now);
+      ++actions_.override_publish;
+      reset_to(private_.back());
+    }
+  } else {
+    // Lines 18-19: comfortable lead: publish just enough to keep the public
+    // race level.
+    publish_up_to(lh, now);
     ++actions_.publish_one;
   }
 }
@@ -144,24 +171,22 @@ BlockId SelfishPolicy::finalize(double now) {
   publish_up_to(private_length(), now);
   // Longest published branch wins; on equal length the honest branch was
   // visible first, so honest miners keep it (uniform first-seen rule).
-  const BlockId tip =
-      private_length() > honest_len_ ? private_tip()
-      : honest_len_ > 0              ? honest_tip_
-                                     : base_;
-  return tip;
+  return private_length() > honest_len_ ? private_tip()
+         : honest_len_ > 0             ? honest_tip_
+                                       : base_;
 }
 
 PublicView SelfishPolicy::public_view() const {
   PublicView view;
-  if (published_ > 0) {
-    // Whenever a prefix is published there is a live race between the pool's
-    // published branch and the honest fork of equal length.
-    ETHSM_ASSERT(honest_len_ == published_);
+  if (in_tie()) {
     view.tie = true;
     view.pool_branch_tip = published_pool_tip();
     view.honest_branch_tip = honest_tip_;
+  } else if (honest_len_ > published_) {
+    view.tie = false;
+    view.consensus_tip = honest_tip_;  // the unique longest public branch
   } else {
-    ETHSM_ASSERT(honest_len_ == 0);
+    ETHSM_ASSERT(honest_len_ == 0 && published_ == 0);
     view.tie = false;
     view.consensus_tip = base_;
   }

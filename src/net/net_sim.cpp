@@ -57,7 +57,7 @@ class Engine {
         stride_(config.num_blocks + 2),
         known_(static_cast<std::size_t>(n_) * stride_, 0),
         requested_(static_cast<std::size_t>(n_) * stride_, 0),
-        policy_(tree_, attacker_policy_config()),
+        policy_(tree_, config.rewards, {}, known_span(0)),
         faults_(config.faults, n_, config.topology.kind, config.seed),
         down_(n_, 0) {
     views_.resize(n_);
@@ -107,16 +107,6 @@ class Engine {
   [[nodiscard]] std::span<const std::uint8_t> known_span(
       std::uint32_t node) const {
     return {known_.data() + static_cast<std::size_t>(node) * stride_, stride_};
-  }
-
-  /// Algorithm 1's knobs plus the attacker's OWN visibility mask: published
-  /// honest blocks it has not physically received yet are not referencable
-  /// as uncles. known_ is sized in the init list and never reallocates, so
-  /// the span stays valid for the run.
-  [[nodiscard]] miner::SelfishPolicyConfig attacker_policy_config() const {
-    auto cfg = miner::SelfishPolicyConfig::from_rewards(config_.rewards);
-    cfg.uncle_visibility = known_span(0);
-    return cfg;
   }
 
   /// Mining and churn events are timers (EventQueue::push_timer): they are
@@ -457,7 +447,9 @@ class Engine {
   const std::uint32_t n_;
   const std::size_t stride_;
   // known_ must be initialized before policy_: the policy's uncle-visibility
-  // span aliases the attacker's slice of it.
+  // span aliases the attacker's slice of it, so published honest blocks the
+  // attacker has not physically received yet are not referencable as uncles.
+  // known_ never reallocates, so the span stays valid for the run.
   std::vector<std::uint8_t> known_;      ///< node-major [node][block]
   std::vector<std::uint8_t> requested_;  ///< announce-handshake dedup
   miner::SelfishPolicy policy_;

@@ -7,8 +7,10 @@
 // first wins that miner's hash power (first-seen tie-breaking). This module
 // simulates exactly that and *measures* gamma instead of assuming it:
 //
-//   * one attacker node (node 0) wrapping miner::SelfishPolicy (Algorithm 1)
-//     plus N honest miner nodes with equal hash shares of 1 - alpha;
+//   * one attacker node (node 0) running the one attack state machine,
+//     miner::SelfishPolicy, with the default Strategy (exactly Algorithm 1)
+//     and the node's own uncle-visibility mask, plus N honest miner nodes
+//     with equal hash shares of 1 - alpha;
 //   * a seeded topology (net/topology.h) with per-link latency distributions;
 //   * a gossip protocol: a node's OWN new blocks (and the attacker's
 //     publications) spread via the announce -> request -> deliver handshake

@@ -56,10 +56,9 @@ PopulationResult run_population_simulation(const PopulationConfig& config) {
   const std::uint32_t pool_size = config.pool_size();
 
   chain::BlockTree& tree = chain::thread_local_tree(base.num_blocks + 1);
-  miner::SelfishPolicyConfig pool_cfg =
-      miner::SelfishPolicyConfig::from_rewards(base.rewards);
-  pool_cfg.pool_miner_id = 0;  // rewards are split across members afterwards
-  miner::SelfishPolicy pool(tree, pool_cfg);
+  // Pool blocks carry one miner id; rewards are split across members
+  // afterwards.
+  miner::SelfishPolicy pool(tree, base.rewards);
   miner::HonestPolicy honest(base.gamma, base.rewards);
   support::Xoshiro256 rng(base.seed);
   TiePreferences prefs(n, base.gamma);

@@ -58,8 +58,7 @@ RetargetResult run_retarget_simulation(const RetargetConfig& config) {
   const SimConfig& base = config.base;
 
   chain::BlockTree tree(config.epoch_blocks * config.epochs * 2);
-  miner::SelfishPolicy pool(
-      tree, miner::SelfishPolicyConfig::from_rewards(base.rewards));
+  miner::SelfishPolicy pool(tree, base.rewards);
   miner::HonestPolicy honest(base.gamma, base.rewards);
   support::Xoshiro256 rng(base.seed);
   DifficultyController controller(config.controller);

@@ -65,12 +65,55 @@ SimResult run_all_honest(const SimConfig& config) {
   return result;
 }
 
-/// The block race against an attacking pool. `Pool` is SelfishPolicy
-/// (Algorithm 1) or StubbornPolicy; both expose on_pool_block, public_view,
-/// on_honest_block and finalize, and both mine on `tree`.
-template <typename Pool>
-SimResult mine_against(const SimConfig& config, chain::BlockTree& tree,
-                       Pool& pool) {
+/// The driver body behind both list forms: sweep s runs
+/// run_simulation(sweeps[s].config, sweeps[s].strategy) for each seed, keyed
+/// by `keys[s]` in the checkpoint store.
+std::vector<MultiRunSummary> run_sweeps(
+    const std::vector<StubbornSweep>& sweeps,
+    const std::vector<std::uint64_t>& keys, int runs,
+    const support::SweepCheckpoint& checkpoint,
+    support::SweepOutcome* outcome) {
+  std::vector<support::SeededSweep> seeded;
+  for (std::size_t s = 0; s < sweeps.size(); ++s) {
+    seeded.push_back({keys[s], sweeps[s].config.seed, runs});
+  }
+  std::vector<MultiRunSummary> summaries(sweeps.size());
+  support::run_seeded(
+      checkpoint, outcome, seeded,
+      [&sweeps](std::size_t s, std::uint64_t seed) {
+        SimConfig run_config = sweeps[s].config;
+        run_config.seed = seed;
+        return run_simulation(run_config, sweeps[s].strategy);
+      },
+      [&summaries](std::size_t s, const SimResult& r) {
+        summaries[s].absorb(r);
+      });
+  return summaries;
+}
+
+}  // namespace
+
+std::uint64_t run_many_fingerprint(const SimConfig& config, int runs) {
+  return many_fingerprint("run_many/v1", config, runs);
+}
+
+std::uint64_t run_stubborn_many_fingerprint(
+    const SimConfig& config, const miner::Strategy& strategy, int runs) {
+  support::Fingerprint fp;
+  fp.mix(many_fingerprint("run_stubborn_many/v1", config, runs));
+  fp.mix(strategy.lead);
+  fp.mix(strategy.fork);
+  fp.mix(strategy.trail);
+  return fp.digest();
+}
+
+SimResult run_simulation(const SimConfig& config,
+                         const miner::Strategy& strategy) {
+  config.validate();
+  if (!config.pool_uses_selfish_strategy) return run_all_honest(config);
+
+  chain::BlockTree& tree = scratch_tree(config.num_blocks);
+  miner::SelfishPolicy pool(tree, config.rewards, strategy);
   miner::HonestPolicy honest(config.gamma, config.rewards);
   support::Xoshiro256 rng(config.seed);
 
@@ -99,32 +142,6 @@ SimResult mine_against(const SimConfig& config, chain::BlockTree& tree,
   return result;
 }
 
-}  // namespace
-
-std::uint64_t run_many_fingerprint(const SimConfig& config, int runs) {
-  return many_fingerprint("run_many/v1", config, runs);
-}
-
-std::uint64_t run_stubborn_many_fingerprint(
-    const SimConfig& config, const miner::StubbornConfig& strategy, int runs) {
-  support::Fingerprint fp;
-  fp.mix(many_fingerprint("run_stubborn_many/v1", config, runs));
-  fp.mix(strategy.lead_stubborn);
-  fp.mix(strategy.equal_fork_stubborn);
-  fp.mix(strategy.trail_stubbornness);
-  return fp.digest();
-}
-
-SimResult run_simulation(const SimConfig& config) {
-  config.validate();
-  if (!config.pool_uses_selfish_strategy) return run_all_honest(config);
-
-  chain::BlockTree& tree = scratch_tree(config.num_blocks);
-  miner::SelfishPolicy pool(
-      tree, miner::SelfishPolicyConfig::from_rewards(config.rewards));
-  return mine_against(config, tree, pool);
-}
-
 MultiRunSummary run_many(const SimConfig& config, int runs,
                          const support::SweepCheckpoint& checkpoint,
                          support::SweepOutcome* outcome) {
@@ -136,75 +153,29 @@ std::vector<MultiRunSummary> run_many(
     const std::vector<SimConfig>& configs, int runs,
     const support::SweepCheckpoint& checkpoint,
     support::SweepOutcome* outcome) {
-  std::vector<support::SeededSweep> sweeps;
+  std::vector<StubbornSweep> sweeps;
+  std::vector<std::uint64_t> keys;
   for (const SimConfig& config : configs) {
     config.validate();
-    sweeps.push_back({run_many_fingerprint(config, runs), config.seed, runs});
+    sweeps.push_back({config, {}});
+    keys.push_back(run_many_fingerprint(config, runs));
   }
-  std::vector<MultiRunSummary> summaries(configs.size());
-  support::run_seeded(
-      checkpoint, outcome, sweeps,
-      [&configs](std::size_t s, std::uint64_t seed) {
-        SimConfig run_config = configs[s];
-        run_config.seed = seed;
-        return run_simulation(run_config);
-      },
-      [&summaries](std::size_t s, const SimResult& r) {
-        summaries[s].absorb(r);
-      });
-  return summaries;
-}
-
-SimResult run_stubborn_simulation(const SimConfig& config,
-                                  const miner::StubbornConfig& strategy) {
-  config.validate();
-  ETHSM_EXPECTS(config.pool_uses_selfish_strategy,
-                "stubborn variants require an attacking pool");
-
-  chain::BlockTree& tree = scratch_tree(config.num_blocks);
-  miner::StubbornConfig pool_config = strategy;
-  pool_config.reference_horizon = config.rewards.reference_horizon();
-  pool_config.max_uncles_per_block = config.rewards.max_uncles_per_block;
-  pool_config.reference_uncles = pool_config.reference_horizon > 0;
-  miner::StubbornPolicy pool(tree, pool_config);
-  return mine_against(config, tree, pool);
-}
-
-MultiRunSummary run_stubborn_many(const SimConfig& config,
-                                  const miner::StubbornConfig& strategy,
-                                  int runs,
-                                  const support::SweepCheckpoint& checkpoint,
-                                  support::SweepOutcome* outcome) {
-  return run_stubborn_many(std::vector<StubbornSweep>{{config, strategy}},
-                           runs, checkpoint, outcome)
-      .front();
+  return run_sweeps(sweeps, keys, runs, checkpoint, outcome);
 }
 
 std::vector<MultiRunSummary> run_stubborn_many(
     const std::vector<StubbornSweep>& sweeps, int runs,
     const support::SweepCheckpoint& checkpoint,
     support::SweepOutcome* outcome) {
-  std::vector<support::SeededSweep> seeded;
+  std::vector<std::uint64_t> keys;
   for (const StubbornSweep& sweep : sweeps) {
     sweep.config.validate();
     ETHSM_EXPECTS(sweep.config.pool_uses_selfish_strategy,
                   "stubborn variants require an attacking pool");
-    seeded.push_back(
-        {run_stubborn_many_fingerprint(sweep.config, sweep.strategy, runs),
-         sweep.config.seed, runs});
+    keys.push_back(
+        run_stubborn_many_fingerprint(sweep.config, sweep.strategy, runs));
   }
-  std::vector<MultiRunSummary> summaries(sweeps.size());
-  support::run_seeded(
-      checkpoint, outcome, seeded,
-      [&sweeps](std::size_t s, std::uint64_t seed) {
-        SimConfig run_config = sweeps[s].config;
-        run_config.seed = seed;
-        return run_stubborn_simulation(run_config, sweeps[s].strategy);
-      },
-      [&summaries](std::size_t s, const SimResult& r) {
-        summaries[s].absorb(r);
-      });
-  return summaries;
+  return run_sweeps(sweeps, keys, runs, checkpoint, outcome);
 }
 
 }  // namespace ethsm::sim

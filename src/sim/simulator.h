@@ -3,8 +3,11 @@
 // Mining is a Poisson race: with the time axis rescaled as in Sec. IV-B the
 // system produces blocks at rate 1, each block belonging to the pool with
 // probability alpha and to the honest side with probability beta = 1 - alpha.
-// The pool runs Algorithm 1 (SelfishPolicy); honest miners follow the
-// protocol (HonestPolicy) with gamma tie-breaking.
+// The pool runs the attack state machine (miner::SelfishPolicy): Algorithm 1
+// with the default Strategy, or a stubborn variant of it; honest miners
+// follow the protocol (HonestPolicy) with gamma tie-breaking. A default
+// Strategy is Algorithm 1 bit for bit, so a "selfish" stubborn sweep and
+// run_many on the same configuration produce identical runs.
 //
 // This is the *aggregate* simulator: the honest side is a single entity whose
 // tie-break is sampled per block (exactly the Markov model's assumption). The
@@ -16,15 +19,26 @@
 
 #include <vector>
 
-#include "miner/stubborn_policy.h"
+#include "miner/selfish_policy.h"
 #include "sim/sim_config.h"
 #include "sim/sim_result.h"
 #include "support/checkpoint.h"
 
 namespace ethsm::sim {
 
-/// Runs one simulation; deterministic given config.seed.
-[[nodiscard]] SimResult run_simulation(const SimConfig& config);
+/// Runs one simulation; deterministic given config.seed. The pool attacks
+/// with `strategy` (default: Algorithm 1); in control mode
+/// (!config.pool_uses_selfish_strategy) everybody mines honestly and the
+/// strategy is unused.
+[[nodiscard]] SimResult run_simulation(const SimConfig& config,
+                                       const miner::Strategy& strategy = {});
+
+/// run_simulation under its older name, kept for the layer harness
+/// (perfbench/layers.cpp).
+[[nodiscard]] inline SimResult run_stubborn_simulation(
+    const SimConfig& config, const miner::Strategy& strategy) {
+  return run_simulation(config, strategy);
+}
 
 /// Runs `runs` independent simulations (seeds derived from config.seed) and
 /// aggregates. The paper uses runs = 10.
@@ -49,26 +63,15 @@ namespace ethsm::sim {
     const support::SweepCheckpoint& checkpoint = {},
     support::SweepOutcome* outcome = nullptr);
 
-/// As run_simulation, but the pool runs a stubborn-mining variant
-/// (miner/stubborn_policy.h) instead of Algorithm 1. With a default-initialized
-/// StubbornConfig the result is distributionally identical to run_simulation.
-[[nodiscard]] SimResult run_stubborn_simulation(
-    const SimConfig& config, const miner::StubbornConfig& strategy);
-
-/// Multi-run aggregation for stubborn variants; semantics as run_many.
-[[nodiscard]] MultiRunSummary run_stubborn_many(
-    const SimConfig& config, const miner::StubbornConfig& strategy, int runs,
-    const support::SweepCheckpoint& checkpoint = {},
-    support::SweepOutcome* outcome = nullptr);
-
 /// One sweep of a stubborn list: the base configuration and the variant.
 struct StubbornSweep {
   SimConfig config;
-  miner::StubbornConfig strategy;
+  miner::Strategy strategy;
 };
 
-/// run_stubborn_many over a list of sweeps in one pool region; semantics as
-/// the list form of run_many.
+/// Multi-run aggregation for stubborn variants over a list of sweeps in one
+/// pool region; semantics as the list form of run_many. Every sweep must
+/// have an attacking pool (std::invalid_argument otherwise).
 [[nodiscard]] std::vector<MultiRunSummary> run_stubborn_many(
     const std::vector<StubbornSweep>& sweeps, int runs,
     const support::SweepCheckpoint& checkpoint = {},
@@ -80,7 +83,7 @@ struct StubbornSweep {
 [[nodiscard]] std::uint64_t run_many_fingerprint(const SimConfig& config,
                                                  int runs);
 [[nodiscard]] std::uint64_t run_stubborn_many_fingerprint(
-    const SimConfig& config, const miner::StubbornConfig& strategy, int runs);
+    const SimConfig& config, const miner::Strategy& strategy, int runs);
 
 }  // namespace ethsm::sim
 

@@ -148,9 +148,7 @@ TEST(PresetEquivalence, ExtStubbornQuickMatchesRunStubbornMany) {
   const ExperimentResult result = run(preset_spec("ext_stubborn", true));
   ASSERT_TRUE(result.complete());
 
-  miner::StubbornConfig lf;
-  lf.lead_stubborn = true;
-  lf.equal_fork_stubborn = true;
+  const miner::Strategy lf{.lead = true, .fork = true};
   const Column& alpha_col = column(result, 0, "alpha");
   const Column& lf_col = column(result, 0, "L+F");
   const Column& alg1_col = column(result, 0, "Alg.1");
@@ -162,15 +160,14 @@ TEST(PresetEquivalence, ExtStubbornQuickMatchesRunStubbornMany) {
     config.gamma = 0.5;
     config.num_blocks = 30'000;
     config.seed = 0x57abULL + static_cast<std::uint64_t>(alpha * 1e4);
-    const auto expected_lf = sim::run_stubborn_many(config, lf, 3);
+    const auto expected =
+        sim::run_stubborn_many({{config, lf}, {config, {}}}, 3);
     EXPECT_EQ(lf_col.numbers[i],
-              expected_lf.pool_revenue(sim::Scenario::regular_rate_one).mean())
+              expected[0].pool_revenue(sim::Scenario::regular_rate_one).mean())
         << alpha;
-    const auto expected_alg1 =
-        sim::run_stubborn_many(config, miner::StubbornConfig{}, 3);
     EXPECT_EQ(
         alg1_col.numbers[i],
-        expected_alg1.pool_revenue(sim::Scenario::regular_rate_one).mean())
+        expected[1].pool_revenue(sim::Scenario::regular_rate_one).mean())
         << alpha;
   }
 }
@@ -192,10 +189,9 @@ TEST(PresetEquivalence, StubbornSimDefaultRunsClampToOne) {
   config.gamma = 0.5;
   config.num_blocks = 2'000;
   config.seed = spec.sim_seed + static_cast<std::uint64_t>(0.3 * 1e4);
-  const auto expected =
-      sim::run_stubborn_many(config, miner::StubbornConfig{}, 1);
+  const auto expected = sim::run_stubborn_many({{config, {}}}, 1);
   EXPECT_EQ(column(result, 0, "Alg.1").numbers[0],
-            expected.pool_revenue(sim::Scenario::regular_rate_one).mean());
+            expected[0].pool_revenue(sim::Scenario::regular_rate_one).mean());
 }
 
 TEST(PresetEquivalence, Sec6QuickMatchesProfitabilityThreshold) {

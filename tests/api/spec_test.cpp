@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "analysis/sweep.h"
 #include "api/all_keys_spec.h"
 #include "api/presets.h"
@@ -211,19 +215,38 @@ TEST(SpecCodec, RewardSpecStringsPriceLikeTheFactories) {
 
 TEST(SpecCodec, StrategySpecStrings) {
   const auto alg1 = parse_strategy_spec("selfish");
-  EXPECT_FALSE(alg1.lead_stubborn);
-  EXPECT_FALSE(alg1.equal_fork_stubborn);
-  EXPECT_EQ(alg1.trail_stubbornness, 0);
+  EXPECT_FALSE(alg1.lead);
+  EXPECT_FALSE(alg1.fork);
+  EXPECT_EQ(alg1.trail, 0);
 
   const auto lf = parse_strategy_spec("lead+fork");
-  EXPECT_TRUE(lf.lead_stubborn);
-  EXPECT_TRUE(lf.equal_fork_stubborn);
+  EXPECT_TRUE(lf.lead);
+  EXPECT_TRUE(lf.fork);
 
   const auto t2 = parse_strategy_spec("trail:2");
-  EXPECT_EQ(t2.trail_stubbornness, 2);
+  EXPECT_EQ(t2.trail, 2);
 
   EXPECT_THROW((void)parse_strategy_spec("yolo"), SpecError);
   EXPECT_THROW((void)parse_strategy_spec("trail:0"), SpecError);
+
+  // A component may appear once; the error names the repeated one.
+  for (const auto& [text, component] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"trail:1+trail:2", "trail"},
+           {"trail:2+trail:2", "trail"},
+           {"lead+lead", "lead"},
+           {"fork+lead+fork", "fork"},
+           {"lead + trail:1 + lead", "lead"}}) {
+    try {
+      (void)parse_strategy_spec(text);
+      ADD_FAILURE() << text << " was accepted";
+    } catch (const SpecError& e) {
+      EXPECT_NE(std::string(e.what()).find("repeated component '" +
+                                           component + "'"),
+                std::string::npos)
+          << text << ": " << e.what();
+    }
+  }
 }
 
 TEST(SpecCodec, AllKeysPrintBytesArePinned) {

@@ -22,12 +22,10 @@ TEST(StubbornRegression, LeadEqualForkComboBeatsAlgorithmOneAtHighAlpha) {
   config.num_blocks = 100'000;
   config.seed = 0xc0deULL;
 
-  miner::StubbornConfig lf;
-  lf.lead_stubborn = true;
-  lf.equal_fork_stubborn = true;
-
-  const auto plain = sim::run_stubborn_many(config, {}, 4);
-  const auto combo = sim::run_stubborn_many(config, lf, 4);
+  const miner::Strategy lf{.lead = true, .fork = true};
+  const auto runs = sim::run_stubborn_many({{config, {}}, {config, lf}}, 4);
+  const auto& plain = runs[0];
+  const auto& combo = runs[1];
   EXPECT_GT(combo.pool_revenue(Scenario::regular_rate_one).mean(),
             plain.pool_revenue(Scenario::regular_rate_one).mean() + 0.02);
 }
@@ -41,11 +39,10 @@ TEST(StubbornRegression, TrailStubbornnessHurtsAtLowAlpha) {
   config.num_blocks = 100'000;
   config.seed = 0xc0ffeeULL;
 
-  miner::StubbornConfig t2;
-  t2.trail_stubbornness = 2;
-
-  const auto plain = sim::run_stubborn_many(config, {}, 4);
-  const auto trail = sim::run_stubborn_many(config, t2, 4);
+  const miner::Strategy t2{.trail = 2};
+  const auto runs = sim::run_stubborn_many({{config, {}}, {config, t2}}, 4);
+  const auto& plain = runs[0];
+  const auto& trail = runs[1];
   EXPECT_LT(trail.pool_revenue(Scenario::regular_rate_one).mean(),
             plain.pool_revenue(Scenario::regular_rate_one).mean() - 0.02);
 }

@@ -123,8 +123,7 @@ TEST_P(SimulatorPropertyTest, FinalTreePassesFullValidation) {
   // handed to the independent validator.
   const auto config = rewards::RewardConfig::ethereum_byzantium();
   chain::BlockTree tree;
-  miner::SelfishPolicy pool(tree,
-                            miner::SelfishPolicyConfig::from_rewards(config));
+  miner::SelfishPolicy pool(tree, config);
   miner::HonestPolicy honest(gamma, config);
   support::Xoshiro256 rng(2718);
   double now = 0.0;

@@ -18,7 +18,7 @@ class PolicyFixture : public ::testing::Test {
  protected:
   PolicyFixture()
       : rewards_(rewards::RewardConfig::ethereum_byzantium()),
-        pool_(tree_, SelfishPolicyConfig::from_rewards(rewards_)),
+        pool_(tree_, rewards_),
         honest_(0.5, rewards_) {}
 
   /// Mines an honest block on `parent` and delivers it to the pool's policy.
@@ -88,7 +88,7 @@ TEST_F(PolicyFixture, PoolWinsAtTwoOne) {
   expect_state(0, 0);
   EXPECT_EQ(pool_.fork_base(), p2);
   EXPECT_TRUE(tree_.is_published(p2));
-  EXPECT_EQ(pool_.actions().win_at_2_1, 1u);
+  EXPECT_EQ(pool_.actions().tie_win, 1u);
   // Case 4 subcase 1: the pool's second block references the honest block.
   EXPECT_EQ(tree_.uncle_refs(p2).size(), 1u);
   EXPECT_EQ(tree_.uncle_refs(p2)[0], h1);
@@ -272,15 +272,31 @@ TEST_F(PolicyFixture, UnpublishedHonestBlockIsRejected) {
   EXPECT_THROW(pool_.on_honest_block(b, now_), std::invalid_argument);
 }
 
-TEST(SelfishPolicyConfig, FromRewardsMirrorsHorizon) {
-  const auto byz = rewards::RewardConfig::ethereum_byzantium();
-  const auto cfg = SelfishPolicyConfig::from_rewards(byz);
-  EXPECT_EQ(cfg.reference_horizon, 6);
-  EXPECT_TRUE(cfg.reference_uncles);
-
-  const auto btc = rewards::RewardConfig::bitcoin();
-  const auto btc_cfg = SelfishPolicyConfig::from_rewards(btc);
-  EXPECT_FALSE(btc_cfg.reference_uncles);
+TEST(SelfishPolicy, NeverReferencesUnclesUnderBitcoinRewards) {
+  // Horizon 0 turns Algorithm 1 into the original Eyal–Sirer strategy: the
+  // same publish/withhold machine, no uncle references at all.
+  chain::BlockTree tree;
+  const auto rc = rewards::RewardConfig::bitcoin();
+  SelfishPolicy pool(tree, rc);
+  HonestPolicy honest(0.5, rc);
+  support::Xoshiro256 rng(5);
+  double now = 1.0;
+  for (int i = 0; i < 10000; ++i) {
+    if (rng.bernoulli(0.35)) {
+      pool.on_pool_block(now);
+    } else {
+      const BlockId b =
+          honest.mine_block(tree, honest.choose_parent(pool.public_view(), rng),
+                            now, 0);
+      pool.on_honest_block(b, now);
+    }
+    now += 1.0;
+  }
+  pool.finalize(now);
+  for (BlockId id = 0; id < tree.size(); ++id) {
+    ASSERT_TRUE(tree.uncle_refs(id).empty());
+  }
+  EXPECT_GT(pool.actions().override_publish, 0u);
 }
 
 }  // namespace

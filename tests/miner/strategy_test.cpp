@@ -1,8 +1,10 @@
-#include "miner/stubborn_policy.h"
+// The stubborn deviations of miner::SelfishPolicy (lead, fork, trail), one
+// hand-traced case each, plus long random runs of every combination and the
+// stubborn list driver. Algorithm 1 itself (the default Strategy) is pinned
+// by tests/miner/selfish_policy_test.cpp and by the kernel differential test
+// against the frozen transcription.
 
 #include <gtest/gtest.h>
-
-#include <algorithm>
 
 #include "chain/chain_validator.h"
 #include "miner/honest_policy.h"
@@ -14,69 +16,18 @@ namespace {
 
 using chain::BlockId;
 
-/// Drives a policy with a deterministic schedule shared across variants.
-template <typename Policy>
-void drive(chain::BlockTree& tree, Policy& pool, HonestPolicy& honest,
-           std::uint64_t schedule_seed, int steps, double alpha, double gamma) {
-  support::Xoshiro256 schedule(schedule_seed);
-  double now = 1.0;
-  for (int i = 0; i < steps; ++i) {
-    const bool pool_mines = schedule.bernoulli(alpha);
-    const bool prefer_pool = schedule.bernoulli(gamma);
-    if (pool_mines) {
-      pool.on_pool_block(now);
-    } else {
-      const BlockId b = honest.mine_block(
-          tree, HonestPolicy::parent_for_preference(pool.public_view(),
-                                                    prefer_pool),
-          now, 0);
-      pool.on_honest_block(b, now);
-    }
-    now += 1.0;
-  }
-}
-
-TEST(StubbornPolicy, DefaultsReplicateAlgorithmOneExactly) {
-  const auto rewards = rewards::RewardConfig::ethereum_byzantium();
-  chain::BlockTree tree_a, tree_b;
-  SelfishPolicy algorithm1(tree_a,
-                           SelfishPolicyConfig::from_rewards(rewards));
-  StubbornPolicy stubborn(tree_b, StubbornConfig::from_rewards(rewards));
-  HonestPolicy honest_a(0.5, rewards), honest_b(0.5, rewards);
-
-  drive(tree_a, algorithm1, honest_a, 1234, 20000, 0.35, 0.5);
-  drive(tree_b, stubborn, honest_b, 1234, 20000, 0.35, 0.5);
-
-  ASSERT_EQ(tree_a.size(), tree_b.size());
-  for (BlockId id = 0; id < tree_a.size(); ++id) {
-    ASSERT_EQ(tree_a.block(id).parent, tree_b.block(id).parent) << id;
-    ASSERT_EQ(tree_a.block(id).miner, tree_b.block(id).miner) << id;
-    ASSERT_TRUE(std::ranges::equal(tree_a.uncle_refs(id), tree_b.uncle_refs(id))) << id;
-    ASSERT_EQ(tree_a.is_published(id), tree_b.is_published(id)) << id;
-  }
-  EXPECT_EQ(algorithm1.finalize(99999.0), stubborn.finalize(99999.0));
-  // No stubborn deviation may have fired.
-  EXPECT_EQ(stubborn.actions().held_lead, 0u);
-  EXPECT_EQ(stubborn.actions().held_fork, 0u);
-  EXPECT_EQ(stubborn.actions().trailed, 0u);
-}
-
 class StubbornVariantTest : public ::testing::Test {
  protected:
   StubbornVariantTest()
       : rewards_(rewards::RewardConfig::ethereum_byzantium()),
         honest_(0.5, rewards_) {}
 
-  StubbornConfig base_config() const {
-    return StubbornConfig::from_rewards(rewards_);
-  }
-
   chain::BlockTree tree_;
   rewards::RewardConfig rewards_;
   HonestPolicy honest_;
   double now_ = 1.0;
 
-  BlockId honest_block(StubbornPolicy& pool, BlockId parent) {
+  BlockId honest_block(SelfishPolicy& pool, BlockId parent) {
     const BlockId b = honest_.mine_block(tree_, parent, now_, 0);
     pool.on_honest_block(b, now_);
     now_ += 1.0;
@@ -85,16 +36,14 @@ class StubbornVariantTest : public ::testing::Test {
 };
 
 TEST_F(StubbornVariantTest, LeadStubbornRefusesTheOverrideWin) {
-  auto cfg = base_config();
-  cfg.lead_stubborn = true;
-  StubbornPolicy pool(tree_, cfg);
+  SelfishPolicy pool(tree_, rewards_, {.lead = true});
   pool.on_pool_block(now_++);
   pool.on_pool_block(now_++);  // lead 2
   honest_block(pool, tree_.genesis());
   // Algorithm 1 would publish both blocks and win; lead-stubborn ties at 1.
   EXPECT_EQ(pool.private_length(), 2);
   EXPECT_EQ(pool.published_count(), 1);
-  EXPECT_EQ(pool.honest_length(), 1);
+  EXPECT_EQ(pool.public_length(), 1);
   EXPECT_EQ(pool.actions().held_lead, 1u);
   EXPECT_EQ(pool.actions().override_publish, 0u);
   // The public race is a genuine tie.
@@ -102,9 +51,7 @@ TEST_F(StubbornVariantTest, LeadStubbornRefusesTheOverrideWin) {
 }
 
 TEST_F(StubbornVariantTest, EqualForkStubbornKeepsTheWinningBlockSecret) {
-  auto cfg = base_config();
-  cfg.equal_fork_stubborn = true;
-  StubbornPolicy pool(tree_, cfg);
+  SelfishPolicy pool(tree_, rewards_, {.fork = true});
   pool.on_pool_block(now_++);
   honest_block(pool, tree_.genesis());  // match: tie at 1-1
   ASSERT_TRUE(pool.public_view().tie);
@@ -114,20 +61,18 @@ TEST_F(StubbornVariantTest, EqualForkStubbornKeepsTheWinningBlockSecret) {
   EXPECT_EQ(pool.actions().held_fork, 1u);
   EXPECT_EQ(pool.actions().tie_win, 0u);
   EXPECT_EQ(pool.private_length(), 2);
-  EXPECT_EQ(pool.honest_length(), 1);
+  EXPECT_EQ(pool.public_length(), 1);
 }
 
 TEST_F(StubbornVariantTest, TrailStubbornKeepsMiningFromBehind) {
-  auto cfg = base_config();
-  cfg.trail_stubbornness = 1;
-  StubbornPolicy pool(tree_, cfg);
+  SelfishPolicy pool(tree_, rewards_, {.trail = 1});
   pool.on_pool_block(now_++);
   const BlockId h1 = honest_block(pool, tree_.genesis());  // tie 1-1
   honest_block(pool, h1);  // honest ahead by 1: Algorithm 1 would adopt
   EXPECT_EQ(pool.actions().trailed, 1u);
   EXPECT_EQ(pool.actions().adopt, 0u);
   EXPECT_EQ(pool.private_length(), 1);
-  EXPECT_EQ(pool.honest_length(), 2);
+  EXPECT_EQ(pool.public_length(), 2);
   // Catching up republishes the whole branch, forcing an equal-length race.
   pool.on_pool_block(now_++);
   EXPECT_EQ(pool.actions().caught_up, 1u);
@@ -135,9 +80,7 @@ TEST_F(StubbornVariantTest, TrailStubbornKeepsMiningFromBehind) {
 }
 
 TEST_F(StubbornVariantTest, TrailStubbornGivesUpBeyondItsDepth) {
-  auto cfg = base_config();
-  cfg.trail_stubbornness = 1;
-  StubbornPolicy pool(tree_, cfg);
+  SelfishPolicy pool(tree_, rewards_, {.trail = 1});
   pool.on_pool_block(now_++);
   const BlockId h1 = honest_block(pool, tree_.genesis());
   const BlockId h2 = honest_block(pool, h1);  // behind 1: trail
@@ -154,13 +97,25 @@ TEST_P(StubbornMatrixTest, LongRandomRunStaysStructurallyValid) {
   const auto [lead, fork, trail] = GetParam();
   const auto rewards = rewards::RewardConfig::ethereum_byzantium();
   chain::BlockTree tree;
-  auto cfg = StubbornConfig::from_rewards(rewards);
-  cfg.lead_stubborn = lead;
-  cfg.equal_fork_stubborn = fork;
-  cfg.trail_stubbornness = trail;
-  StubbornPolicy pool(tree, cfg);
+  SelfishPolicy pool(tree, rewards,
+                     {.lead = lead, .fork = fork, .trail = trail});
   HonestPolicy honest(0.5, rewards);
-  drive(tree, pool, honest, 777, 30000, 0.4, 0.5);
+  support::Xoshiro256 schedule(777);
+  double now = 1.0;
+  for (int i = 0; i < 30000; ++i) {
+    const bool pool_mines = schedule.bernoulli(0.4);
+    const bool prefer_pool = schedule.bernoulli(0.5);
+    if (pool_mines) {
+      pool.on_pool_block(now);
+    } else {
+      const BlockId b = honest.mine_block(
+          tree, HonestPolicy::parent_for_preference(pool.public_view(),
+                                                    prefer_pool),
+          now, 0);
+      pool.on_honest_block(b, now);
+    }
+    now += 1.0;
+  }
   const BlockId tip = pool.finalize(1e9);
   const auto report = chain::validate_chain(tree, rewards, tip);
   EXPECT_TRUE(report.ok()) << report.violations.front();
@@ -186,19 +141,18 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(StubbornSimulator, DefaultMatchesAlgorithmOneSimulator) {
+  // A "selfish" stubborn sweep and run_many run the same seeds through the
+  // same machine: identical aggregates, not merely close ones.
   sim::SimConfig config;
   config.alpha = 0.3;
   config.gamma = 0.5;
   config.num_blocks = 50'000;
   config.seed = 99;
-  const auto plain = sim::run_simulation(config);
-  const auto stubborn =
-      sim::run_stubborn_simulation(config, miner::StubbornConfig{});
-  EXPECT_DOUBLE_EQ(
-      plain.pool_absolute_revenue(sim::Scenario::regular_rate_one),
-      stubborn.pool_absolute_revenue(sim::Scenario::regular_rate_one));
-  EXPECT_EQ(plain.ledger.referenced_uncle_total(),
-            stubborn.ledger.referenced_uncle_total());
+  const auto plain = sim::run_many(config, 2);
+  const auto stubborn = sim::run_stubborn_many({{config, {}}}, 2).front();
+  EXPECT_EQ(plain.pool_revenue(sim::Scenario::regular_rate_one).mean(),
+            stubborn.pool_revenue(sim::Scenario::regular_rate_one).mean());
+  EXPECT_EQ(plain.uncle_rate.mean(), stubborn.uncle_rate.mean());
 }
 
 TEST(StubbornSimulator, TrailStubbornnessChangesTheOutcome) {
@@ -207,10 +161,8 @@ TEST(StubbornSimulator, TrailStubbornnessChangesTheOutcome) {
   config.gamma = 0.5;
   config.num_blocks = 50'000;
   config.seed = 5;
-  miner::StubbornConfig trail;
-  trail.trail_stubbornness = 2;
-  const auto plain = sim::run_stubborn_simulation(config, {});
-  const auto stubborn = sim::run_stubborn_simulation(config, trail);
+  const auto plain = sim::run_simulation(config);
+  const auto stubborn = sim::run_simulation(config, {.trail = 2});
   EXPECT_NE(
       plain.pool_absolute_revenue(sim::Scenario::regular_rate_one),
       stubborn.pool_absolute_revenue(sim::Scenario::regular_rate_one));
@@ -219,15 +171,15 @@ TEST(StubbornSimulator, TrailStubbornnessChangesTheOutcome) {
 TEST(StubbornSimulator, RejectsHonestPoolMode) {
   sim::SimConfig config;
   config.pool_uses_selfish_strategy = false;
-  EXPECT_THROW(sim::run_stubborn_simulation(config, {}),
+  EXPECT_THROW((void)sim::run_stubborn_many({{config, {}}}, 1),
                std::invalid_argument);
 }
 
-TEST(StubbornPolicyConfig, Validation) {
+TEST(Strategy, NegativeTrailIsRejected) {
   chain::BlockTree tree;
-  StubbornConfig cfg;
-  cfg.trail_stubbornness = -1;
-  EXPECT_THROW(StubbornPolicy(tree, cfg), std::invalid_argument);
+  EXPECT_THROW(SelfishPolicy(tree, rewards::RewardConfig::ethereum_byzantium(),
+                             {.trail = -1}),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -99,13 +99,13 @@ TEST_F(DeterminismTest, RunStubbornManyIsBitwiseIdenticalAcrossThreadCounts) {
   config.gamma = 0.5;
   config.num_blocks = 6'000;
   config.seed = 77;
-  miner::StubbornConfig strategy;
-  strategy.lead_stubborn = true;
+  const miner::Strategy strategy{.lead = true};
 
   std::vector<double> reference;
   for (unsigned threads : thread_counts_under_test()) {
     ThreadPool::set_global_concurrency(threads);
-    const auto fp = fingerprint(run_stubborn_many(config, strategy, 6));
+    const auto fp =
+        fingerprint(run_stubborn_many({{config, strategy}}, 6).front());
     if (reference.empty()) {
       reference = fp;
     } else {
@@ -317,12 +317,9 @@ TEST_F(DeterminismTest, BatchedStubbornSweepsMatchTheirSerialRuns) {
     config.gamma = 0.5;
     config.num_blocks = 2'000;
     config.seed = 0x57ab + static_cast<std::uint64_t>(alpha * 1e4);
-    miner::StubbornConfig selfish;
-    miner::StubbornConfig lead;
-    lead.lead_stubborn = true;
-    miner::StubbornConfig trail;
-    trail.trail_stubbornness = 2;
-    for (const auto& strategy : {selfish, lead, trail}) {
+    for (const miner::Strategy& strategy :
+         {miner::Strategy{}, miner::Strategy{.lead = true},
+          miner::Strategy{.trail = 2}}) {
       sweeps.push_back({config, strategy});
     }
   }
@@ -331,8 +328,7 @@ TEST_F(DeterminismTest, BatchedStubbornSweepsMatchTheirSerialRuns) {
   ThreadPool::set_global_concurrency(1);
   std::vector<std::vector<double>> serial;
   for (const auto& s : sweeps) {
-    serial.push_back(
-        fingerprint(run_stubborn_many(s.config, s.strategy, kRuns)));
+    serial.push_back(fingerprint(run_stubborn_many({s}, kRuns).front()));
   }
   for (unsigned threads : kBatchThreadCounts) {
     ThreadPool::set_global_concurrency(threads);
