@@ -364,8 +364,8 @@ void BM_ClosedFormPiij(benchmark::State& state) {
 }
 BENCHMARK(BM_ClosedFormPiij);
 
-void BM_UncleCandidateCollection(benchmark::State& state) {
-  // A chain with a stale sibling every 3 blocks: realistic candidate load.
+/// A chain with a stale sibling every 3 blocks: realistic candidate load.
+ethsm::chain::BlockTree periodic_stale_tree() {
   ethsm::chain::BlockTree tree;
   ethsm::chain::BlockId tip = tree.genesis();
   for (int i = 0; i < 1000; ++i) {
@@ -379,12 +379,145 @@ void BM_UncleCandidateCollection(benchmark::State& state) {
     tree.publish(next, i + 1.0);
     tip = next;
   }
+  return tree;
+}
+
+/// The tree a selfish pool with alpha = 0.35 and honest miners grow: forks
+/// at most heights, withheld blocks, uncles referenced up to distance 6.
+ethsm::chain::BlockTree selfish_tree() {
+  const auto config = ethsm::rewards::RewardConfig::ethereum_byzantium();
+  ethsm::chain::BlockTree tree(5001);
+  ethsm::miner::SelfishPolicy pool(tree, config);
+  ethsm::miner::HonestPolicy honest(0.5, config);
+  ethsm::support::Xoshiro256 rng(7);
+  double now = 0.0;
+  for (int i = 0; i < 5000; ++i) {
+    now += 1.0;
+    if (rng.bernoulli(0.35)) {
+      pool.on_pool_block(now);
+    } else {
+      const auto b = honest.mine_block(
+          tree, honest.choose_parent(pool.public_view(), rng), now, 0);
+      pool.on_honest_block(b, now);
+    }
+  }
+  return tree;
+}
+
+/// Baseline half of the uncle-window comparison: the search as it stood
+/// before the per-height fork counts -- every window ancestor walked twice,
+/// their refs gathered, every child list scanned, std::find per child and a
+/// sort (the frozen copy in tests/kernel/reference_engines.cpp is the
+/// correctness reference; this inline copy is the perf baseline, same
+/// precedent as BM_ComputeRevenueKernelReference).
+struct ReferenceUncleScratch {
+  std::vector<ethsm::chain::UncleCandidate> candidates;
+  std::vector<ethsm::chain::BlockId> referenced;
+  std::vector<ethsm::chain::BlockId> refs;
+};
+
+void reference_collect_uncle_references(const ethsm::chain::BlockTree& tree,
+                                        ethsm::chain::BlockId parent,
+                                        int horizon,
+                                        ReferenceUncleScratch& scratch) {
+  using ethsm::chain::BlockId;
+  auto& out = scratch.candidates;
+  out.clear();
+  scratch.refs.clear();
+  if (horizon == 0) return;
+  const auto for_each_window_ancestor = [&](auto&& fn) {
+    BlockId cur = parent;
+    for (int steps = 0; steps <= horizon; ++steps) {
+      fn(cur);
+      if (cur == tree.genesis()) break;
+      cur = tree.parent(cur);
+    }
+  };
+  const std::uint32_t new_height = tree.height(parent) + 1;
+  auto& already_referenced = scratch.referenced;
+  already_referenced.clear();
+  for_each_window_ancestor([&](BlockId anc) {
+    const auto refs = tree.uncle_refs(anc);
+    already_referenced.insert(already_referenced.end(), refs.begin(),
+                              refs.end());
+  });
+  BlockId on_chain_child = ethsm::chain::kNoBlock;
+  for_each_window_ancestor([&](BlockId anc) {
+    for (BlockId child : tree.children(anc)) {
+      if (child == on_chain_child || child == parent) continue;
+      if (!tree.is_published(child)) continue;
+      if (std::find(already_referenced.begin(), already_referenced.end(),
+                    child) != already_referenced.end()) {
+        continue;
+      }
+      const int distance = static_cast<int>(new_height - tree.height(child));
+      if (distance < 1 || distance > horizon) continue;
+      out.push_back(ethsm::chain::UncleCandidate{child, distance});
+    }
+    on_chain_child = anc;
+  });
+  std::sort(out.begin(), out.end(), [&tree](const auto& a, const auto& b) {
+    if (tree.height(a.id) != tree.height(b.id)) {
+      return tree.height(a.id) < tree.height(b.id);
+    }
+    return a.id < b.id;
+  });
+  for (const auto& c : out) scratch.refs.push_back(c.id);
+}
+
+void BM_UncleCandidateCollection(benchmark::State& state) {
+  const auto tree = periodic_stale_tree();
+  const auto tip = static_cast<ethsm::chain::BlockId>(tree.size() - 1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         ethsm::chain::collect_uncle_references(tree, tip, 6, 0));
   }
 }
 BENCHMARK(BM_UncleCandidateCollection);
+
+void BM_UncleCandidateCollectionReference(benchmark::State& state) {
+  const auto tree = periodic_stale_tree();
+  const auto tip = static_cast<ethsm::chain::BlockId>(tree.size() - 1);
+  for (auto _ : state) {
+    ReferenceUncleScratch scratch;  // the by-value API's fresh buffers
+    reference_collect_uncle_references(tree, tip, 6, scratch);
+    benchmark::DoNotOptimize(scratch.refs);
+  }
+}
+BENCHMARK(BM_UncleCandidateCollectionReference);
+
+/// The hot-path form: one query per block of a selfish-mining tree, on the
+/// block's parent, with reused scratch. Items are queries.
+void BM_UncleCandidateCollectionSelfish(benchmark::State& state) {
+  const auto tree = selfish_tree();
+  ethsm::chain::UncleScratch scratch;
+  for (auto _ : state) {
+    for (ethsm::chain::BlockId b = 1; b < tree.size(); ++b) {
+      ethsm::chain::collect_uncle_references(tree, tree.parent(b), 6, 0,
+                                             scratch);
+      benchmark::DoNotOptimize(scratch.refs.data());
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(tree.size() - 1));
+}
+BENCHMARK(BM_UncleCandidateCollectionSelfish);
+
+void BM_UncleCandidateCollectionSelfishReference(benchmark::State& state) {
+  const auto tree = selfish_tree();
+  ReferenceUncleScratch scratch;
+  for (auto _ : state) {
+    for (ethsm::chain::BlockId b = 1; b < tree.size(); ++b) {
+      reference_collect_uncle_references(tree, tree.parent(b), 6, scratch);
+      benchmark::DoNotOptimize(scratch.refs.data());
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(tree.size() - 1));
+}
+BENCHMARK(BM_UncleCandidateCollectionSelfishReference);
 
 void BM_SelfishPolicyStep(benchmark::State& state) {
   const auto config = ethsm::rewards::RewardConfig::ethereum_byzantium();

@@ -38,10 +38,17 @@ enum class BlockFate : std::uint8_t {
   stale,            ///< stale and never referenced (no reward at all)
 };
 
+/// Block::referrer_gap when the referrers are not one block 1..254 above.
+inline constexpr std::uint8_t kReferrersUnknown = 255;
+
 struct Block {
   BlockId parent = kNoBlock;
   std::uint32_t height = 0;  ///< genesis = 0
   MinerClass miner = MinerClass::honest;
+  /// Who references this block as an uncle: 0 = no block; 1..254 = exactly
+  /// one block, this many heights above; kReferrersUnknown = any other case.
+  /// Lets the uncle window test "already referenced" with one lookup.
+  std::uint8_t referrer_gap = 0;
   std::uint32_t miner_id = 0;  ///< population-simulator identity; 0 otherwise
   double mined_at = 0.0;
   double published_at = kNeverPublished;

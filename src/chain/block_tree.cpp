@@ -14,8 +14,10 @@ void BlockTree::reset(std::size_t reserve_hint) {
   last_child_.clear();
   next_sibling_.clear();
   uncle_arena_.clear();
+  height_count_.clear();
   if (reserve_hint > 0) {
     blocks_.reserve(reserve_hint);
+    height_count_.reserve(reserve_hint);
     first_child_.reserve(reserve_hint);
     last_child_.reserve(reserve_hint);
     next_sibling_.reserve(reserve_hint);
@@ -33,6 +35,7 @@ void BlockTree::reset(std::size_t reserve_hint) {
   first_child_.push_back(kNoBlock);
   last_child_.push_back(kNoBlock);
   next_sibling_.push_back(kNoBlock);
+  height_count_.push_back(1);
   // Genesis is not attributed to either class for mined-count purposes.
 }
 
@@ -41,10 +44,20 @@ BlockId BlockTree::append(BlockId parent, MinerClass miner,
                           std::span<const BlockId> uncle_refs) {
   check_id(parent);
   for (BlockId u : uncle_refs) check_id(u);
+  const std::uint32_t height = blocks_[parent].height + 1;
+  // Record who references each uncle (Block::referrer_gap); `above` wraps
+  // when u is not below the new block.
+  for (BlockId u : uncle_refs) {
+    std::uint8_t& gap = blocks_[u].referrer_gap;
+    const std::uint32_t above = height - blocks_[u].height;
+    gap = gap == 0 && above >= 1 && above < kReferrersUnknown
+              ? static_cast<std::uint8_t>(above)
+              : kReferrersUnknown;
+  }
 
   Block b;
   b.parent = parent;
-  b.height = blocks_[parent].height + 1;
+  b.height = height;
   b.miner = miner;
   b.miner_id = miner_id;
   b.mined_at = mined_at;
@@ -78,6 +91,13 @@ BlockId BlockTree::append(BlockId parent, MinerClass miner,
     next_sibling_[last_child_[parent]] = id;
   }
   last_child_[parent] = id;
+  // A block sits at most one above the tallest one so far: a new height is
+  // always the next slot.
+  if (height == height_count_.size()) {
+    height_count_.push_back(1);
+  } else if (height_count_[height] < 2) {
+    ++height_count_[height];
+  }
   ++mined_count_[static_cast<std::size_t>(miner)];
   return id;
 }
@@ -88,37 +108,6 @@ void BlockTree::publish(BlockId id, double now) {
   ETHSM_EXPECTS(now >= blocks_[id].mined_at,
                 "cannot publish before the block was mined");
   blocks_[id].published_at = now;
-}
-
-const Block& BlockTree::block(BlockId id) const {
-  check_id(id);
-  return blocks_[id];
-}
-
-std::span<const BlockId> BlockTree::uncle_refs(BlockId id) const {
-  check_id(id);
-  const Block& b = blocks_[id];
-  return {uncle_arena_.data() + b.uncle_begin, b.uncle_count};
-}
-
-std::uint32_t BlockTree::height(BlockId id) const {
-  check_id(id);
-  return blocks_[id].height;
-}
-
-BlockId BlockTree::parent(BlockId id) const {
-  check_id(id);
-  return blocks_[id].parent;
-}
-
-bool BlockTree::is_published(BlockId id) const {
-  check_id(id);
-  return blocks_[id].is_published();
-}
-
-BlockTree::ChildRange BlockTree::children(BlockId id) const {
-  check_id(id);
-  return ChildRange(first_child_[id], &next_sibling_);
 }
 
 bool BlockTree::is_ancestor_of(BlockId ancestor, BlockId descendant) const {
@@ -145,10 +134,6 @@ std::vector<BlockId> BlockTree::chain_from_genesis(BlockId tip) const {
   }
   std::reverse(chain.begin(), chain.end());
   return chain;
-}
-
-void BlockTree::check_id(BlockId id) const {
-  ETHSM_EXPECTS(id < blocks_.size(), "unknown block id");
 }
 
 BlockTree& thread_local_tree(std::size_t reserve_hint) {

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "chain/block.h"
+#include "support/check.h"
 
 namespace ethsm::chain {
 
@@ -119,14 +120,36 @@ class BlockTree {
   /// be published once; re-publication is a logic error.
   void publish(BlockId id, double now);
 
-  [[nodiscard]] const Block& block(BlockId id) const;
+  // The per-block reads are inline: the uncle window and the mining policies
+  // call them several times per simulated block.
+  [[nodiscard]] const Block& block(BlockId id) const {
+    check_id(id);
+    return blocks_[id];
+  }
   /// Uncle blocks referenced by `id`, in the order passed to append(). The
   /// view stays valid until the next append() or reset().
-  [[nodiscard]] std::span<const BlockId> uncle_refs(BlockId id) const;
-  [[nodiscard]] std::uint32_t height(BlockId id) const;
-  [[nodiscard]] BlockId parent(BlockId id) const;
-  [[nodiscard]] bool is_published(BlockId id) const;
-  [[nodiscard]] ChildRange children(BlockId id) const;
+  [[nodiscard]] std::span<const BlockId> uncle_refs(BlockId id) const {
+    const Block& b = block(id);
+    return {uncle_arena_.data() + b.uncle_begin, b.uncle_count};
+  }
+  [[nodiscard]] std::uint32_t height(BlockId id) const {
+    return block(id).height;
+  }
+  [[nodiscard]] BlockId parent(BlockId id) const { return block(id).parent; }
+  [[nodiscard]] bool is_published(BlockId id) const {
+    return block(id).is_published();
+  }
+  [[nodiscard]] ChildRange children(BlockId id) const {
+    check_id(id);
+    return ChildRange(first_child_[id], &next_sibling_);
+  }
+
+  /// True iff more than one block (published or not) sits at height `h`.
+  /// When every height of an uncle window holds a single block, that block is
+  /// the window ancestor and the window has no uncle candidates.
+  [[nodiscard]] bool has_fork_at(std::uint32_t h) const noexcept {
+    return h < height_count_.size() && height_count_[h] > 1;
+  }
 
   /// True iff `ancestor` lies on the parent path of `descendant`
   /// (a block is an ancestor of itself).
@@ -144,7 +167,9 @@ class BlockTree {
   }
 
  private:
-  void check_id(BlockId id) const;
+  void check_id(BlockId id) const {
+    ETHSM_EXPECTS(id < blocks_.size(), "unknown block id");
+  }
 
   std::vector<Block> blocks_;
   // Arena child links: children of `p` are the chain first_child_[p],
@@ -156,6 +181,8 @@ class BlockTree {
   // uncle_arena_[b.uncle_begin .. b.uncle_begin + b.uncle_count). Blocks are
   // append-only and refs are fixed at creation, so slices never move.
   std::vector<BlockId> uncle_arena_;
+  // Blocks per height, saturating at 2: only "more than one" is ever asked.
+  std::vector<std::uint8_t> height_count_;
   std::uint64_t mined_count_[2] = {0, 0};
 };
 

@@ -1,7 +1,9 @@
 #include "chain/chain_validator.h"
 
+#include <algorithm>
 #include <sstream>
 #include <unordered_set>
+#include <utility>
 
 namespace ethsm::chain {
 
@@ -85,18 +87,23 @@ ValidationReport validate_chain(const BlockTree& tree,
     }
   }
 
-  // V4: no double reference along any root-to-leaf chain. Walk each leaf's
-  // chain once; references are sparse so the set stays small.
+  // V4: no double reference along any root-to-leaf chain. Two references to
+  // one uncle share a chain iff one referrer is an ancestor of (or is) the
+  // other, so compare each uncle's few referrers pairwise instead of walking
+  // every leaf to genesis. Sorted (uncle, referrer) pairs put an ancestor,
+  // which has the lower id, first.
+  std::vector<std::pair<BlockId, BlockId>> refs_by_uncle;
   for (BlockId id = 0; id < tree.size(); ++id) {
-    if (!tree.children(id).empty()) continue;  // not a leaf
-    std::unordered_set<BlockId> referenced;
-    for (BlockId cur = id;; cur = tree.parent(cur)) {
-      for (BlockId u : tree.uncle_refs(cur)) {
-        if (!referenced.insert(u).second) {
-          report(r, cur, "uncle referenced twice along one chain");
-        }
+    for (BlockId u : tree.uncle_refs(id)) refs_by_uncle.emplace_back(u, id);
+  }
+  std::sort(refs_by_uncle.begin(), refs_by_uncle.end());
+  for (std::size_t i = 0; i < refs_by_uncle.size(); ++i) {
+    const auto [uncle, first] = refs_by_uncle[i];
+    for (std::size_t j = i + 1;
+         j < refs_by_uncle.size() && refs_by_uncle[j].first == uncle; ++j) {
+      if (tree.is_ancestor_of(first, refs_by_uncle[j].second)) {
+        report(r, first, "uncle referenced twice along one chain");
       }
-      if (cur == tree.genesis()) break;
     }
   }
 

@@ -6,17 +6,38 @@
 
 namespace ethsm::chain {
 
+namespace {
+
+/// Sets `fate` to regular for the main chain genesis..main_tip and stale for
+/// every other block (index = BlockId).
+void mark_main_chain(const BlockTree& tree, BlockId main_tip,
+                     std::vector<BlockFate>& fate) {
+  ETHSM_EXPECTS(main_tip < tree.size(), "unknown block id");
+  fate.assign(tree.size(), BlockFate::stale);
+  for (BlockId cur = main_tip; cur != kNoBlock; cur = tree.parent(cur)) {
+    fate[cur] = BlockFate::regular;
+  }
+}
+
+/// Marks `uncle`, referenced from the main chain, as a referenced uncle;
+/// true the first time.
+bool mark_referenced(std::vector<BlockFate>& fate, BlockId uncle) {
+  ETHSM_ENSURES(fate[uncle] != BlockFate::regular,
+                "a main-chain block cannot be referenced as an uncle");
+  if (fate[uncle] == BlockFate::referenced_uncle) return false;
+  fate[uncle] = BlockFate::referenced_uncle;
+  return true;
+}
+
+}  // namespace
+
 std::vector<BlockFate> classify_blocks(const BlockTree& tree,
                                        BlockId main_tip) {
-  std::vector<BlockFate> fate(tree.size(), BlockFate::stale);
-  const auto main_chain = tree.chain_from_genesis(main_tip);
-  for (BlockId b : main_chain) fate[b] = BlockFate::regular;
-  for (BlockId b : main_chain) {
-    for (BlockId u : tree.uncle_refs(b)) {
-      ETHSM_ENSURES(fate[u] != BlockFate::regular,
-                    "a main-chain block cannot be referenced as an uncle");
-      fate[u] = BlockFate::referenced_uncle;
-    }
+  std::vector<BlockFate> fate;
+  mark_main_chain(tree, main_tip, fate);
+  for (BlockId b = 0; b < tree.size(); ++b) {
+    if (fate[b] != BlockFate::regular) continue;
+    for (BlockId u : tree.uncle_refs(b)) mark_referenced(fate, u);
   }
   return fate;
 }
@@ -36,17 +57,28 @@ LedgerResult settle_rewards(const BlockTree& tree, BlockId main_tip,
       result.per_miner_reward[miner_id] += amount;
     }
   };
+  auto fates_of = [&result](MinerClass c) -> FateCounts& {
+    return result.fates[static_cast<std::size_t>(c)];
+  };
 
-  const auto main_chain = tree.chain_from_genesis(main_tip);
-  // Skip genesis (index 0): it predates the experiment and earns nothing.
-  for (std::size_t idx = 1; idx < main_chain.size(); ++idx) {
-    const Block& nephew = tree.block(main_chain[idx]);
+  // One main-chain walk per run, into a buffer each thread reuses.
+  thread_local std::vector<BlockFate> fate;
+  mark_main_chain(tree, main_tip, fate);
+
+  // Pay in id order, which is genesis -> tip on the main chain (ids grow
+  // along it), so the floating-point sums keep their order. Skip genesis
+  // (id 0): it predates the experiment and earns nothing.
+  for (BlockId id = 1; id < tree.size(); ++id) {
+    if (fate[id] != BlockFate::regular) continue;
+    const Block& nephew = tree.block(id);
     pay(nephew.miner, nephew.miner_id, 1.0, &ClassRewards::static_reward);
+    ++fates_of(nephew.miner).regular;
 
-    for (BlockId uid : tree.uncle_refs(main_chain[idx])) {
+    for (BlockId uid : tree.uncle_refs(id)) {
       const Block& uncle = tree.block(uid);
       ETHSM_ENSURES(uncle.height < nephew.height,
                     "uncle must be below its nephew");
+      if (mark_referenced(fate, uid)) ++fates_of(uncle.miner).referenced_uncle;
       const int distance = static_cast<int>(nephew.height - uncle.height);
       pay(uncle.miner, uncle.miner_id, config.uncle_reward(distance),
           &ClassRewards::uncle_reward);
@@ -57,20 +89,11 @@ LedgerResult settle_rewards(const BlockTree& tree, BlockId main_tip,
     }
   }
 
-  const auto fates = classify_blocks(tree, main_tip);
-  for (BlockId b = 1; b < tree.size(); ++b) {  // skip genesis
-    auto& counts = result.fates[static_cast<std::size_t>(tree.block(b).miner)];
-    switch (fates[b]) {
-      case BlockFate::regular:
-        ++counts.regular;
-        break;
-      case BlockFate::referenced_uncle:
-        ++counts.referenced_uncle;
-        break;
-      case BlockFate::stale:
-        ++counts.stale;
-        break;
-    }
+  // Every non-genesis block is regular, a referenced uncle or stale.
+  for (const MinerClass c : {MinerClass::honest, MinerClass::selfish}) {
+    FateCounts& counts = fates_of(c);
+    counts.stale =
+        tree.mined_count(c) - counts.regular - counts.referenced_uncle;
   }
   return result;
 }

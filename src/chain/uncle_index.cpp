@@ -1,6 +1,8 @@
 #include "chain/uncle_index.h"
 
 #include <algorithm>
+#include <array>
+#include <cstddef>
 
 #include "support/check.h"
 
@@ -8,19 +10,77 @@ namespace ethsm::chain {
 
 namespace {
 
-/// Walks the `horizon + 1` nearest ancestors of the prospective block (parent
-/// and up), invoking fn(ancestor). The prospective block sits at
-/// height(parent) + 1; an uncle at the maximum distance `horizon` is a child
-/// of the ancestor at height(new) - horizon - 1, so the walk must reach one
-/// level below the deepest eligible uncle.
-template <typename Fn>
-void for_each_window_ancestor(const BlockTree& tree, BlockId parent,
-                              int horizon, Fn&& fn) {
+/// Fills scratch.candidates with the first `limit` (0 = all) eligible uncles
+/// for a block on `parent`, in (height, id) order.
+///
+/// With the window ancestors anc[0] = parent, anc[1], ..., anc[depth], an
+/// uncle at distance k is a child of anc[k] other than anc[k-1]. Heights
+/// that hold a single block hold only the ancestor, so only forked heights
+/// are scanned, and scanning k = depth down to 1 (children in append order)
+/// visits the candidates already in (height, id) order.
+void scan_window(const BlockTree& tree, BlockId parent, int horizon,
+                 std::size_t limit, UncleScratch& scratch,
+                 std::span<const std::uint8_t> visible) {
+  ETHSM_EXPECTS(horizon >= 0, "horizon must be non-negative");
+  std::vector<UncleCandidate>& out = scratch.candidates;
+  out.clear();
+  if (horizon == 0) return;
+
+  // The prospective block sits at parent_height + 1; genesis (height 0) is
+  // never an uncle, so the window reaches at most parent_height levels down.
+  const std::uint32_t parent_height = tree.height(parent);
+  const std::uint32_t depth =
+      std::min(static_cast<std::uint32_t>(horizon), parent_height);
+  std::uint32_t k = depth;
+  while (k >= 1 && !tree.has_fork_at(parent_height + 1 - k)) --k;
+  if (k == 0) return;  // no fork in the window: no candidates
+
+  // Ethereum's window (depth <= 6) fits on the stack; deeper ones use scratch.
+  std::array<BlockId, 8> local{};
+  BlockId* anc = local.data();
+  if (depth >= local.size()) {
+    scratch.ancestors.resize(depth + 1);
+    anc = scratch.ancestors.data();
+  }
   BlockId cur = parent;
-  for (int steps = 0; steps <= horizon; ++steps) {
-    fn(cur);
-    if (cur == tree.genesis()) break;
+  for (std::uint32_t i = 0; i < depth; ++i) {
+    anc[i] = cur;
     cur = tree.parent(cur);
+  }
+  anc[depth] = cur;
+  // A reference by any window ancestor consumes the uncle on this chain. A
+  // block with one referrer needs only the ancestor at that referrer's height.
+  const auto refs_by = [&](BlockId a, BlockId child) {
+    const auto refs = tree.uncle_refs(a);
+    return std::find(refs.begin(), refs.end(), child) != refs.end();
+  };
+  const auto referenced = [&](const Block& b, BlockId child) {
+    if (b.referrer_gap == 0) return false;
+    if (b.referrer_gap != kReferrersUnknown) {
+      // Wraps past `depth` when the referrer sits above the parent.
+      const std::uint32_t offset = parent_height - b.height - b.referrer_gap;
+      return offset <= depth && refs_by(anc[offset], child);
+    }
+    return std::any_of(anc, anc + depth + 1,
+                       [&](BlockId a) { return refs_by(a, child); });
+  };
+
+  for (; k >= 1; --k) {
+    if (!tree.has_fork_at(parent_height + 1 - k)) continue;
+    for (BlockId child : tree.children(anc[k])) {
+      if (child == anc[k - 1]) continue;  // ancestor of the new block
+      const Block& b = tree.block(child);
+      if (!b.is_published()) continue;  // invisible to other miners
+      // Per-node visibility (network simulator): published but not yet
+      // propagated to this miner.
+      if (!visible.empty() &&
+          (child >= visible.size() || visible[child] == 0)) {
+        continue;
+      }
+      if (referenced(b, child)) continue;
+      out.push_back(UncleCandidate{child, static_cast<int>(k)});
+      if (out.size() == limit) return;
+    }
   }
 }
 
@@ -29,55 +89,7 @@ void for_each_window_ancestor(const BlockTree& tree, BlockId parent,
 void find_uncle_candidates(const BlockTree& tree, BlockId parent, int horizon,
                            UncleScratch& scratch,
                            std::span<const std::uint8_t> visible) {
-  ETHSM_EXPECTS(horizon >= 0, "horizon must be non-negative");
-  std::vector<UncleCandidate>& out = scratch.candidates;
-  out.clear();
-  if (horizon == 0) return;
-
-  const std::uint32_t new_height = tree.height(parent) + 1;
-
-  // References already consumed on this chain. Any uncle eligible for the new
-  // block has height >= new_height - horizon, so a referencing ancestor would
-  // itself lie within the window (its height exceeds the uncle's).
-  std::vector<BlockId>& already_referenced = scratch.referenced;
-  already_referenced.clear();
-  for_each_window_ancestor(tree, parent, horizon, [&](BlockId anc) {
-    const auto refs = tree.uncle_refs(anc);
-    already_referenced.insert(already_referenced.end(), refs.begin(),
-                              refs.end());
-  });
-
-  // Candidates: published non-ancestor children of window ancestors.
-  BlockId on_chain_child = kNoBlock;  // the window ancestor one level below
-  for_each_window_ancestor(tree, parent, horizon, [&](BlockId anc) {
-    for (BlockId child : tree.children(anc)) {
-      if (child == on_chain_child || child == parent) continue;  // ancestor of N
-      if (!tree.is_published(child)) continue;  // invisible to other miners
-      // Per-node visibility (network simulator): published but not yet
-      // propagated to this miner.
-      if (!visible.empty() &&
-          (child >= visible.size() || visible[child] == 0)) {
-        continue;
-      }
-      if (std::find(already_referenced.begin(), already_referenced.end(),
-                    child) != already_referenced.end()) {
-        continue;
-      }
-      // Children of the direct parent sit at the prospective block's own
-      // height (distance 0): same-height competitors, not uncles.
-      const int distance = static_cast<int>(new_height - tree.height(child));
-      if (distance < 1 || distance > horizon) continue;
-      out.push_back(UncleCandidate{child, distance});
-    }
-    on_chain_child = anc;
-  });
-
-  std::sort(out.begin(), out.end(), [&tree](const auto& a, const auto& b) {
-    if (tree.height(a.id) != tree.height(b.id)) {
-      return tree.height(a.id) < tree.height(b.id);
-    }
-    return a.id < b.id;
-  });
+  scan_window(tree, parent, horizon, 0, scratch, visible);
 }
 
 std::vector<UncleCandidate> find_uncle_candidates(const BlockTree& tree,
@@ -91,13 +103,11 @@ void collect_uncle_references(const BlockTree& tree, BlockId parent,
                               int horizon, int max_refs, UncleScratch& scratch,
                               std::span<const std::uint8_t> visible) {
   ETHSM_EXPECTS(max_refs >= 0, "max_refs must be >= 0 (0 = unlimited)");
-  find_uncle_candidates(tree, parent, horizon, scratch, visible);
+  scan_window(tree, parent, horizon, static_cast<std::size_t>(max_refs),
+              scratch, visible);
   std::vector<BlockId>& refs = scratch.refs;
   refs.clear();
-  for (const auto& c : scratch.candidates) {
-    if (max_refs > 0 && static_cast<int>(refs.size()) >= max_refs) break;
-    refs.push_back(c.id);
-  }
+  for (const auto& c : scratch.candidates) refs.push_back(c.id);
 }
 
 std::vector<BlockId> collect_uncle_references(const BlockTree& tree,
@@ -106,13 +116,6 @@ std::vector<BlockId> collect_uncle_references(const BlockTree& tree,
   UncleScratch scratch;
   collect_uncle_references(tree, parent, horizon, max_refs, scratch);
   return std::move(scratch.refs);
-}
-
-bool is_eligible_uncle(const BlockTree& tree, BlockId uncle, BlockId parent,
-                       int horizon) {
-  const auto candidates = find_uncle_candidates(tree, parent, horizon);
-  return std::any_of(candidates.begin(), candidates.end(),
-                     [uncle](const UncleCandidate& c) { return c.id == uncle; });
 }
 
 }  // namespace ethsm::chain

@@ -31,8 +31,10 @@ struct UncleCandidate {
 };
 
 /// Enumerates eligible uncles for a block about to be appended on `parent`.
-/// Candidates are returned oldest-first (smallest height first), which is also
-/// the greedy order used when `max_refs` truncates.
+/// Candidates are returned in (height, id) order -- oldest first, then in
+/// append order -- which is also the greedy order used when `max_refs`
+/// truncates. A window whose heights each hold a single block (no fork) has
+/// no candidates and costs a few byte reads (BlockTree::has_fork_at).
 [[nodiscard]] std::vector<UncleCandidate> find_uncle_candidates(
     const BlockTree& tree, BlockId parent, int horizon);
 
@@ -47,12 +49,12 @@ struct UncleCandidate {
 /// (confirmed by the allocs_per_block counter in bench_perf_micro).
 struct UncleScratch {
   std::vector<UncleCandidate> candidates;
-  std::vector<BlockId> referenced;
+  std::vector<BlockId> ancestors;  ///< ancestors of windows deeper than 7
   std::vector<BlockId> refs;  ///< collect_uncle_references output
 };
 
 /// In-place find_uncle_candidates: fills scratch.candidates (clearing it
-/// first), using scratch.referenced as the already-referenced working set.
+/// first), using scratch.ancestors as working space for deep windows.
 /// A non-empty `visible` mask (indexed by BlockId, nonzero = visible)
 /// additionally restricts candidates to blocks this miner has actually
 /// received -- the network simulator's per-node view, where a published
@@ -67,11 +69,6 @@ void find_uncle_candidates(const BlockTree& tree, BlockId parent, int horizon,
 void collect_uncle_references(const BlockTree& tree, BlockId parent,
                               int horizon, int max_refs, UncleScratch& scratch,
                               std::span<const std::uint8_t> visible = {});
-
-/// True iff `uncle` would be an eligible reference for a new block on
-/// `parent` at the given horizon (the conditions in the header comment).
-[[nodiscard]] bool is_eligible_uncle(const BlockTree& tree, BlockId uncle,
-                                     BlockId parent, int horizon);
 
 }  // namespace ethsm::chain
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace ethsm::chain {
 namespace {
 
@@ -83,6 +85,33 @@ TEST_F(ValidatorFixture, DetectsDoubleReferenceAlongChain) {
     found = found || v.find("twice") != std::string::npos;
   }
   EXPECT_TRUE(found);
+}
+
+TEST_F(ValidatorFixture, DetectsDoubleReferenceAcrossSeveralBlocks) {
+  const BlockId a = add(t.genesis(), MinerClass::honest, 1.0);
+  const BlockId u = add(t.genesis(), MinerClass::honest, 1.1);
+  const BlockId b = add(a, MinerClass::honest, 2.0, {u});
+  const BlockId c = add(b, MinerClass::honest, 3.0);
+  add(c, MinerClass::honest, 3.5);  // a second leaf below b
+  const BlockId d = add(c, MinerClass::honest, 4.0, {u});  // u again, d = 3
+  const auto report = validate_chain(t, byz, d);
+  ASSERT_FALSE(report.ok());
+  bool found = false;
+  for (const auto& v : report.violations) {
+    found = found || v.find("block " + std::to_string(b) + ": uncle "
+                            "referenced twice") != std::string::npos;
+  }
+  EXPECT_TRUE(found);
+}
+
+TEST_F(ValidatorFixture, SameUncleOnSiblingBranchesPasses) {
+  // Competing branches each reference u once: no chain holds both.
+  const BlockId a = add(t.genesis(), MinerClass::honest, 1.0);
+  const BlockId u = add(t.genesis(), MinerClass::selfish, 1.1);
+  const BlockId b1 = add(a, MinerClass::honest, 2.0, {u});
+  add(a, MinerClass::selfish, 2.1, {u});
+  const auto report = validate_chain(t, byz, b1);
+  EXPECT_TRUE(report.ok()) << report.violations.front();
 }
 
 TEST_F(ValidatorFixture, DetectsDuplicateReferenceWithinBlock) {

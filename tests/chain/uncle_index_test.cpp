@@ -11,6 +11,15 @@ bool contains(const std::vector<BlockId>& v, BlockId id) {
   return std::find(v.begin(), v.end(), id) != v.end();
 }
 
+/// True iff `uncle` would be an eligible reference for a new block on
+/// `parent` at the given horizon (the conditions in uncle_index.h).
+bool is_eligible_uncle(const BlockTree& tree, BlockId uncle, BlockId parent,
+                       int horizon) {
+  const auto candidates = find_uncle_candidates(tree, parent, horizon);
+  return std::any_of(candidates.begin(), candidates.end(),
+                     [uncle](const UncleCandidate& c) { return c.id == uncle; });
+}
+
 /// Reconstruction of the paper's Fig. 3 block tree.
 ///   heights:   1    2        3      4     5   6
 ///   main:      A -- B2 ----- C1 --- D1 -- E1 -- F1 -- ...

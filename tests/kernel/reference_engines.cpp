@@ -1,5 +1,6 @@
 #include "reference_engines.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 
@@ -92,6 +93,62 @@ std::vector<double> reference_solve_stationary_power(
 
 using chain::BlockId;
 using chain::kNoBlock;
+
+std::vector<chain::UncleCandidate> reference_find_uncle_candidates(
+    const chain::BlockTree& tree, chain::BlockId parent, int horizon,
+    std::span<const std::uint8_t> visible) {
+  using chain::BlockId;
+  ETHSM_EXPECTS(horizon >= 0, "horizon must be non-negative");
+  std::vector<chain::UncleCandidate> out;
+  if (horizon == 0) return out;
+
+  // The horizon + 1 nearest ancestors (parent and up): an uncle at distance
+  // `horizon` is a child of the deepest one.
+  const auto for_each_window_ancestor = [&](auto&& fn) {
+    BlockId cur = parent;
+    for (int steps = 0; steps <= horizon; ++steps) {
+      fn(cur);
+      if (cur == tree.genesis()) break;
+      cur = tree.parent(cur);
+    }
+  };
+  const std::uint32_t new_height = tree.height(parent) + 1;
+
+  std::vector<BlockId> already_referenced;
+  for_each_window_ancestor([&](BlockId anc) {
+    const auto refs = tree.uncle_refs(anc);
+    already_referenced.insert(already_referenced.end(), refs.begin(),
+                              refs.end());
+  });
+
+  BlockId on_chain_child = chain::kNoBlock;
+  for_each_window_ancestor([&](BlockId anc) {
+    for (BlockId child : tree.children(anc)) {
+      if (child == on_chain_child || child == parent) continue;
+      if (!tree.is_published(child)) continue;
+      if (!visible.empty() &&
+          (child >= visible.size() || visible[child] == 0)) {
+        continue;
+      }
+      if (std::find(already_referenced.begin(), already_referenced.end(),
+                    child) != already_referenced.end()) {
+        continue;
+      }
+      const int distance = static_cast<int>(new_height - tree.height(child));
+      if (distance < 1 || distance > horizon) continue;
+      out.push_back(chain::UncleCandidate{child, distance});
+    }
+    on_chain_child = anc;
+  });
+
+  std::sort(out.begin(), out.end(), [&tree](const auto& a, const auto& b) {
+    if (tree.height(a.id) != tree.height(b.id)) {
+      return tree.height(a.id) < tree.height(b.id);
+    }
+    return a.id < b.id;
+  });
+  return out;
+}
 
 ReferenceAlgorithm1::ReferenceAlgorithm1(
     chain::BlockTree& tree, const rewards::RewardConfig& rewards,

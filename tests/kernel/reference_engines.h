@@ -13,10 +13,15 @@
 //     transcription, frozen from the Algorithm-1-only policy that
 //     miner::SelfishPolicy replaced when the stubborn deviations were folded
 //     into one machine.
+//   * reference_find_uncle_candidates -- the uncle-window search that walks
+//     every window ancestor twice, gathers their refs, scans every child list
+//     and sorts, frozen from the version chain::find_uncle_candidates
+//     replaced with the fork-aware single walk.
 // The differential suite (ctest -L kernel) pins the production engines
 // against these across a randomized (alpha, gamma, max_lead, reward-spec)
-// grid (differential_kernel_test.cpp) and the attack policy against
-// Algorithm 1 on random schedules (differential_policy_test.cpp).
+// grid (differential_kernel_test.cpp), the attack policy against
+// Algorithm 1 on random schedules (differential_policy_test.cpp) and the
+// uncle window on random forked trees (differential_uncle_window_test.cpp).
 
 #ifndef ETHSM_TESTS_KERNEL_REFERENCE_ENGINES_H
 #define ETHSM_TESTS_KERNEL_REFERENCE_ENGINES_H
@@ -46,6 +51,14 @@ namespace ethsm::testing {
 [[nodiscard]] std::vector<double> reference_solve_stationary_power(
     const markov::TransitionModel& model, double tolerance = 1e-14,
     int max_iterations = 200'000);
+
+/// The pre-index uncle-window search: candidates for a block on `parent`,
+/// sorted by (height, id), with the same published-only, `visible` mask and
+/// already-referenced semantics as chain::find_uncle_candidates.
+[[nodiscard]] std::vector<chain::UncleCandidate>
+reference_find_uncle_candidates(const chain::BlockTree& tree,
+                                chain::BlockId parent, int horizon,
+                                std::span<const std::uint8_t> visible = {});
 
 /// Algorithm 1 ("A selfish Mining Strategy in Ethereum") read case by case
 /// off the paper's (Ls, Lh) analysis, with the same uncle window (horizon and
