@@ -253,6 +253,9 @@ void BM_RunManyParallel(benchmark::State& state) {
 BENCHMARK(BM_RunManyParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->UseRealTime()->Unit(benchmark::kMillisecond);
 
+/// compute_revenue as callers make it. Every iteration after the first is a
+/// solve-memo hit, so this times the key lookup plus pricing the cached
+/// kernel weights; the solver benchmarks above time the solve itself.
 void BM_RevenueBreakdown(benchmark::State& state) {
   const auto config = ethsm::rewards::RewardConfig::ethereum_byzantium();
   for (auto _ : state) {

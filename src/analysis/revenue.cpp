@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "analysis/solve_memo.h"
 #include "support/check.h"
 
 namespace ethsm::analysis {
@@ -69,94 +70,99 @@ markov::State representative_state(markov::TransitionKind kind) {
 
 }  // namespace
 
-RevenueBreakdown compute_revenue(const markov::StationaryDistribution& pi,
-                                 const markov::TransitionModel& model,
-                                 const rewards::RewardConfig& config) {
+KernelWeights kernel_weights(const markov::StationaryDistribution& pi,
+                             const markov::TransitionModel& model) {
   // Kind-batched kernel: the Appendix-B reward flow of a transition depends
   // on (kind, params, config) plus -- for exactly two kinds -- the locked-in
   // uncle distance. So instead of a per-entry switch + flow evaluation (the
   // reference implementation, kept byte-for-byte in tests/kernel/
   // reference_engines.cpp), each kind batch reduces to one branch-free
-  // weighted sum; the two distance kinds scatter their weights by distance
-  // first and evaluate one flow per distance, of which only those inside the
-  // reference horizon (6 for Ethereum) carry any reward.
+  // weighted sum; the two distance kinds scatter their weights by distance,
+  // and price() evaluates one flow per distance.
   using markov::TransitionKind;
   const auto& batched = model.kind_batched();
   const double* pi_values = pi.values().data();
   const std::int32_t* source = batched.source.data();
   const double* rate = batched.rate.data();
+  const auto distances =
+      static_cast<std::size_t>(model.space().max_lead()) + 1;
 
-  RevenueBreakdown out;
-  // Scratch for the per-distance weight scatter, reused across the sweep's
-  // thousands of models; index d holds the batch's total weight at distance d.
-  thread_local std::vector<double> weight_by_distance;
-  const int max_lead = model.space().max_lead();
-
+  KernelWeights out;
+  out.first_fork_by_distance.assign(distances, 0.0);
+  out.reroot_by_distance.assign(distances, 0.0);
   for (int k = 0; k < markov::kNumTransitionKinds; ++k) {
     const std::uint32_t begin = batched.offsets[static_cast<std::size_t>(k)];
     const std::uint32_t end = batched.offsets[static_cast<std::size_t>(k) + 1];
-    if (begin == end) continue;
     const auto kind = static_cast<TransitionKind>(k);
-
     if (kind != TransitionKind::honest_first_fork &&
         kind != TransitionKind::honest_prefix_reroot) {
-      const double weight = batch_weight_sum(pi_values, source, rate, begin, end);
+      out.kind[static_cast<std::size_t>(k)] =
+          batch_weight_sum(pi_values, source, rate, begin, end);
+      continue;
+    }
+    // Both distance kinds' distances lie in [3, max_lead].
+    std::vector<double>& by_distance = kind == TransitionKind::honest_first_fork
+                                           ? out.first_fork_by_distance
+                                           : out.reroot_by_distance;
+    const std::int32_t* distance = batched.distance.data();
+    for (std::uint32_t e = begin; e < end; ++e) {
+      by_distance[static_cast<std::size_t>(distance[e])] +=
+          pi_values[source[e]] * rate[e];
+    }
+  }
+  return out;
+}
+
+RevenueBreakdown price(const KernelWeights& weights,
+                       const markov::MiningParams& params,
+                       const rewards::RewardConfig& config) {
+  using markov::TransitionKind;
+  RevenueBreakdown out;
+  for (int k = 0; k < markov::kNumTransitionKinds; ++k) {
+    const auto kind = static_cast<TransitionKind>(k);
+    if (kind != TransitionKind::honest_first_fork &&
+        kind != TransitionKind::honest_prefix_reroot) {
+      const double weight = weights.kind[static_cast<std::size_t>(k)];
       if (weight == 0.0) continue;
-      const RewardFlow flow = expected_rewards(representative_state(kind),
-                                               kind, model.params(), config);
+      const RewardFlow flow =
+          expected_rewards(representative_state(kind), kind, params, config);
       add_scaled_flow(out, weight, flow);
       continue;
     }
 
-    // Distance-dependent kinds (Cases 7 and 10): scatter weights by the
-    // precomputed per-entry distance, then price each distance once. Both
-    // kinds' distances lie in [3, max_lead]; beyond the reference horizon
-    // the flow is identically zero (the target block stays plain stale), so
-    // those rows are skipped -- exactly what the reference computes for them.
-    weight_by_distance.assign(static_cast<std::size_t>(max_lead) + 1, 0.0);
-    const std::int32_t* distance = batched.distance.data();
-    for (std::uint32_t e = begin; e < end; ++e) {
-      weight_by_distance[static_cast<std::size_t>(distance[e])] +=
-          pi_values[source[e]] * rate[e];
-    }
+    // Distance-dependent kinds (Cases 7 and 10): price each distance once.
+    // Beyond the reference horizon the flow is identically zero (the target
+    // block stays plain stale), so those weights are skipped -- exactly what
+    // the reference computes for them.
+    const std::vector<double>& by_distance =
+        kind == TransitionKind::honest_first_fork ? weights.first_fork_by_distance
+                                                  : weights.reroot_by_distance;
+    const int max_lead = static_cast<int>(by_distance.size()) - 1;
     const int horizon = std::min(max_lead, config.reference_horizon());
     for (int d = 3; d <= horizon; ++d) {
-      const double weight = weight_by_distance[static_cast<std::size_t>(d)];
+      const double weight = by_distance[static_cast<std::size_t>(d)];
       if (weight == 0.0) continue;
       // Synthesize a source state with the right locked-in distance; the
       // flow evaluation reuses the reference case code verbatim.
       const markov::State from = kind == TransitionKind::honest_first_fork
                                      ? markov::State{d, 0}
                                      : markov::State{d + 1, 1};
-      const RewardFlow flow =
-          expected_rewards(from, kind, model.params(), config);
-      add_scaled_flow(out, weight, flow);
+      add_scaled_flow(out, weight, expected_rewards(from, kind, params, config));
     }
   }
   return out;
 }
 
+RevenueBreakdown compute_revenue(const markov::StationaryDistribution& pi,
+                                 const markov::TransitionModel& model,
+                                 const rewards::RewardConfig& config) {
+  return price(kernel_weights(pi, model), model.params(), config);
+}
+
 RevenueBreakdown compute_revenue(const markov::MiningParams& params,
                                  const rewards::RewardConfig& config,
                                  int max_lead, RevenueCache* cache) {
-  if (cache == nullptr) {
-    const markov::StateSpace space(max_lead);
-    const markov::TransitionModel model(space, params);
-    const auto pi = markov::solve_stationary(model);
-    return compute_revenue(pi, model, config);
-  }
-
-  if (!cache->space || cache->max_lead != max_lead) {
-    cache->space = std::make_unique<markov::StateSpace>(max_lead);
-    cache->max_lead = max_lead;
-    cache->last_pi.clear();
-  }
-  const markov::TransitionModel model(*cache->space, params);
-  markov::StationaryOptions options;
-  if (!cache->last_pi.empty()) options.initial = &cache->last_pi;
-  const auto pi = markov::solve_stationary(model, options);
-  cache->last_pi = pi.values();
-  return compute_revenue(pi, model, config);
+  return SolveMemo::process().revenue(params, config, max_lead, cache);
 }
 
 int recommended_max_lead(const markov::MiningParams& params) {

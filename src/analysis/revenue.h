@@ -9,6 +9,8 @@
 #ifndef ETHSM_ANALYSIS_REVENUE_H
 #define ETHSM_ANALYSIS_REVENUE_H
 
+#include <array>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -52,30 +54,61 @@ struct RevenueBreakdown {
   }
 };
 
-/// Integrates the Appendix-B reward flows over the stationary distribution.
+/// The stationary half of the reward kernel: every transition-kind batch
+/// reduced to its weight sum_{t of that kind} pi(source(t)) * rate(t). It
+/// depends on (pi, model) only -- not on the reward schedule or the
+/// difficulty scenario -- so one solved chain prices any number of schedules.
+/// The two distance-dependent kinds (Cases 7 and 10) keep one weight per
+/// locked-in uncle distance d in [0, max_lead]; their `kind` slots stay 0.
+struct KernelWeights {
+  std::array<double, markov::kNumTransitionKinds> kind{};
+  std::vector<double> first_fork_by_distance;
+  std::vector<double> reroot_by_distance;
+};
+
+/// Reduces pi over the model's kind batches (the weighted sums of Sec. IV-E1).
+[[nodiscard]] KernelWeights kernel_weights(
+    const markov::StationaryDistribution& pi,
+    const markov::TransitionModel& model);
+
+/// Prices kernel weights under a reward schedule: one Appendix-B reward flow
+/// per kind (and per distance inside the reference horizon), scaled by its
+/// weight and summed in kind order.
+[[nodiscard]] RevenueBreakdown price(const KernelWeights& weights,
+                                     const markov::MiningParams& params,
+                                     const rewards::RewardConfig& config);
+
+/// Integrates the Appendix-B reward flows over the stationary distribution:
+/// price(kernel_weights(pi, model), model.params(), config).
 [[nodiscard]] RevenueBreakdown compute_revenue(
     const markov::StationaryDistribution& pi,
     const markov::TransitionModel& model, const rewards::RewardConfig& config);
 
-/// Reusable solver state for sequences of nearby models (the profitability
+/// Warm-start state for sequences of nearby models (the profitability
 /// bisection evaluates compute_revenue at a dozen alphas that differ by
-/// <= 1e-6 near convergence). Holds the truncated state space (identical
-/// across the sequence) and the last stationary solution, which warm-starts
-/// the next solve; power iteration then needs a handful of sweeps instead of
-/// starting over from the point mass at (0,0). Not thread-safe: use one cache
-/// per thread/search.
+/// <= 1e-6 near convergence). `path` holds the bit patterns of every
+/// (alpha, gamma) evaluated since the chain's cold solve, the last one
+/// included; `last_pi` is the stationary solution at the end of that path,
+/// which warm-starts the next solve, so Gauss-Seidel needs a handful of
+/// sweeps instead of starting over from the uniform vector. The path is part
+/// of the solve memo's key (analysis/solve_memo.h): a warm-started solve
+/// depends on every solve before it. Not thread-safe: use one cache per
+/// thread/search.
 struct RevenueCache {
-  std::unique_ptr<markov::StateSpace> space;
   int max_lead = -1;
-  std::vector<double> last_pi;
+  std::unique_ptr<markov::StateSpace> space;  ///< built on the first solve
+  std::vector<std::uint64_t> path;
+  std::shared_ptr<const std::vector<double>> last_pi;
 };
 
-/// Convenience: build space/model/stationary for (alpha, gamma) and compute.
-/// `max_lead` is the truncation (the paper's footnote 3 uses 200). For
-/// gamma >= 0.25 the stationary tail is negligible far below 80; see
-/// recommended_max_lead for the small-gamma / large-alpha corner.
-/// `cache`, when given, carries the state space and stationary warm start
-/// from one evaluation to the next.
+/// Convenience: the revenue of the chain at (alpha, gamma). `max_lead` is the
+/// truncation (the paper's footnote 3 uses 200). For gamma >= 0.25 the
+/// stationary tail is negligible far below 80; see recommended_max_lead for
+/// the small-gamma / large-alpha corner. `cache`, when given, carries the
+/// warm start from one evaluation to the next. Stationary solves go through
+/// the process-wide solve memo, so a chain already solved with the same
+/// inputs is priced without solving it again; the result is bitwise the same
+/// either way.
 [[nodiscard]] RevenueBreakdown compute_revenue(
     const markov::MiningParams& params, const rewards::RewardConfig& config,
     int max_lead = 80, RevenueCache* cache = nullptr);

@@ -117,7 +117,7 @@ struct StudyEntryTiming {
   double wall_ms = 0.0;            ///< run(spec) wall time, retries included
   std::uint64_t jobs_computed = 0; ///< sweep jobs computed this invocation
   std::uint64_t jobs_loaded = 0;   ///< sweep jobs loaded from checkpoints
-  std::uint64_t solver_solves = 0;     ///< stationary solves (registry delta)
+  std::uint64_t solver_solves = 0;     ///< solves performed (registry delta)
   std::uint64_t solver_iterations = 0; ///< stationary sweeps (registry delta)
   std::uint64_t solver_fallbacks = 0;  ///< gs -> power fallbacks taken
 };

@@ -191,7 +191,12 @@ void FaultSpec::validate(std::uint32_t honest_nodes) const {
 
 FaultModel::FaultModel(const FaultSpec& spec, std::uint32_t num_nodes,
                        TopologyKind topology, std::uint64_t seed)
-    : spec_(spec), active_(spec.any()) {
+    : spec_(spec),
+      active_(spec.any()),
+      partition_live_(active_ && spec.partition.enabled),
+      // eclipse_cuts can draw whenever eclipse.drop > 0, enabled or not.
+      eclipse_live_(active_ &&
+                    (spec.eclipse.enabled() || spec.eclipse.drop > 0.0)) {
   if (!active_) return;
   streams_.reserve(num_nodes);
   for (std::uint32_t v = 0; v < num_nodes; ++v) {
@@ -232,10 +237,6 @@ bool FaultModel::severed(std::uint32_t src, std::uint32_t dst,
                          double now) const noexcept {
   return spec_.partition.enabled && now >= spec_.partition.start_ms &&
          now < spec_.partition.heal_ms && side_[src] != side_[dst];
-}
-
-bool FaultModel::drops_message(std::uint32_t src) {
-  return spec_.drop > 0.0 && stream(src).bernoulli(spec_.drop);
 }
 
 bool FaultModel::eclipse_cuts(std::uint32_t dst, bool honest_block) {

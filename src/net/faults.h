@@ -123,12 +123,19 @@ class FaultModel {
   [[nodiscard]] bool churn_enabled() const noexcept {
     return spec_.churn.enabled();
   }
+  /// Per-run switches, fixed at construction: whether severed() or the
+  /// eclipse checks can fire at all, so the engine skips them (and the block
+  /// lookup the eclipse needs) per message when they cannot.
+  [[nodiscard]] bool partition_live() const noexcept { return partition_live_; }
+  [[nodiscard]] bool eclipse_live() const noexcept { return eclipse_live_; }
 
   /// True while a partition cut separates src and dst at time `now`.
   [[nodiscard]] bool severed(std::uint32_t src, std::uint32_t dst,
                              double now) const noexcept;
   /// Bernoulli link-loss draw from the sender's stream (drop > 0 only).
-  [[nodiscard]] bool drops_message(std::uint32_t src);
+  [[nodiscard]] bool drops_message(std::uint32_t src) {
+    return spec_.drop > 0.0 && stream(src).bernoulli(spec_.drop);
+  }
   /// Eclipse drop draw for an honest-block message toward the victim.
   [[nodiscard]] bool eclipse_cuts(std::uint32_t dst, bool honest_block);
   /// Extra latency the eclipse adds to a surviving honest-block message.
@@ -146,6 +153,8 @@ class FaultModel {
 
   FaultSpec spec_;
   bool active_ = false;
+  bool partition_live_ = false;
+  bool eclipse_live_ = false;
   std::vector<support::Xoshiro256> streams_;  ///< one per node, fault domain
   std::vector<std::uint8_t> side_;            ///< partition side per node
 };

@@ -126,14 +126,22 @@ class Engine {
     if (faults_.active()) {
       // Fault draws come from the per-node fault streams, never from rng_:
       // a null FaultSpec leaves the engine's stream untouched bit for bit.
-      const bool honest_block =
-          b != kNoBlock && tree_.block(b).miner == chain::MinerClass::honest;
-      if (faults_.severed(src, dst, now) || faults_.drops_message(src) ||
-          faults_.eclipse_cuts(dst, honest_block)) {
+      // The checks keep their order -- partition, link loss, eclipse -- so
+      // the draws they make do too.
+      if ((faults_.partition_live() && faults_.severed(src, dst, now)) ||
+          faults_.drops_message(src)) {
         ++result_.faults_messages_dropped;
         return;
       }
-      extra_delay = faults_.eclipse_extra_delay(dst, honest_block);
+      if (faults_.eclipse_live()) {
+        const bool honest_block =
+            b != kNoBlock && tree_.block(b).miner == chain::MinerClass::honest;
+        if (faults_.eclipse_cuts(dst, honest_block)) {
+          ++result_.faults_messages_dropped;
+          return;
+        }
+        extra_delay = faults_.eclipse_extra_delay(dst, honest_block);
+      }
     }
     Msg msg;
     msg.type = type;
