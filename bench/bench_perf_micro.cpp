@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "analysis/revenue.h"
+#include "analysis/solve_memo.h"
 #include "analysis/threshold.h"
 #include "analysis/uncle_distance.h"
 #include "chain/uncle_index.h"
@@ -253,14 +254,14 @@ void BM_RunManyParallel(benchmark::State& state) {
 BENCHMARK(BM_RunManyParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->UseRealTime()->Unit(benchmark::kMillisecond);
 
-/// compute_revenue as callers make it. Every iteration after the first is a
-/// solve-memo hit, so this times the key lookup plus pricing the cached
-/// kernel weights; the solver benchmarks above time the solve itself.
+/// compute_revenue end to end: state space, transition model, solve and
+/// kernel. Each iteration goes through a fresh solve memo, so every one
+/// solves, as the process memo's first request for a chain does.
 void BM_RevenueBreakdown(benchmark::State& state) {
   const auto config = ethsm::rewards::RewardConfig::ethereum_byzantium();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        ethsm::analysis::compute_revenue({0.35, 0.5}, config, 80));
+    ethsm::analysis::SolveMemo memo;
+    benchmark::DoNotOptimize(memo.revenue({0.35, 0.5}, config, 80, nullptr));
   }
 }
 BENCHMARK(BM_RevenueBreakdown)->Unit(benchmark::kMillisecond);

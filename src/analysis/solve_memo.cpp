@@ -13,27 +13,6 @@ namespace ethsm::analysis {
 
 namespace {
 
-/// Write-only observability tap (see support/metrics.h), fed by the
-/// process-wide memo only. Compiled out under ETHSM_METRICS=OFF.
-struct MemoMetrics {
-  support::metrics::Counter& hits;
-  support::metrics::Counter& waits;
-  support::metrics::Gauge& bytes;
-
-  static MemoMetrics& instance() {
-    auto& reg = support::metrics::registry();
-    static MemoMetrics m{
-        reg.counter("ethsm_solver_memo_hits_total",
-                    "Stationary solves answered by the solve memo"),
-        reg.counter("ethsm_solver_memo_waits_total",
-                    "Solve requests that waited for the same solve in flight"),
-        reg.gauge("ethsm_solver_memo_bytes",
-                  "Bytes held by the solve memo's entries"),
-    };
-    return m;
-  }
-};
-
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
 }  // namespace
@@ -45,14 +24,30 @@ std::size_t SolveMemo::KeyHash::operator()(const Key& key) const noexcept {
   return static_cast<std::size_t>(fp.digest());
 }
 
-SolveMemo::SolveMemo(std::size_t budget_bytes)
-    : SolveMemo(budget_bytes, false) {}
-
-SolveMemo::SolveMemo(std::size_t budget_bytes, bool publish)
-    : budget_(budget_bytes), publish_(publish) {}
+SolveMemo::SolveMemo(std::size_t budget_bytes) : budget_(budget_bytes) {}
 
 SolveMemo& SolveMemo::process() {
-  static SolveMemo memo(kBudgetBytes, true);
+  // Never destroyed: the metrics registry keeps pointers into it.
+  static SolveMemo& memo = []() -> SolveMemo& {
+    auto* m = new SolveMemo(kBudgetBytes);
+    if constexpr (support::metrics::kEnabled) {
+      // Write-only observability taps (see support/metrics.h).
+      auto& reg = support::metrics::registry();
+      reg.register_counter("ethsm_solver_memo_hits_total", &m->hits_,
+                           "Stationary solves answered by the solve memo");
+      reg.register_counter(
+          "ethsm_solver_memo_waits_total", &m->waits_,
+          "Solve requests that waited for the same solve in flight");
+      reg.register_gauge_fn(
+          "ethsm_solver_memo_bytes",
+          [m] {
+            std::lock_guard lock(m->mutex_);
+            return static_cast<std::int64_t>(m->bytes_);
+          },
+          "Bytes held by the solve memo's entries");
+    }
+    return *m;
+  }();
   return memo;
 }
 
@@ -66,19 +61,13 @@ std::shared_ptr<const SolveMemo::Entry> SolveMemo::find_or_solve(
     slot = &slots_[key];
     if (slot->entry && (slot->entry->pi || !need_pi)) {
       lru_.splice(lru_.begin(), lru_, slot->lru);
-      ++stats_.hits;
-      if constexpr (support::metrics::kEnabled) {
-        if (publish_) MemoMetrics::instance().hits.add();
-      }
+      hits_.add();
       return slot->entry;
     }
     if (!slot->solving) break;
     if (!wait_span) {
       wait_span.emplace("markov.memo_wait");
-      ++stats_.waits;
-      if constexpr (support::metrics::kEnabled) {
-        if (publish_) MemoMetrics::instance().waits.add();
-      }
+      waits_.add();
     }
     // The solving slot is never erased or evicted while in flight, but a
     // failed solve erases it: look it up afresh after every wake-up.
@@ -111,7 +100,7 @@ std::shared_ptr<const SolveMemo::Entry> SolveMemo::find_or_solve(
   if (entry->pi) size += sizeof(double) * entry->pi->size();
 
   if (slot->entry) {  // a weights-only entry upgraded to carry pi
-    stats_.bytes -= slot->bytes;
+    bytes_ -= slot->bytes;
     lru_.erase(slot->lru);
   }
   slot->entry = entry;
@@ -119,29 +108,29 @@ std::shared_ptr<const SolveMemo::Entry> SolveMemo::find_or_solve(
   slot->solving = false;
   const auto node = slots_.find(key);
   slot->lru = lru_.insert(lru_.begin(), &node->first);
-  stats_.bytes += size;
-  ++stats_.solves;
-  evict_over_budget();
+  bytes_ += size;
+  solves_.add();
+  evict_down_to(budget_);
   landed_.notify_all();
   return entry;
 }
 
-void SolveMemo::evict_over_budget() {
+void SolveMemo::evict_down_to(std::size_t limit) {
   auto it = lru_.end();
-  while (stats_.bytes > budget_ && it != lru_.begin()) {
+  while (bytes_ > limit && it != lru_.begin()) {
     --it;
     const auto node = slots_.find(**it);
     if (node->second.solving) continue;  // an upgrade in flight keeps its slot
-    stats_.bytes -= node->second.bytes;
-    ++stats_.evictions;
+    bytes_ -= node->second.bytes;
+    evictions_.add();
     it = lru_.erase(it);
     slots_.erase(node);
   }
-  if constexpr (support::metrics::kEnabled) {
-    if (publish_) {
-      MemoMetrics::instance().bytes.set(static_cast<std::int64_t>(stats_.bytes));
-    }
-  }
+}
+
+void SolveMemo::clear() {
+  std::lock_guard lock(mutex_);
+  evict_down_to(0);
 }
 
 RevenueBreakdown SolveMemo::revenue(const markov::MiningParams& params,
@@ -194,9 +183,8 @@ RevenueBreakdown SolveMemo::revenue(const markov::MiningParams& params,
 
 SolveMemo::Stats SolveMemo::stats() const {
   std::lock_guard lock(mutex_);
-  Stats out = stats_;
-  out.entries = lru_.size();
-  return out;
+  return {bytes_,        lru_.size(),    solves_.value(),
+          hits_.value(), waits_.value(), evictions_.value()};
 }
 
 }  // namespace ethsm::analysis

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "analysis/revenue.h"
+#include "support/metrics.h"
 
 namespace ethsm::analysis {
 
@@ -47,13 +48,18 @@ class SolveMemo {
   SolveMemo& operator=(const SolveMemo&) = delete;
 
   /// The memo compute_revenue(params, config, max_lead, cache) uses. Only
-  /// this instance feeds the ethsm_solver_memo_* metrics.
+  /// this instance's counters and size are registered as the
+  /// ethsm_solver_memo_* metrics.
   static SolveMemo& process();
 
   /// compute_revenue(params, config, max_lead, cache) through this memo.
   [[nodiscard]] RevenueBreakdown revenue(const markov::MiningParams& params,
                                          const rewards::RewardConfig& config,
                                          int max_lead, RevenueCache* cache);
+
+  /// Evicts every entry not being solved, so each key's next request solves
+  /// again. For tests that must see solves, not hits, in a shared process.
+  void clear();
 
   struct Stats {
     std::size_t bytes = 0;      ///< held by the entries, key and pi included
@@ -67,8 +73,6 @@ class SolveMemo {
   [[nodiscard]] Stats stats() const;
 
  private:
-  SolveMemo(std::size_t budget_bytes, bool publish);
-
   struct Key {
     int max_lead = 0;
     std::uint64_t tolerance = 0;  ///< bit pattern
@@ -97,16 +101,23 @@ class SolveMemo {
   template <class Solve>
   std::shared_ptr<const Entry> find_or_solve(const Key& key, bool need_pi,
                                              Solve&& solve);
-  void evict_over_budget();  ///< caller holds mutex_
+  /// Evicts least-recently-used entries until at most `limit` bytes are
+  /// held; a slot being solved stays. Caller holds mutex_.
+  void evict_down_to(std::size_t limit);
 
   const std::size_t budget_;
-  const bool publish_;  ///< feeds the process-wide metrics
 
   mutable std::mutex mutex_;
   std::condition_variable landed_;
   std::unordered_map<Key, Slot, KeyHash> slots_;
   std::list<const Key*> lru_;  ///< most recently used first
-  Stats stats_;                ///< `entries` is lru_.size()
+  std::size_t bytes_ = 0;      ///< guarded by mutex_
+  /// The single source of the counts stats() reports; process() registers
+  /// hits_ and waits_ by pointer, so there is no shadow copy.
+  support::metrics::Counter solves_;
+  support::metrics::Counter hits_;
+  support::metrics::Counter waits_;
+  support::metrics::Counter evictions_;
 };
 
 }  // namespace ethsm::analysis

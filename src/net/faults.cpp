@@ -193,10 +193,7 @@ FaultModel::FaultModel(const FaultSpec& spec, std::uint32_t num_nodes,
                        TopologyKind topology, std::uint64_t seed)
     : spec_(spec),
       active_(spec.any()),
-      partition_live_(active_ && spec.partition.enabled),
-      // eclipse_cuts can draw whenever eclipse.drop > 0, enabled or not.
-      eclipse_live_(active_ &&
-                    (spec.eclipse.enabled() || spec.eclipse.drop > 0.0)) {
+      eclipse_live_(eclipse_drops() || eclipse_delays()) {
   if (!active_) return;
   streams_.reserve(num_nodes);
   for (std::uint32_t v = 0; v < num_nodes; ++v) {
@@ -233,21 +230,14 @@ FaultModel::FaultModel(const FaultSpec& spec, std::uint32_t num_nodes,
   }
 }
 
-bool FaultModel::severed(std::uint32_t src, std::uint32_t dst,
-                         double now) const noexcept {
-  return spec_.partition.enabled && now >= spec_.partition.start_ms &&
-         now < spec_.partition.heal_ms && side_[src] != side_[dst];
-}
-
 bool FaultModel::eclipse_cuts(std::uint32_t dst, bool honest_block) {
-  return honest_block && spec_.eclipse.drop > 0.0 &&
-         dst == spec_.eclipse.victim && stream(dst).bernoulli(spec_.eclipse.drop);
+  return honest_block && eclipse_drops() && dst == spec_.eclipse.victim &&
+         stream(dst).bernoulli(spec_.eclipse.drop);
 }
 
 double FaultModel::eclipse_extra_delay(std::uint32_t dst,
                                        bool honest_block) const noexcept {
-  return honest_block && spec_.eclipse.enabled() &&
-                 dst == spec_.eclipse.victim
+  return honest_block && eclipse_delays() && dst == spec_.eclipse.victim
              ? spec_.eclipse.delay_ms
              : 0.0;
 }

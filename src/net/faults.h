@@ -123,15 +123,17 @@ class FaultModel {
   [[nodiscard]] bool churn_enabled() const noexcept {
     return spec_.churn.enabled();
   }
-  /// Per-run switches, fixed at construction: whether severed() or the
-  /// eclipse checks can fire at all, so the engine skips them (and the block
-  /// lookup the eclipse needs) per message when they cannot.
-  [[nodiscard]] bool partition_live() const noexcept { return partition_live_; }
+  /// Whether eclipse_cuts() or eclipse_extra_delay() can fire in this run,
+  /// fixed at construction, so the engine skips both (and the block read
+  /// they need) per message when neither can.
   [[nodiscard]] bool eclipse_live() const noexcept { return eclipse_live_; }
 
   /// True while a partition cut separates src and dst at time `now`.
   [[nodiscard]] bool severed(std::uint32_t src, std::uint32_t dst,
-                             double now) const noexcept;
+                             double now) const noexcept {
+    return spec_.partition.enabled && now >= spec_.partition.start_ms &&
+           now < spec_.partition.heal_ms && side_[src] != side_[dst];
+  }
   /// Bernoulli link-loss draw from the sender's stream (drop > 0 only).
   [[nodiscard]] bool drops_message(std::uint32_t src) {
     return spec_.drop > 0.0 && stream(src).bernoulli(spec_.drop);
@@ -150,10 +152,16 @@ class FaultModel {
   [[nodiscard]] support::Xoshiro256& stream(std::uint32_t node) {
     return streams_[node];
   }
+  /// The spec-only conditions of eclipse_cuts() and eclipse_extra_delay().
+  [[nodiscard]] bool eclipse_drops() const noexcept {
+    return spec_.eclipse.drop > 0.0;
+  }
+  [[nodiscard]] bool eclipse_delays() const noexcept {
+    return spec_.eclipse.enabled();
+  }
 
   FaultSpec spec_;
   bool active_ = false;
-  bool partition_live_ = false;
   bool eclipse_live_ = false;
   std::vector<support::Xoshiro256> streams_;  ///< one per node, fault domain
   std::vector<std::uint8_t> side_;            ///< partition side per node

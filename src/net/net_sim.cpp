@@ -128,8 +128,7 @@ class Engine {
       // a null FaultSpec leaves the engine's stream untouched bit for bit.
       // The checks keep their order -- partition, link loss, eclipse -- so
       // the draws they make do too.
-      if ((faults_.partition_live() && faults_.severed(src, dst, now)) ||
-          faults_.drops_message(src)) {
+      if (faults_.severed(src, dst, now) || faults_.drops_message(src)) {
         ++result_.faults_messages_dropped;
         return;
       }

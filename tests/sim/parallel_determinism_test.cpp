@@ -7,7 +7,9 @@
 // the list forms are checked too: every sweep of a batched net or stubborn
 // list equals its own serial run at 1, 2, 3, 4 and 7 threads, and the
 // Markov passes api::run moved onto the pool (reward_design, timeline,
-// uncle_distance) render the same at 1 and 4 threads.
+// uncle_distance) render the same at 1 and 4 threads. Tests of Markov
+// results empty the process solve memo before each thread count, so every
+// pass solves its chains itself rather than replaying an earlier pass's.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/solve_memo.h"
 #include "analysis/sweep.h"
 #include "api/presets.h"
 #include "api/render.h"
@@ -33,6 +36,12 @@ using support::ThreadPool;
 
 std::vector<unsigned> thread_counts_under_test() {
   return {1u, 4u, ThreadPool::default_concurrency()};
+}
+
+/// Sets the pool size and empties the process solve memo.
+void use_threads_with_a_cold_memo(unsigned threads) {
+  ThreadPool::set_global_concurrency(threads);
+  analysis::SolveMemo::process().clear();
 }
 
 class DeterminismTest : public ::testing::Test {
@@ -160,7 +169,7 @@ TEST_F(DeterminismTest, RevenueCurveSimsAreBitwiseIdenticalAcrossThreadCounts) {
 
   std::vector<double> reference;
   for (unsigned threads : thread_counts_under_test()) {
-    ThreadPool::set_global_concurrency(threads);
+    use_threads_with_a_cold_memo(threads);
     const auto fp = flatten(analysis::revenue_curve(options));
     if (reference.empty()) {
       reference = fp;
@@ -189,7 +198,7 @@ TEST_F(DeterminismTest, ThresholdCurveIsIdenticalAcrossThreadCounts) {
 
   std::vector<double> reference;
   for (unsigned threads : thread_counts_under_test()) {
-    ThreadPool::set_global_concurrency(threads);
+    use_threads_with_a_cold_memo(threads);
     const auto fp = flatten(analysis::threshold_curve(options));
     if (reference.empty()) {
       reference = fp;
@@ -349,9 +358,9 @@ TEST_F(DeterminismTest, MarkovPassesOnThePoolRenderTheSameAtOneAndFourThreads) {
   };
   specs[2].sim_blocks = 2'000;  // the analysis half is under test here
   for (const api::ExperimentSpec& spec : specs) {
-    ThreadPool::set_global_concurrency(1);
+    use_threads_with_a_cold_memo(1);
     const std::string serial = api::render_json(api::run(spec));
-    ThreadPool::set_global_concurrency(4);
+    use_threads_with_a_cold_memo(4);
     EXPECT_EQ(serial, api::render_json(api::run(spec)))
         << api::to_string(spec.kind);
   }

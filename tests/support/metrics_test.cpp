@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/solve_memo.h"
 #include "api/render.h"
 #include "api/runner.h"
 #include "api/spec.h"
@@ -246,9 +247,8 @@ TEST_F(TraceTest, SpansOutsideAnActiveTraceAreFree) {
 /// The write-only-tap rule, runtime axis: the same spec computed with the
 /// tracer running and with it off renders bitwise-identical JSON, while the
 /// process-wide solver counters prove the instrumented path actually ran.
-/// A request reaches the solver or is answered by the solve memo, which may
-/// hold this spec's chains from an earlier test in the process, so the
-/// check counts both.
+/// The process solve memo is emptied before each run, so neither run is
+/// answered from chains an earlier run (or an earlier test) solved.
 TEST(MetricsDifferentialTest, TracingOnAndOffRenderIdenticalResults) {
   const api::ExperimentSpec spec = api::parse_spec(
       "kind = threshold\n"
@@ -257,20 +257,26 @@ TEST(MetricsDifferentialTest, TracingOnAndOffRenderIdenticalResults) {
       "threshold_max_lead = 25\n");
 
   Counter& solves = registry().counter("ethsm_solver_solves_total");
-  Counter& memo_hits = registry().counter("ethsm_solver_memo_hits_total");
-  const auto requests = [&] { return solves.value() + memo_hits.value(); };
-  const std::uint64_t requests_before = requests();
+  analysis::SolveMemo::process().clear();
   const std::string plain = api::render_json(api::run(spec));
 
-  trace::start(testutil::temp_dir("differential") + "/trace.json");
+  analysis::SolveMemo::process().clear();
+  const std::uint64_t solves_before = solves.value();
+  const std::string trace_path =
+      testutil::temp_dir("differential") + "/trace.json";
+  trace::start(trace_path);
   const std::string traced = api::render_json(api::run(spec));
   ASSERT_TRUE(trace::stop());
 
   EXPECT_EQ(plain, traced);
+  std::ostringstream trace_text;
+  trace_text << std::ifstream(trace_path, std::ios::binary).rdbuf();
+  EXPECT_GT(count_occurrences(trace_text.str(), "\"name\": \"markov.solve\""),
+            0u);
   if constexpr (kEnabled) {
-    EXPECT_GT(requests(), requests_before);
+    EXPECT_GT(solves.value(), solves_before);
   } else {
-    EXPECT_EQ(requests(), requests_before);
+    EXPECT_EQ(solves.value(), solves_before);
   }
 }
 
