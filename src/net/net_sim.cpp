@@ -1,6 +1,7 @@
 #include "net/net_sim.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -36,9 +37,6 @@ struct Msg {
   const LatencySpec* link = nullptr;
 };
 
-/// Sentinel peer for messages without an origin (mine events, fresh blocks).
-constexpr std::uint32_t kNoPeer = static_cast<std::uint32_t>(-1);
-
 /// One run of the network simulation. Single-threaded; the multi-run driver
 /// fans whole runs out across the pool.
 class Engine {
@@ -59,7 +57,8 @@ class Engine {
         requested_(static_cast<std::size_t>(n_) * stride_, 0),
         policy_(tree_, config.rewards, {}, known_span(0)),
         faults_(config.faults, n_, config.topology.kind, config.seed),
-        down_(n_, 0) {
+        down_(n_, 0),
+        toggle_at_(n_, std::numeric_limits<double>::infinity()) {
     views_.resize(n_);
     pending_.resize(n_);
     for (std::uint32_t u = 0; u < n_; ++u) {
@@ -73,7 +72,7 @@ class Engine {
       // The attacker (node 0) never churns; Algorithm 1 assumes the pool is
       // always online. Each honest node's first crash is one mean uptime out.
       for (std::uint32_t v = 1; v < n_; ++v) {
-        queue_.push_timer(faults_.sample_uptime_ms(v), churn_msg(v));
+        schedule_churn(v, faults_.sample_uptime_ms(v));
       }
     }
     schedule_next_mine(0.0);
@@ -97,6 +96,11 @@ class Engine {
     return result_;
   }
 
+  /// Gossip messages whose fate send() decided (see send()).
+  [[nodiscard]] std::uint64_t messages_settled() const noexcept {
+    return messages_settled_;
+  }
+
  private:
   [[nodiscard]] std::size_t flat(std::uint32_t node, BlockId b) const {
     return static_cast<std::size_t>(node) * stride_ + b;
@@ -112,7 +116,28 @@ class Engine {
   /// Mining and churn events are timers (EventQueue::push_timer): they are
   /// scheduled far ahead and would otherwise knock gossip off the FIFO lane.
   void schedule_next_mine(double now) {
-    queue_.push_timer(now + rng_.exponential(1.0 / kBlockIntervalMs), Msg{});
+    next_mine_at_ = now + rng_.exponential(1.0 / kBlockIntervalMs);
+    queue_.push_timer(next_mine_at_, Msg{});
+  }
+
+  void schedule_churn(std::uint32_t node, double at) {
+    toggle_at_[node] = at;
+    queue_.push_timer(at, churn_msg(node));
+  }
+
+  /// Whether a gossip message reaching `dst` now does nothing beyond being
+  /// counted: a down node loses it, and a node that holds the block ignores
+  /// a repeat announce or deliver (a request always triggers a deliver).
+  [[nodiscard]] bool arrival_is_noop(MsgType type, std::uint32_t dst,
+                                     BlockId b) const {
+    return down_[dst] != 0 || (type != MsgType::request && knows(dst, b));
+  }
+
+  /// Counts a gossip message whose arrival is a no-op: one event, plus one
+  /// drop when a down node loses it.
+  void count_noop_arrival(std::uint32_t dst) {
+    ++result_.events_processed;
+    if (down_[dst] != 0) ++result_.faults_messages_dropped;
   }
 
   /// Sends a message over the (src, dst) link, whose latency model the
@@ -120,6 +145,16 @@ class Engine {
   /// answering a message that carries its link). Zero-latency draws dispatch
   /// inline (depth-first) -- see the header comment for why that is the
   /// rushing-attacker limit -- positive latencies go through the event queue.
+  ///
+  /// A message whose arrival would be a no-op is settled here instead, when
+  /// nothing can change that before it arrives: knowledge only grows, and
+  /// down_[dst] flips only when dst's pending churn toggle pops. So the
+  /// verdict holds for an inline dispatch, and for an arrival strictly
+  /// before both that toggle (on equal times the older timer pops first) and
+  /// the pending mine (the run stops at its last mine, so a later arrival is
+  /// never popped and never counted). The latency and fault draws are made
+  /// first, and seqs stay monotone, so every stream and the (time, seq)
+  /// order of the remaining events are unchanged.
   void send(MsgType type, std::uint32_t src, std::uint32_t dst, BlockId b,
             double now, const LatencySpec& latency) {
     double extra_delay = 0.0;
@@ -142,28 +177,36 @@ class Engine {
         extra_delay = faults_.eclipse_extra_delay(dst, honest_block);
       }
     }
+    const double delay = latency.sample(rng_) + extra_delay;
+    const double at = now + delay;
+    if (arrival_is_noop(type, dst, b) &&
+        (delay <= 0.0 || (at < next_mine_at_ && at < toggle_at_[dst]))) {
+      ++messages_settled_;
+      count_noop_arrival(dst);
+      return;
+    }
     Msg msg;
     msg.type = type;
     msg.src = src;
     msg.dst = dst;
     msg.block = b;
     msg.link = &latency;
-    const double delay = latency.sample(rng_) + extra_delay;
     if (delay <= 0.0) {
       handle(msg, now);
     } else {
-      queue_.push(now + delay, msg);
+      queue_.push(at, msg);
     }
   }
 
   void handle(const Msg& msg, double now) {
-    ++result_.events_processed;
     if (msg.type != MsgType::mine && msg.type != MsgType::churn &&
-        down_[msg.dst] != 0) {
-      // A crashed node queues nothing; in-flight traffic toward it is lost.
-      ++result_.faults_messages_dropped;
+        arrival_is_noop(msg.type, msg.dst, msg.block)) {
+      // A crashed node queues nothing, so in-flight traffic toward it is
+      // lost; duplicates are suppressed.
+      count_noop_arrival(msg.dst);
       return;
     }
+    ++result_.events_processed;
     switch (msg.type) {
       case MsgType::mine:
         on_mine(now);
@@ -195,7 +238,6 @@ class Engine {
 
   void on_announce(const Msg& msg, double now) {
     const std::size_t slot = flat(msg.dst, msg.block);
-    if (known_[slot] != 0) return;  // duplicate
     // With faults active an earlier request (or its deliver) may have been
     // lost, so every fresh announce retries; delivers dedup on known_.
     if (!faults_.active() && requested_[slot] != 0) return;
@@ -214,7 +256,6 @@ class Engine {
   void on_deliver(const Msg& msg, double now) {
     const std::uint32_t u = msg.dst;
     const BlockId b = msg.block;
-    if (knows(u, b)) return;  // duplicate push
     const BlockId parent = tree_.parent(b);
     if (!knows(u, parent)) {
       // Fault-mode re-sync: a restarted (or message-starved) node may have
@@ -251,10 +292,10 @@ class Engine {
       // The crash loses the orphan buffer; known_ survives (the node keeps
       // its chain database) and gaps re-sync via the parent-fetch path.
       pending_[v].clear();
-      queue_.push_timer(now + faults_.sample_downtime_ms(v), churn_msg(v));
+      schedule_churn(v, now + faults_.sample_downtime_ms(v));
     } else {
       down_[v] = 0;
-      queue_.push_timer(now + faults_.sample_uptime_ms(v), churn_msg(v));
+      schedule_churn(v, now + faults_.sample_uptime_ms(v));
     }
   }
 
@@ -462,6 +503,8 @@ class Engine {
   miner::SelfishPolicy policy_;
   FaultModel faults_;
   std::vector<std::uint8_t> down_;  ///< crashed-by-churn flag per node
+  /// When each node's pending churn toggle pops (infinity without churn).
+  std::vector<double> toggle_at_;
 
   EventQueue<Msg> queue_;
   std::vector<NodeView> views_;
@@ -471,6 +514,10 @@ class Engine {
   chain::UncleScratch scratch_;
 
   std::uint64_t blocks_mined_ = 0;
+  /// When the pending mine timer pops. After the last mine it stays at that
+  /// mine's time, so no message queued from then on settles at send.
+  double next_mine_at_ = 0.0;
+  std::uint64_t messages_settled_ = 0;
   double now_ = 0.0;
   NetSimResult result_;
 };
@@ -514,6 +561,9 @@ NetSimResult run_net_simulation(const NetSimConfig& config) {
         reg.counter("ethsm_net_runs_total", "Network simulations completed");
     static support::metrics::Counter& events = reg.counter(
         "ethsm_net_events_total", "Discrete events processed by the net sim");
+    static support::metrics::Counter& settled =
+        reg.counter("ethsm_net_messages_settled_total",
+                    "Gossip messages whose no-op fate was decided at send");
     static support::metrics::Counter& drops =
         reg.counter("ethsm_net_fault_messages_dropped_total",
                     "Messages dropped by the fault layer");
@@ -525,6 +575,7 @@ NetSimResult run_net_simulation(const NetSimConfig& config) {
                     "Node down/up transitions injected by churn");
     runs.add();
     events.add(result.events_processed);
+    settled.add(engine.messages_settled());
     drops.add(result.faults_messages_dropped);
     mining_lost.add(result.faults_mining_lost);
     downtime.add(result.faults_downtime_events);

@@ -23,7 +23,13 @@
 //     ordering (net/event_queue.h): gossip sent in arrival order rides its
 //     O(1) FIFO lane, out-of-order sends and the self-scheduled mine and
 //     churn timers its heap lane, and the pop order is the single-heap order
-//     either way. Messages over ZERO-latency links are dispatched inline
+//     either way. A message whose arrival would do nothing but count (a down
+//     destination, a repeat announce or deliver) is settled when it is sent
+//     -- counted, never queued -- whenever nothing can change that before
+//     it arrives: inline dispatches, and arrivals strictly before both the
+//     pending mine and the destination's pending churn toggle. The counts
+//     and the order of every other event are those of judging it on
+//     arrival. Messages over ZERO-latency links are dispatched inline
 //     (depth-first) within the sending event: with 0 ms links the network
 //     degenerates to the paper's aggregate model where the attacker rushes --
 //     it hears a racing honest block and floods its match within the same
@@ -110,7 +116,8 @@ struct NetSimResult {
   std::uint64_t natural_forks = 0;
   std::uint64_t resyncs = 0;
 
-  /// Discrete events processed (queue pops + inline zero-latency dispatches).
+  /// Discrete events processed (queue pops + inline zero-latency dispatches
+  /// + messages settled at send).
   std::uint64_t events_processed = 0;
 
   // Fault-injection accounting (net/faults.h); all zero on a clean network.

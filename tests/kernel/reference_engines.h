@@ -17,11 +17,17 @@
 //     every window ancestor twice, gathers their refs, scans every child list
 //     and sorts, frozen from the version chain::find_uncle_candidates
 //     replaced with the fork-aware single walk.
+//   * reference_run_net_simulation -- the network engine that builds every
+//     gossip message and decides its fate (lost at a down node, ignored as a
+//     duplicate) only on arrival, frozen from the version that
+//     net::run_net_simulation replaced with send-time settlement.
 // The differential suite (ctest -L kernel) pins the production engines
 // against these across a randomized (alpha, gamma, max_lead, reward-spec)
 // grid (differential_kernel_test.cpp), the attack policy against
-// Algorithm 1 on random schedules (differential_policy_test.cpp) and the
-// uncle window on random forked trees (differential_uncle_window_test.cpp).
+// Algorithm 1 on random schedules (differential_policy_test.cpp), the
+// uncle window on random forked trees (differential_uncle_window_test.cpp)
+// and the network engine on short runs across topologies, latencies, relay
+// modes and fault mixes (differential_net_send_fate_test.cpp).
 
 #ifndef ETHSM_TESTS_KERNEL_REFERENCE_ENGINES_H
 #define ETHSM_TESTS_KERNEL_REFERENCE_ENGINES_H
@@ -36,6 +42,7 @@
 #include "markov/stationary.h"
 #include "markov/transition_model.h"
 #include "miner/policy_types.h"
+#include "net/net_sim.h"
 #include "rewards/reward_schedule.h"
 
 namespace ethsm::testing {
@@ -59,6 +66,12 @@ namespace ethsm::testing {
 reference_find_uncle_candidates(const chain::BlockTree& tree,
                                 chain::BlockId parent, int horizon,
                                 std::span<const std::uint8_t> visible = {});
+
+/// One network run with every gossip message queued (or dispatched inline)
+/// and judged on arrival; same inputs, outputs and seed contract as
+/// net::run_net_simulation.
+[[nodiscard]] net::NetSimResult reference_run_net_simulation(
+    const net::NetSimConfig& config);
 
 /// Algorithm 1 ("A selfish Mining Strategy in Ethereum") read case by case
 /// off the paper's (Ls, Lh) analysis, with the same uncle window (horizon and

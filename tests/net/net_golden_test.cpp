@@ -104,5 +104,56 @@ TEST(NetGolden, TwoClustersWithEclipseRunIsPinned) {
                       {888, 283, 46, 888.0, 244.375, 8.03125}});
 }
 
+// The three pins below were recorded from the engine that decided every
+// gossip message's fate on arrival, before send-time settlement: between
+// them they cover announce relay, a partition and a star hub, which the
+// pins above do not.
+
+TEST(NetGolden, AnnounceRelayExpLatencyRunIsPinned) {
+  // Every relay restarts the three-crossing handshake over exponential
+  // links: many requests, and repeat announces that arrive out of order.
+  NetSimConfig config;
+  config.alpha = 0.3;
+  config.honest_nodes = 16;
+  config.latency = parse_latency_spec("exp:120");
+  config.relay = RelayMode::announce;
+  config.num_blocks = 4'000;
+  config.seed = 0x5eedf00dULL;
+  expect_run(config, {1'155'712, 491, 56, 0,
+                      {2135, 456, 165, 2135.0, 358.0, 15.84375},
+                      {952, 287, 5, 952.0, 249.375, 7.375}});
+}
+
+TEST(NetGolden, PartitionWithUniformLatencyRunIsPinned) {
+  // A random cut of the complete graph for a quarter of the run, healing at
+  // 28,000 s: the two sides grow separate chains, then re-sync.
+  NetSimConfig config;
+  config.alpha = 0.3;
+  config.honest_nodes = 16;
+  config.latency = parse_latency_spec("uniform:50:400");
+  config.faults.partition = parse_partition_spec("14000000:28000000");
+  config.num_blocks = 4'000;
+  config.seed = 0x5eedf00dULL;
+  expect_run(config, {1'614'785, 575, 11, 55'080,
+                      {2170, 302, 333, 2170.0, 234.125, 12.75},
+                      {633, 255, 307, 633.0, 221.75, 4.65625}});
+}
+
+TEST(NetGolden, StarAtFixedLatencyRunIsPinned) {
+  // Every honest block reaches the other honest nodes through the
+  // attacker's hub, two fixed:50 crossings: races are frequent and the
+  // attacker almost never wins them (3 of 499).
+  NetSimConfig config;
+  config.alpha = 0.3;
+  config.honest_nodes = 16;
+  config.topology = parse_topology_spec("star");
+  config.latency = parse_latency_spec("fixed:50");
+  config.num_blocks = 4'000;
+  config.seed = 0x5eedf00dULL;
+  expect_run(config, {112'492, 499, 3, 0,
+                      {2235, 393, 155, 2235.0, 304.5, 16.21875},
+                      {877, 337, 3, 877.0, 294.625, 6.59375}});
+}
+
 }  // namespace
 }  // namespace ethsm::net
