@@ -191,7 +191,67 @@ void BM_StationarySolveGS(benchmark::State& state) {
   }
   state.SetLabel(std::to_string(space.size()) + " states");
 }
-BENCHMARK(BM_StationarySolveGS)->Arg(40)->Arg(80)->Arg(160)
+BENCHMARK(BM_StationarySolveGS)
+    ->Arg(40)->Arg(80)->Arg(160)->Arg(200)
+    ->Unit(benchmark::kMillisecond);
+
+/// BM_StationarySolveGS on an inline frozen copy of the Gauss-Seidel solve
+/// it replaced: the plain CSC sweep, which re-reads pi[c-1] from memory and
+/// multiplies every state by inv_diag, under the same doubling-schedule
+/// convergence loop. Same chains and result bits, so the time ratio of the
+/// two is the sweep's speedup on whatever machine runs them (CI gates that
+/// ratio at max_lead 200; same precedent as
+/// BM_ComputeRevenueKernelReference).
+std::vector<double> reference_solve_gauss_seidel(
+    const ethsm::markov::TransitionModel& model, double tolerance) {
+  const auto& in = model.incoming();
+  const auto n = static_cast<std::size_t>(model.space().size());
+  std::vector<double> pi(n, 1.0 / static_cast<double>(n));
+  std::vector<double> previous = pi;
+  const auto sweep = [&] {
+    for (std::size_t c = 0; c < n; ++c) {
+      double inflow = 0.0;
+      for (std::uint32_t e = in.col_offsets[c]; e < in.col_offsets[c + 1];
+           ++e) {
+        inflow += pi[static_cast<std::size_t>(in.source[e])] * in.rate[e];
+      }
+      pi[c] = inflow * in.inv_diag[c];
+    }
+  };
+  double diff = 1.0;
+  int interval = 1;
+  while (diff > tolerance) {
+    for (int b = 0; b < interval; ++b) sweep();
+    interval = std::min(interval * 2, 8);
+    double mass = 0.0;
+    for (double p : pi) mass += p;
+    const double inv_mass = 1.0 / mass;
+    double change = 0.0;
+    for (std::size_t s = 0; s < n; ++s) {
+      pi[s] *= inv_mass;
+      change += std::fabs(pi[s] - previous[s]);
+    }
+    diff = change;
+    previous = pi;
+  }
+  ethsm::support::KahanSum total;
+  for (double p : pi) total.add(p);
+  for (double& p : pi) p /= total.value();
+  return pi;
+}
+
+void BM_StationarySolveGSReference(benchmark::State& state) {
+  const int max_lead = static_cast<int>(state.range(0));
+  const ethsm::markov::StateSpace space(max_lead);
+  const ethsm::markov::TransitionModel model(space, {0.4, 0.5});
+  const double tolerance = ethsm::markov::StationaryOptions{}.tolerance;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(reference_solve_gauss_seidel(model, tolerance));
+  }
+  state.SetLabel(std::to_string(space.size()) + " states");
+}
+BENCHMARK(BM_StationarySolveGSReference)
+    ->Arg(40)->Arg(80)->Arg(160)->Arg(200)
     ->Unit(benchmark::kMillisecond);
 
 void BM_StationarySolvePower(benchmark::State& state) {

@@ -130,19 +130,42 @@ double power_iterate(const TransitionModel& model, std::vector<double>& pi,
 /// replaced by its inflow under the *current* vector (already-updated states
 /// contribute their new values), with self-loops divided out. Mass is not
 /// conserved mid-sweep, so the caller renormalises after each pass.
+///
+/// The sweep is latency-bound: state c usually draws on state c-1, written
+/// one step earlier. The value just stored to pi[c-1] is therefore carried in
+/// a register (`prev`) rather than reloaded, the dominant column shape -- two
+/// incoming entries, the second from c-1 -- has its own path, and the
+/// multiply by inv_diag is skipped where it is exactly 1.0 (no self-loop).
+/// Every column still adds its addends in CSC order, one multiply then one
+/// add each, starting from 0.0, so the result is bitwise that of the plain
+/// CSC loop (docs/ARCHITECTURE.md, "Exactness of the stationary sweep").
 void gauss_seidel_sweep(const TransitionModel::Incoming& in,
                         std::vector<double>& pi) {
   const std::size_t n = pi.size();
+  double* p = pi.data();
   const auto* offsets = in.col_offsets.data();
   const auto* source = in.source.data();
   const auto* rate = in.rate.data();
   const auto* inv_diag = in.inv_diag.data();
+  double prev = 0.0;  // == p[c - 1] once c > 0
   for (std::size_t c = 0; c < n; ++c) {
+    const std::uint32_t begin = offsets[c];
+    const std::uint32_t end = offsets[c + 1];
     double inflow = 0.0;
-    for (std::uint32_t e = offsets[c]; e < offsets[c + 1]; ++e) {
-      inflow += pi[static_cast<std::size_t>(source[e])] * rate[e];
+    if (end - begin == 2 &&
+        static_cast<std::size_t>(source[begin + 1]) + 1 == c) {
+      const auto far = static_cast<std::size_t>(source[begin]);
+      inflow += p[far] * rate[begin];
+      inflow += prev * rate[begin + 1];
+    } else {
+      for (std::uint32_t e = begin; e < end; ++e) {
+        const auto s = static_cast<std::size_t>(source[e]);
+        inflow += (s + 1 == c ? prev : p[s]) * rate[e];
+      }
     }
-    pi[c] = inflow * inv_diag[c];
+    const double d = inv_diag[c];
+    prev = d == 1.0 ? inflow : inflow * d;
+    p[c] = prev;
   }
 }
 
@@ -156,13 +179,15 @@ void gauss_seidel_sweep(const TransitionModel::Incoming& in,
 /// hundred sweeps before collapsing -- so the only triggers are numerical
 /// failure and the sweep budget.
 ///
-/// Convergence bookkeeping (copy, mass scan, normalise, L1 diff) costs about
-/// as much as the sweep itself, so it runs on a doubling schedule -- after
-/// sweeps 1, 3, 7, then every 8 -- instead of every sweep. A warm start at
-/// the fixed point still exits after a single sweep; a cold start overshoots
-/// convergence by at most 7 sweeps, which is noise against the hundreds it
-/// needs. Between checkpoints the vector is unnormalised; the fixed point is
-/// scale-invariant and a handful of sweeps cannot overflow.
+/// Convergence bookkeeping is two passes -- a mass scan, then one loop that
+/// normalises, takes the L1 change and refreshes `previous` -- each a serial
+/// add chain about as long as a sweep's critical path, so it runs on a
+/// doubling schedule -- after sweeps 1, 3, 7, then every 8 -- instead of
+/// every sweep. A warm start at the fixed point still exits after a single
+/// sweep; a cold start overshoots convergence by at most 7 sweeps, which is
+/// noise against the hundreds it needs. Between checkpoints the vector is
+/// unnormalised; the fixed point is scale-invariant and a handful of sweeps
+/// cannot overflow.
 double gauss_seidel_iterate(const TransitionModel& model,
                             std::vector<double>& pi, double tolerance,
                             int sweep_limit, int& iter, bool& stalled) {
@@ -191,11 +216,12 @@ double gauss_seidel_iterate(const TransitionModel& model,
     const double inv_mass = 1.0 / mass;
     double change = 0.0;
     for (std::size_t s = 0; s < n; ++s) {
-      pi[s] *= inv_mass;
-      change += std::fabs(pi[s] - previous[s]);
+      const double p = pi[s] * inv_mass;
+      change += std::fabs(p - previous[s]);
+      pi[s] = p;
+      previous[s] = p;
     }
     diff = change;
-    previous = pi;
   }
   stalled = diff > tolerance;
   return diff;

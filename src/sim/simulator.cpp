@@ -6,6 +6,7 @@
 #include "support/check.h"
 #include "support/parallel.h"
 #include "support/rng.h"
+#include "support/trace.h"
 
 namespace ethsm::sim {
 
@@ -110,6 +111,7 @@ std::uint64_t run_stubborn_many_fingerprint(
 SimResult run_simulation(const SimConfig& config,
                          const miner::Strategy& strategy) {
   config.validate();
+  support::trace::Span span("sim.run");  // one clock pair per run
   if (!config.pool_uses_selfish_strategy) return run_all_honest(config);
 
   chain::BlockTree& tree = scratch_tree(config.num_blocks);

@@ -96,6 +96,163 @@ std::vector<double> reference_solve_stationary_power(
   return pi;
 }
 
+namespace {
+
+// The Gauss-Seidel solve as it stood before the register-carried sweep:
+// starting vector, power-iteration fallback, plain CSC sweep and the
+// doubling-schedule convergence loop, copied verbatim (modulo namespace) from
+// src/markov/stationary.cpp. Metrics taps are left out; they do not touch
+// the vector.
+
+std::vector<double> frozen_initial_vector(
+    std::size_t n, const markov::StationaryOptions& options,
+    markov::SolveMethod method) {
+  std::vector<double> pi;
+  if (options.initial != nullptr && options.initial->size() == n) {
+    pi = *options.initial;
+    double mass = 0.0;
+    for (double p : pi) mass += p;
+    if (mass > 0.0) {
+      for (double& p : pi) p /= mass;
+      return pi;
+    }
+  }
+  if (method == markov::SolveMethod::gauss_seidel) {
+    pi.assign(n, 1.0 / static_cast<double>(n));
+  } else {
+    pi.assign(n, 0.0);
+    pi[0] = 1.0;
+  }
+  return pi;
+}
+
+double frozen_power_iterate(const markov::TransitionModel& model,
+                            std::vector<double>& pi, double tolerance,
+                            int max_iterations, int& iter) {
+  const auto n = pi.size();
+  const auto& row = model.row_offsets();
+  const auto& col = model.columns();
+  const auto& rate = model.rates();
+  std::vector<double> next(n, 0.0);
+  double diff = 1.0;
+  for (; iter < max_iterations && diff > tolerance; ++iter) {
+    std::fill(next.begin(), next.end(), 0.0);
+    for (std::size_t s = 0; s < n; ++s) {
+      const double ps = pi[s];
+      if (ps == 0.0) continue;
+      for (std::uint32_t k = row[s]; k < row[s + 1]; ++k) {
+        next[static_cast<std::size_t>(col[k])] += ps * rate[k];
+      }
+    }
+    diff = 0.0;
+    for (std::size_t s = 0; s < n; ++s) {
+      diff += std::fabs(next[s] - pi[s]);
+    }
+    pi.swap(next);
+  }
+  return diff;
+}
+
+void frozen_gauss_seidel_sweep(const markov::TransitionModel::Incoming& in,
+                               std::vector<double>& pi) {
+  const std::size_t n = pi.size();
+  const auto* offsets = in.col_offsets.data();
+  const auto* source = in.source.data();
+  const auto* rate = in.rate.data();
+  const auto* inv_diag = in.inv_diag.data();
+  for (std::size_t c = 0; c < n; ++c) {
+    double inflow = 0.0;
+    for (std::uint32_t e = offsets[c]; e < offsets[c + 1]; ++e) {
+      inflow += pi[static_cast<std::size_t>(source[e])] * rate[e];
+    }
+    pi[c] = inflow * inv_diag[c];
+  }
+}
+
+double frozen_gauss_seidel_iterate(const markov::TransitionModel& model,
+                                   std::vector<double>& pi, double tolerance,
+                                   int sweep_limit, int& iter, bool& stalled) {
+  const auto& in = model.incoming();
+  const std::size_t n = pi.size();
+  std::vector<double> previous = pi;
+
+  stalled = false;
+  double diff = 1.0;
+  int interval = 1;
+  while (iter < sweep_limit && diff > tolerance) {
+    const int block = std::min(interval, sweep_limit - iter);
+    for (int b = 0; b < block; ++b) frozen_gauss_seidel_sweep(in, pi);
+    iter += block;
+    interval = std::min(interval * 2, 8);
+
+    double mass = 0.0;
+    for (double p : pi) mass += p;
+    if (!std::isfinite(mass) || mass <= 0.0) {
+      pi = previous;
+      stalled = true;
+      return diff;
+    }
+    const double inv_mass = 1.0 / mass;
+    double change = 0.0;
+    for (std::size_t s = 0; s < n; ++s) {
+      pi[s] *= inv_mass;
+      change += std::fabs(pi[s] - previous[s]);
+    }
+    diff = change;
+    previous = pi;
+  }
+  stalled = diff > tolerance;
+  return diff;
+}
+
+}  // namespace
+
+markov::StationaryDistribution reference_solve_stationary_gauss_seidel(
+    const markov::TransitionModel& model,
+    const markov::StationaryOptions& options) {
+  using markov::SolveMethod;
+  ETHSM_EXPECTS(options.method != SolveMethod::power,
+                "the frozen solve covers the Gauss-Seidel paths only");
+  const auto n = static_cast<std::size_t>(model.space().size());
+  const auto& inv_diag = model.incoming().inv_diag;
+  const bool degenerate_diagonal =
+      std::find(inv_diag.begin(), inv_diag.end(), 0.0) != inv_diag.end();
+
+  SolveMethod method = options.method;
+  if (method == SolveMethod::automatic) {
+    method = degenerate_diagonal ? SolveMethod::power : SolveMethod::gauss_seidel;
+  }
+  std::vector<double> pi = frozen_initial_vector(n, options, method);
+
+  int iter = 0;
+  double diff = 1.0;
+  SolveMethod produced = method;
+  if (method == SolveMethod::gauss_seidel) {
+    const int sweep_limit = options.method == SolveMethod::automatic
+                                ? options.max_iterations / 2
+                                : options.max_iterations;
+    bool stalled = false;
+    diff = frozen_gauss_seidel_iterate(model, pi, options.tolerance,
+                                       sweep_limit, iter, stalled);
+    if (stalled && options.method == SolveMethod::automatic) {
+      diff = frozen_power_iterate(model, pi, options.tolerance,
+                                  options.max_iterations, iter);
+      produced = SolveMethod::power;
+    }
+  } else {
+    diff = frozen_power_iterate(model, pi, options.tolerance,
+                                options.max_iterations, iter);
+  }
+
+  support::KahanSum total;
+  for (double p : pi) total.add(p);
+  ETHSM_ENSURES(total.value() > 0.0, "stationary mass vanished");
+  for (double& p : pi) p /= total.value();
+
+  return markov::StationaryDistribution(model.space(), std::move(pi), iter,
+                                        diff, produced);
+}
+
 using chain::BlockId;
 using chain::kNoBlock;
 

@@ -9,6 +9,10 @@
 //     power iteration, structurally independent of both production solvers
 //     (which share the library's CSR/CSC layouts), so a layout-construction
 //     bug cannot cancel out of the comparison.
+//   * reference_solve_stationary_gauss_seidel -- the stationary solve with
+//     the plain CSC Gauss-Seidel sweep that re-reads pi[c-1] from memory and
+//     always multiplies by inv_diag, frozen from the version the
+//     register-carried sweep replaced; results must match it bit for bit.
 //   * ReferenceAlgorithm1 -- the paper's Algorithm 1 as a literal per-case
 //     transcription, frozen from the Algorithm-1-only policy that
 //     miner::SelfishPolicy replaced when the stubborn deviations were folded
@@ -25,9 +29,11 @@
 // against these across a randomized (alpha, gamma, max_lead, reward-spec)
 // grid (differential_kernel_test.cpp), the attack policy against
 // Algorithm 1 on random schedules (differential_policy_test.cpp), the
-// uncle window on random forked trees (differential_uncle_window_test.cpp)
-// and the network engine on short runs across topologies, latencies, relay
-// modes and fault mixes (differential_net_send_fate_test.cpp).
+// uncle window on random forked trees (differential_uncle_window_test.cpp),
+// the network engine on short runs across topologies, latencies, relay
+// modes and fault mixes (differential_net_send_fate_test.cpp), and the
+// Gauss-Seidel solve bit for bit across truncations, alphas, gammas, warm
+// starts and forced fallbacks (differential_gauss_seidel_test.cpp).
 
 #ifndef ETHSM_TESTS_KERNEL_REFERENCE_ENGINES_H
 #define ETHSM_TESTS_KERNEL_REFERENCE_ENGINES_H
@@ -58,6 +64,16 @@ namespace ethsm::testing {
 [[nodiscard]] std::vector<double> reference_solve_stationary_power(
     const markov::TransitionModel& model, double tolerance = 1e-14,
     int max_iterations = 200'000);
+
+/// The whole stationary solve as it stood before the register-carried
+/// Gauss-Seidel sweep: plain CSC sweep, doubling-schedule convergence
+/// bookkeeping, the half-budget power-iteration fallback under `automatic`
+/// and the final Kahan renormalisation. Same options contract as
+/// markov::solve_stationary for `automatic` and `gauss_seidel`.
+[[nodiscard]] markov::StationaryDistribution
+reference_solve_stationary_gauss_seidel(
+    const markov::TransitionModel& model,
+    const markov::StationaryOptions& options = {});
 
 /// The pre-index uncle-window search: candidates for a block on `parent`,
 /// sorted by (height, id), with the same published-only, `visible` mask and

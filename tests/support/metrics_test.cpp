@@ -248,35 +248,53 @@ TEST_F(TraceTest, SpansOutsideAnActiveTraceAreFree) {
 /// tracer running and with it off renders bitwise-identical JSON, while the
 /// process-wide solver counters prove the instrumented path actually ran.
 /// The process solve memo is emptied before each run, so neither run is
-/// answered from chains an earlier run (or an earlier test) solved.
+/// answered from chains an earlier run (or an earlier test) solved. A
+/// threshold spec exercises the stationary solves (`markov.solve` spans), a
+/// revenue spec with simulation runs the Monte-Carlo path (`sim.run`).
 TEST(MetricsDifferentialTest, TracingOnAndOffRenderIdenticalResults) {
-  const api::ExperimentSpec spec = api::parse_spec(
-      "kind = threshold\n"
-      "gammas = 0,1\n"
-      "tolerance = 1e-2\n"
-      "threshold_max_lead = 25\n");
-
+  struct Case {
+    const char* spec;
+    const char* span;
+  };
+  const Case cases[] = {
+      {"kind = threshold\n"
+       "gammas = 0,1\n"
+       "tolerance = 1e-2\n"
+       "threshold_max_lead = 25\n",
+       "markov.solve"},
+      {"kind = revenue\n"
+       "alphas = 0.2,0.35\n"
+       "max_lead = 25\n"
+       "sim_runs = 2\n"
+       "sim_blocks = 2000\n",
+       "sim.run"},
+  };
   Counter& solves = registry().counter("ethsm_solver_solves_total");
-  analysis::SolveMemo::process().clear();
-  const std::string plain = api::render_json(api::run(spec));
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.span);
+    const api::ExperimentSpec spec = api::parse_spec(c.spec);
+    analysis::SolveMemo::process().clear();
+    const std::string plain = api::render_json(api::run(spec));
 
-  analysis::SolveMemo::process().clear();
-  const std::uint64_t solves_before = solves.value();
-  const std::string trace_path =
-      testutil::temp_dir("differential") + "/trace.json";
-  trace::start(trace_path);
-  const std::string traced = api::render_json(api::run(spec));
-  ASSERT_TRUE(trace::stop());
+    analysis::SolveMemo::process().clear();
+    const std::uint64_t solves_before = solves.value();
+    const std::string trace_path =
+        testutil::temp_dir("differential") + "/trace.json";
+    trace::start(trace_path);
+    const std::string traced = api::render_json(api::run(spec));
+    ASSERT_TRUE(trace::stop());
 
-  EXPECT_EQ(plain, traced);
-  std::ostringstream trace_text;
-  trace_text << std::ifstream(trace_path, std::ios::binary).rdbuf();
-  EXPECT_GT(count_occurrences(trace_text.str(), "\"name\": \"markov.solve\""),
-            0u);
-  if constexpr (kEnabled) {
-    EXPECT_GT(solves.value(), solves_before);
-  } else {
-    EXPECT_EQ(solves.value(), solves_before);
+    EXPECT_EQ(plain, traced);
+    std::ostringstream trace_text;
+    trace_text << std::ifstream(trace_path, std::ios::binary).rdbuf();
+    EXPECT_GT(count_occurrences(trace_text.str(),
+                                "\"name\": \"" + std::string(c.span) + "\""),
+              0u);
+    if constexpr (kEnabled) {
+      EXPECT_GT(solves.value(), solves_before);
+    } else {
+      EXPECT_EQ(solves.value(), solves_before);
+    }
   }
 }
 
