@@ -303,7 +303,7 @@ void BM_RunManyParallel(benchmark::State& state) {
   std::uint64_t seed = 1;
   for (auto _ : state) {
     config.seed = seed++;
-    benchmark::DoNotOptimize(ethsm::sim::run_many(config, kRuns));
+    benchmark::DoNotOptimize(ethsm::sim::run_many({config}, kRuns));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           kRuns *

@@ -117,7 +117,7 @@ int main() {
   // Confidence check: independent runs fanned out over the thread pool.
   sim::PopulationConfig many_pc = pc;
   many_pc.base.num_blocks = 30'000;
-  const auto many = sim::run_population_many(many_pc, 4);
+  const auto many = sim::run_population_many({many_pc}, 4).front();
   std::cout << "\nMulti-run check (4 x 30k blocks, "
             << support::ThreadPool::global().concurrency()
             << " threads): pool revenue share "

@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
   sc.alpha = alpha;
   sc.gamma = gamma;
   sc.rewards = config;
-  const auto sum = sim::run_many(sc, 3);
+  const auto sum = sim::run_many({sc}, 3).front();
 
   TextTable table({"difficulty rule", "honest mining", "selfish (analysis)",
                    "selfish (simulated)", "verdict"});

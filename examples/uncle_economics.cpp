@@ -77,7 +77,7 @@ int main() {
   ci_config.delay = 0.15;
   ci_config.num_blocks = 30'000;
   ci_config.seed = 42;
-  const auto many = sim::run_delay_many(ci_config, 4);
+  const auto many = sim::run_delay_many({ci_config}, 4).front();
   std::cout << "\nUncle rate at delay 0.15 over 4 x 30k-block runs ("
             << support::ThreadPool::global().concurrency()
             << " threads): " << TextTable::num(many.uncle_rate.mean(), 4)

@@ -116,10 +116,12 @@ struct RevenueCache {
 /// Truncation advisor. The private-branch length survives like a critical
 /// birth-death excursion whose tail decays as (2 sqrt(alpha*beta))^n; gamma
 /// re-roots (Case 7) cut the branch back, so small gamma combined with alpha
-/// near 1/2 needs a much deeper truncation than the default. Returns a depth
-/// targeting a stationary tail below ~1e-9 (capped at 600 to bound cost; at
-/// alpha = 0.45, gamma = 0 even the paper's own depth-200 truncation carries
-/// ~1e-3 of mass -- documented in EXPERIMENTS.md).
+/// near 1/2 needs a much deeper truncation than the default. Returns 80 when
+/// gamma >= 0.25 or alpha <= 0.35; otherwise a depth sized from that decay,
+/// clamped to [80, 600]. A heuristic, not a tail bound: at alpha = 0.45 the
+/// pool's static rate still differs from the untruncated Eq. (3) by 1.9e-8
+/// at gamma = 0.25 (depth 80), and by 2.3e-4 at gamma = 0 with the paper's
+/// own depth of 200.
 [[nodiscard]] int recommended_max_lead(const markov::MiningParams& params);
 
 /// Paper Eq. (3): closed-form r_b^s (static reward rate of the pool).

@@ -94,13 +94,6 @@ std::uint64_t threshold_curve_fingerprint(
   return fp.digest();
 }
 
-std::vector<RevenuePoint> revenue_curve(const RevenueCurveOptions& options,
-                                        support::SweepOutcome* outcome) {
-  return revenue_curve(std::vector<RevenueCurveOptions>{options},
-                       options.checkpoint, outcome)
-      .front();
-}
-
 std::vector<std::vector<RevenuePoint>> revenue_curve(
     const std::vector<RevenueCurveOptions>& curves,
     const support::SweepCheckpoint& checkpoint,
@@ -229,16 +222,18 @@ std::vector<std::vector<RevenuePoint>> revenue_curve(
   return out;
 }
 
-std::vector<ThresholdPoint> threshold_curve(const ThresholdCurveOptions& options,
-                                            support::SweepOutcome* outcome) {
+std::vector<ThresholdPoint> threshold_curve(
+    const ThresholdCurveOptions& options,
+    const support::SweepCheckpoint& checkpoint,
+    support::SweepOutcome* outcome) {
   const std::vector<double> gammas = curve_gammas(options);
 
   // One job per gamma; each runs two bisections (both difficulty scenarios)
   // that share nothing across gammas.
   const auto sweep = support::run_checkpointed<ThresholdPoint>(
-      options.checkpoint, outcome, threshold_curve_fingerprint(options),
-      gammas.size(),
-      [&](std::size_t i) {
+      checkpoint, outcome,
+      {{threshold_curve_fingerprint(options), gammas.size()}},
+      [&](std::size_t, std::size_t i) {
         const double gamma = gammas[i];
         ThresholdPoint point;
         point.gamma = gamma;
@@ -252,7 +247,7 @@ std::vector<ThresholdPoint> threshold_curve(const ThresholdCurveOptions& options
                                     Scenario::regular_and_uncle_rate_one,
                                     options.threshold);
         return point;
-      });
+      }).front();
 
   std::vector<ThresholdPoint> curve(gammas.size());
   for (std::size_t i = 0; i < gammas.size(); ++i) {

@@ -39,31 +39,23 @@ struct RevenueCurveOptions {
   int sim_runs = 0;
   std::uint64_t sim_blocks = 100'000;
   std::uint64_t sim_seed = 0x5e1f15ULL;
-  /// Resume/shard persistence (support/checkpoint.h); disabled when the
-  /// directory is empty. The Markov and simulation layers checkpoint under
-  /// separate fingerprints in the same directory.
-  support::SweepCheckpoint checkpoint;
 };
 
-/// Revenue curves Us(alpha), Uh(alpha), total(alpha) (Fig. 8 / Fig. 9).
-/// With checkpointing enabled an interrupted or sharded regeneration resumes
-/// and merges to a bitwise-identical curve; `outcome` reports progress. On an
-/// incomplete (sharded / job-budgeted) sweep, points whose Markov job is
-/// missing carry only their alpha, and a point's simulation columns are
-/// populated only when *all* of its runs are available; passing `outcome` is
-/// mandatory in that case (the driver refuses partial output otherwise).
-[[nodiscard]] std::vector<RevenuePoint> revenue_curve(
-    const RevenueCurveOptions& options,
-    support::SweepOutcome* outcome = nullptr);
-
-/// revenue_curve over a list of curves: every curve's Markov points run in
-/// one pool region, then every curve's simulation runs in a second. One job
-/// budget covers both passes, Markov first, under `checkpoint` (the curves'
-/// own `checkpoint` members are not read). Curve k is bitwise-identical to
-/// revenue_curve(curves[k]) on the same store.
+/// Revenue curves Us(alpha), Uh(alpha), total(alpha) (Fig. 8 / Fig. 9), one
+/// per entry of `curves` (a single curve is a one-element list). Every
+/// curve's Markov points run in one pool region, then every curve's
+/// simulation runs in a second; one job budget covers both passes, Markov
+/// first. With `checkpoint` enabled (support/checkpoint.h) the Markov and
+/// simulation layers persist under separate fingerprints in its directory,
+/// and an interrupted or sharded regeneration resumes and merges to
+/// bitwise-identical curves; `outcome` reports progress. On an incomplete
+/// (sharded / job-budgeted) sweep, points whose Markov job is missing carry
+/// only their alpha, and a point's simulation columns are populated only
+/// when *all* of its runs are available; passing `outcome` is mandatory in
+/// that case (the driver refuses partial output otherwise).
 [[nodiscard]] std::vector<std::vector<RevenuePoint>> revenue_curve(
     const std::vector<RevenueCurveOptions>& curves,
-    const support::SweepCheckpoint& checkpoint,
+    const support::SweepCheckpoint& checkpoint = {},
     support::SweepOutcome* outcome = nullptr);
 
 /// One point of the threshold-vs-gamma comparison (Fig. 10).
@@ -78,8 +70,6 @@ struct ThresholdCurveOptions {
   rewards::RewardConfig rewards = rewards::RewardConfig::ethereum_byzantium();
   std::vector<double> gammas;  ///< empty => 0, 0.05, ..., 1.0 (Fig. 10 grid)
   ThresholdOptions threshold;
-  /// Resume/shard persistence; disabled when the directory is empty.
-  support::SweepCheckpoint checkpoint;
 };
 
 /// Threshold curves for Bitcoin and both Ethereum scenarios (Fig. 10).
@@ -87,6 +77,7 @@ struct ThresholdCurveOptions {
 /// bitwise-identical to fresh ones; incomplete sweeps require `outcome`.
 [[nodiscard]] std::vector<ThresholdPoint> threshold_curve(
     const ThresholdCurveOptions& options,
+    const support::SweepCheckpoint& checkpoint = {},
     support::SweepOutcome* outcome = nullptr);
 
 /// Default grids used by the paper's figures.

@@ -28,40 +28,12 @@ struct ThresholdOptions {
 /// reward schedule and difficulty scenario. Returns:
 ///   * ~0 (alpha_min) when selfish mining is *always* profitable (gamma = 1),
 ///   * std::nullopt when it is never profitable on [alpha_min, alpha_max].
+/// A sign change sitting on alpha_max itself (e.g. near the scenario-2 knee
+/// at tight tolerance) returns that endpoint rather than failing; the bracket
+/// verdict behind it is support::first_true_report's.
 [[nodiscard]] std::optional<double> profitability_threshold(
     double gamma, const rewards::RewardConfig& config, Scenario scenario,
     const ThresholdOptions& options = {});
-
-/// Outcome of the bracket verification performed by the threshold search.
-enum class ThresholdBracket {
-  always_profitable,  ///< Us - alpha >= 0 already at alpha_min
-  interior_crossing,  ///< sign change strictly inside (alpha_min, alpha_max)
-  at_alpha_max,       ///< sign change within tolerance of alpha_max: the
-                      ///< bracket endpoint itself sits on the crossing (e.g.
-                      ///< near the scenario-2 knee at tight tolerance). The
-                      ///< search *reports* this -- the returned alpha is the
-                      ///< endpoint, and a wider alpha_max would be needed to
-                      ///< certify an interior threshold.
-  never_profitable,   ///< Us - alpha < 0 on the whole bracket
-};
-
-struct ThresholdReport {
-  /// As profitability_threshold(); engaged unless never_profitable.
-  std::optional<double> alpha;
-  ThresholdBracket bracket = ThresholdBracket::never_profitable;
-};
-
-/// profitability_threshold with the bracket verdict exposed. The alpha value
-/// is bitwise-identical to profitability_threshold()'s for every input; the
-/// at_alpha_max case is reported rather than treated as a hard failure.
-[[nodiscard]] ThresholdReport profitability_threshold_report(
-    double gamma, const rewards::RewardConfig& config, Scenario scenario,
-    const ThresholdOptions& options = {});
-
-/// Us(alpha) - alpha, the searched objective (exposed for tests/plots).
-[[nodiscard]] double selfish_advantage(double alpha, double gamma,
-                                       const rewards::RewardConfig& config,
-                                       Scenario scenario, int max_lead = 60);
 
 }  // namespace ethsm::analysis
 

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <charconv>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -11,6 +13,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -77,6 +80,27 @@ constexpr const char* kUsage =
   std::exit(2);
 }
 
+/// The value of a numeric flag: decimal digits only, the whole string (no
+/// sign, no blanks -- as support::parse_shard), within [min, max]; a usage
+/// error otherwise.
+std::uint64_t parse_count(const char* flag, std::string_view text,
+                          std::uint64_t min,
+                          std::uint64_t max =
+                              std::numeric_limits<std::uint64_t>::max()) {
+  std::uint64_t value = 0;
+  const char* last = text.data() + text.size();
+  const auto [end, error] = std::from_chars(text.data(), last, value);
+  if (error != std::errc() || end != last || value < min || value > max) {
+    const std::string want =
+        max != std::numeric_limits<std::uint64_t>::max()
+            ? "an integer in [" + std::to_string(min) + ", " +
+                  std::to_string(max) + "]"
+            : (min == 0 ? "a non-negative integer" : "a positive integer");
+    usage_fail("malformed " + std::string(flag) + " (want " + want + ")");
+  }
+  return value;
+}
+
 int cmd_list(int argc, char** argv, int start) {
   std::string format = "table";
   for (int i = start; i < argc; ++i) {
@@ -136,17 +160,10 @@ struct SpecRequest {
   }
 
   [[nodiscard]] ExperimentSpec resolve() const {
-    std::string text;
-    if (!spec_file.empty()) {
-      text = read_text_file(spec_file, "spec file");
-    } else {
-      text = print_spec(preset_spec(preset, quick));
-    }
-    SpecEntries entries = parse_spec_entries(text);
-    for (const std::string& assignment : overrides) {
-      apply_override(entries, assignment);
-    }
-    return spec_from_entries(entries);
+    const std::string text = spec_file.empty()
+                                 ? print_spec(preset_spec(preset, quick))
+                                 : read_text_file(spec_file, "spec file");
+    return parse_spec(text, overrides);
   }
 
   /// Study-shaped expansion: the preset registry behind --all, or the study
@@ -167,11 +184,7 @@ struct SpecRequest {
         // Same --set path as single runs: re-resolve each preset's canonical
         // entries with the overrides appended.
         for (StudyEntry& entry : expansion.entries) {
-          SpecEntries entries = parse_spec_entries(print_spec(entry.spec));
-          for (const std::string& assignment : overrides) {
-            apply_override(entries, assignment);
-          }
-          entry.spec = spec_from_entries(entries);
+          entry.spec = parse_spec(print_spec(entry.spec), overrides);
         }
       }
     } else {
@@ -272,13 +285,8 @@ void parse_source_args(RunArgs& args, const SourceUsage& usage, int argc,
     } else if (all_flags && arg == "--out") {
       args.out_file = next("--out");
     } else if (all_flags && arg == "--retry") {
-      const char* text = next("--retry");
-      char* end = nullptr;
-      const long value = std::strtol(text, &end, 10);
-      if (*text == '\0' || *end != '\0' || value < 0 || value > 100) {
-        usage_fail("malformed --retry (want an integer in [0, 100])");
-      }
-      args.retry = static_cast<int>(value);
+      args.retry =
+          static_cast<int>(parse_count("--retry", next("--retry"), 0, 100));
     } else if (own && own(arg, next)) {
       continue;
     } else if (!arg.empty() && arg.front() == '-') {
@@ -327,14 +335,8 @@ RunArgs parse_run_args(int argc, char** argv, int first) {
           }
           args.checkpoint.shard = *shard;
         } else if (arg == "--max-new-jobs") {
-          const char* text = next("--max-new-jobs");
-          char* end = nullptr;
-          const unsigned long long value = std::strtoull(text, &end, 10);
-          if (*text == '\0' || *end != '\0' || *text == '-') {
-            usage_fail(
-                "malformed --max-new-jobs (want a non-negative integer)");
-          }
-          args.checkpoint.max_new_jobs = static_cast<std::size_t>(value);
+          args.checkpoint.max_new_jobs = static_cast<std::size_t>(
+              parse_count("--max-new-jobs", next("--max-new-jobs"), 0));
         } else if (arg == "--trace") {
           args.trace_file = next("--trace");
         } else if (arg == "--metrics-out") {
@@ -729,43 +731,29 @@ int cmd_serve(int argc, char** argv, int start) {
     if (i + 1 >= argc) usage_fail(std::string(flag) + " needs a value");
     return argv[++i];
   };
-  const auto next_number = [&](int& i, const char* flag) -> long {
-    char* end = nullptr;
-    errno = 0;
-    const long value = std::strtol(next(i, flag), &end, 10);
-    if (errno != 0 || end == nullptr || *end != '\0' || value < 0) {
-      usage_fail(std::string(flag) + " wants a non-negative integer");
-    }
-    return value;
+  const auto next_count = [&](int& i, const char* flag, std::uint64_t min) {
+    return static_cast<std::size_t>(parse_count(flag, next(i, flag), min));
   };
 
   for (int i = start; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg == "--port") {
-      const long port = next_number(i, "--port");
-      if (port > 65535) usage_fail("--port out of range");
-      server_config.port = static_cast<std::uint16_t>(port);
+      server_config.port = static_cast<std::uint16_t>(
+          parse_count("--port", next(i, "--port"), 0, 65535));
     } else if (arg == "--host") {
       server_config.host = next(i, "--host");
     } else if (arg == "--checkpoint-dir") {
       service_config.checkpoint_dir = next(i, "--checkpoint-dir");
     } else if (arg == "--workers") {
-      const long workers = next_number(i, "--workers");
-      if (workers == 0) usage_fail("--workers must be positive");
-      server_config.workers = static_cast<std::size_t>(workers);
+      server_config.workers = next_count(i, "--workers", 1);
     } else if (arg == "--cache-entries") {
-      service_config.cache_entries =
-          static_cast<std::size_t>(next_number(i, "--cache-entries"));
+      service_config.cache_entries = next_count(i, "--cache-entries", 0);
     } else if (arg == "--max-inflight") {
-      const long jobs = next_number(i, "--max-inflight");
-      if (jobs == 0) usage_fail("--max-inflight must be positive");
       service_config.admission.max_jobs_in_flight =
-          static_cast<std::size_t>(jobs);
+          next_count(i, "--max-inflight", 1);
     } else if (arg == "--client-jobs") {
-      const long jobs = next_number(i, "--client-jobs");
-      if (jobs == 0) usage_fail("--client-jobs must be positive");
       service_config.admission.per_client_jobs =
-          static_cast<std::size_t>(jobs);
+          next_count(i, "--client-jobs", 1);
     } else if (arg == "--port-file") {
       port_file = next(i, "--port-file");
     } else if (arg == "--quiet") {
@@ -842,14 +830,8 @@ int cmd_orchestrate(int argc, char** argv, int first) {
   parse_source_args(
       args, kOrchestrateUsage, argc, argv, first,
       [&](std::string_view arg, const FlagValue& next) {
-        auto next_count = [&](const char* what) -> std::size_t {
-          const char* text = next(what);
-          char* end = nullptr;
-          const unsigned long long value = std::strtoull(text, &end, 10);
-          if (*text == '\0' || *end != '\0' || *text == '-' || value == 0) {
-            usage_fail(std::string(what) + " wants a positive integer");
-          }
-          return static_cast<std::size_t>(value);
+        auto next_count = [&](const char* what) {
+          return static_cast<std::size_t>(parse_count(what, next(what), 1));
         };
         if (arg == "--checkpoint-dir") {
           checkpoint_dir = next("--checkpoint-dir");

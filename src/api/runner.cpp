@@ -336,9 +336,8 @@ void run_revenue(const ExperimentSpec& spec, const RunOptions& options,
 void run_threshold(const ExperimentSpec& spec, const RunOptions& options,
                    ExperimentResult& result) {
   support::SweepOutcome outcome;
-  analysis::ThresholdCurveOptions opt = threshold_options(spec);
-  opt.checkpoint = options.checkpoint;
-  const auto curve = analysis::threshold_curve(opt, &outcome);
+  const auto curve = analysis::threshold_curve(threshold_options(spec),
+                                               options.checkpoint, &outcome);
   result.outcome = outcome;
   if (!outcome.complete()) return;
 

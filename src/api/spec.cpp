@@ -391,8 +391,13 @@ ExperimentSpec spec_from_entries(const SpecEntries& entries) {
   return spec;
 }
 
-ExperimentSpec parse_spec(std::string_view text) {
-  return spec_from_entries(parse_spec_entries(text));
+ExperimentSpec parse_spec(std::string_view text,
+                          const std::vector<std::string>& overrides) {
+  SpecEntries entries = parse_spec_entries(text);
+  for (const std::string& assignment : overrides) {
+    apply_override(entries, assignment);
+  }
+  return spec_from_entries(entries);
 }
 
 std::string print_spec(const ExperimentSpec& spec) {

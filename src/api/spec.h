@@ -147,8 +147,12 @@ using SpecEntries = std::vector<std::pair<std::string, std::string>>;
 /// Entries -> typed spec. Unknown keys and malformed values raise SpecError.
 [[nodiscard]] ExperimentSpec spec_from_entries(const SpecEntries& entries);
 
-/// Text -> typed spec (parse_spec_entries + spec_from_entries).
-[[nodiscard]] ExperimentSpec parse_spec(std::string_view text);
+/// Text -> typed spec: parse_spec_entries, then apply_override for each
+/// `key=value` of `overrides` in order, then spec_from_entries. The one
+/// resolver behind `ethsm run/print --set` and POST /v1/run's `?set=`, which
+/// is what keeps served payloads bitwise-identical to CLI output.
+[[nodiscard]] ExperimentSpec parse_spec(
+    std::string_view text, const std::vector<std::string>& overrides = {});
 
 /// Canonical text form: only fields differing from the defaults, in a fixed
 /// key order. parse_spec(print_spec(s)) == s for every valid spec (asserted

@@ -651,14 +651,6 @@ std::uint64_t run_net_many_fingerprint(const NetSimConfig& config, int runs) {
   return fp.digest();
 }
 
-NetMultiRunSummary run_net_many(const NetSimConfig& config, int runs,
-                                const support::SweepCheckpoint& checkpoint,
-                                support::SweepOutcome* outcome) {
-  return run_net_many(std::vector<NetSimConfig>{config}, runs, checkpoint,
-                      outcome)
-      .front();
-}
-
 std::vector<NetMultiRunSummary> run_net_many(
     const std::vector<NetSimConfig>& configs, int runs,
     const support::SweepCheckpoint& checkpoint,

@@ -177,16 +177,10 @@ struct NetMultiRunSummary {
   }
 };
 
-/// Runs `runs` independent simulations (seeds derived from config.seed) in
-/// parallel on the global pool; aggregates in run order, bitwise-identical
-/// for any thread count. Checkpoint/outcome contract as sim::run_many.
-[[nodiscard]] NetMultiRunSummary run_net_many(
-    const NetSimConfig& config, int runs,
-    const support::SweepCheckpoint& checkpoint = {},
-    support::SweepOutcome* outcome = nullptr);
-
-/// run_net_many over a list of configurations in one pool region (one job
-/// budget, one outcome); summary k is exactly run_net_many(configs[k], ...).
+/// Runs `runs` independent simulations of each configuration (seeds derived
+/// from its seed) in one pool region (one job budget, one outcome);
+/// aggregates in run order, so summary k is bitwise-identical for any thread
+/// count. Checkpoint/outcome contract as sim::run_many.
 [[nodiscard]] std::vector<NetMultiRunSummary> run_net_many(
     const std::vector<NetSimConfig>& configs, int runs,
     const support::SweepCheckpoint& checkpoint = {},

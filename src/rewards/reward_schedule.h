@@ -125,7 +125,9 @@ struct RewardConfig {
   /// Flat Ku(d) = ku_value for d <= max_distance (paper Fig. 9 / Sec. VI).
   /// The paper applies its flat rewards "regardless of the distance"; pass a
   /// large max_distance (e.g. 100) for that reading, or keep the Ethereum
-  /// structural cap of 6 (the default) -- EXPERIMENTS.md quantifies both.
+  /// structural cap of 6 (the default). The two differ visibly: at
+  /// alpha = 0.45, gamma = 0.5, Ku = 7/8 the total revenue is 1.347 uncapped
+  /// and 1.269 capped (pinned by PaperFig9.TotalRevenueSoarsTo135Percent).
   [[nodiscard]] static RewardConfig ethereum_flat(
       double ku_value, int max_distance = kMaxUncleDistance);
   [[nodiscard]] static RewardConfig bitcoin();

@@ -222,14 +222,11 @@ HttpResponse ExperimentService::handle_run(const HttpRequest& request,
                       "or ?preset=NAME[&quick=1]");
   }
 
-  // Byte-for-byte the CLI's SpecRequest::resolve path, with ?set= playing
-  // the role of repeated --set flags -- this is what makes served payloads
-  // bitwise-identical to `ethsm run` output.
-  api::SpecEntries entries = api::parse_spec_entries(text);
-  for (const std::string& assignment : request.query_values("set")) {
-    api::apply_override(entries, assignment);
-  }
-  const api::ExperimentSpec spec = api::spec_from_entries(entries);
+  // The CLI's resolver, with ?set= playing the role of repeated --set flags
+  // -- this is what makes served payloads bitwise-identical to `ethsm run`
+  // output.
+  const api::ExperimentSpec spec =
+      api::parse_spec(text, request.query_values("set"));
   const std::uint64_t fingerprint = api::spec_fingerprint(spec);
   const std::string canonical = api::print_spec(spec);
   remember_spec(fingerprint, canonical);

@@ -12,12 +12,11 @@
 //   GET  /v1/progress/<hex>      checkpoint-record progress snapshot; the
 //                                server streams it when ?follow=1
 //
-// Spec resolution is byte-for-byte the CLI's `SpecRequest::resolve` path
-// (print_spec of the preset -> parse_spec_entries -> apply_override per set
-// -> spec_from_entries) and results render through render_json of the
-// provenance-normalized result, so a served payload is bitwise-identical to
-// `ethsm run ... --format json` for the same spec -- asserted per preset by
-// tests/serve/service_test.cpp.
+// Spec resolution is the CLI's own resolver (api::parse_spec of the preset's
+// print_spec or the body, with each ?set= as a --set override) and results
+// render through render_json of the provenance-normalized result, so a
+// served payload is bitwise-identical to `ethsm run ... --format json` for
+// the same spec -- asserted per preset by tests/serve/service_test.cpp.
 //
 // Layering: identical concurrent specs dedupe onto one computation
 // (InflightTable), repeat queries hit the ResultCache, cold cache misses

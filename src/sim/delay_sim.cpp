@@ -167,14 +167,6 @@ std::uint64_t run_delay_many_fingerprint(const DelaySimConfig& config,
   return fp.digest();
 }
 
-DelayMultiRunSummary run_delay_many(const DelaySimConfig& config, int runs,
-                                    const support::SweepCheckpoint& checkpoint,
-                                    support::SweepOutcome* outcome) {
-  return run_delay_many(std::vector<DelaySimConfig>{config}, runs, checkpoint,
-                        outcome)
-      .front();
-}
-
 std::vector<DelayMultiRunSummary> run_delay_many(
     const std::vector<DelaySimConfig>& configs, int runs,
     const support::SweepCheckpoint& checkpoint,

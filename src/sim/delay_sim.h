@@ -75,17 +75,10 @@ struct DelayMultiRunSummary {
   int runs = 0;
 };
 
-/// Runs `runs` independent delay simulations (seeds derived from config.seed)
-/// in parallel on the global thread pool and aggregates in run order; the
-/// summary is bitwise-identical for any thread count. Checkpoint/outcome
-/// contract as run_many in sim/simulator.h.
-[[nodiscard]] DelayMultiRunSummary run_delay_many(
-    const DelaySimConfig& config, int runs,
-    const support::SweepCheckpoint& checkpoint = {},
-    support::SweepOutcome* outcome = nullptr);
-
-/// run_delay_many over a list of configurations in one pool region;
-/// semantics as the list form of run_many.
+/// Runs `runs` independent delay simulations of each configuration (seeds
+/// derived from its seed) in one pool region and aggregates in run order;
+/// summary k covers configs[k] and is bitwise-identical for any thread count.
+/// Checkpoint/outcome contract as run_many in sim/simulator.h.
 [[nodiscard]] std::vector<DelayMultiRunSummary> run_delay_many(
     const std::vector<DelaySimConfig>& configs, int runs,
     const support::SweepCheckpoint& checkpoint = {},

@@ -27,7 +27,6 @@ double DifficultyController::counted_rate(const EpochObservation& epoch) const {
 
 void DifficultyController::on_epoch(const EpochObservation& epoch) {
   const double rate = counted_rate(epoch);
-  ++epochs_;
   if (rate <= 0.0) {
     // Nothing counted this epoch: production stalled, make mining easier by
     // the maximum allowed step.

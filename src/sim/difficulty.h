@@ -4,10 +4,10 @@
 //   Scenario 1 (pre-EIP100): difficulty holds the *regular*-block rate fixed;
 //   Scenario 2 (EIP100/Byzantium): difficulty holds the regular+uncle rate
 //   fixed.
-// This module closes that loop: an epoch-based retargeting controller (the
-// substitution for Ethereum's per-block rule -- see DESIGN.md; per-block
-// difficulty is chain-local state that the paper's single-difficulty model
-// abstracts away) adjusts difficulty from the observed production of the
+// This module closes that loop: an epoch-based retargeting controller (a
+// substitution for Ethereum's per-block rule: per-block difficulty is
+// chain-local state that the paper's single-difficulty model abstracts
+// away) adjusts difficulty from the observed production of the
 // last epoch, and retarget_sim.h runs the selfish-mining attack under the
 // live controller. The paper's static normalizations must then *emerge* as
 // the controller's fixed point -- which the ext_difficulty preset verifies.
@@ -56,7 +56,6 @@ class DifficultyController {
   void on_epoch(const EpochObservation& epoch);
 
   [[nodiscard]] const Options& options() const noexcept { return options_; }
-  [[nodiscard]] int epochs_seen() const noexcept { return epochs_; }
 
   /// The rate the controller counts for an observation (regular or
   /// regular+uncles, per second of wall time).
@@ -65,7 +64,6 @@ class DifficultyController {
  private:
   Options options_;
   double difficulty_;
-  int epochs_ = 0;
 };
 
 }  // namespace ethsm::sim

@@ -136,28 +136,31 @@ std::uint64_t run_population_many_fingerprint(const PopulationConfig& config,
   return fp.digest();
 }
 
-PopulationMultiRunSummary run_population_many(
-    const PopulationConfig& config, int runs,
+std::vector<PopulationMultiRunSummary> run_population_many(
+    const std::vector<PopulationConfig>& configs, int runs,
     const support::SweepCheckpoint& checkpoint,
     support::SweepOutcome* outcome) {
-  config.validate();
-
-  PopulationMultiRunSummary summary;
-  summary.pool_size = config.pool_size();
-  summary.effective_alpha = config.effective_alpha();
+  std::vector<support::SeededSweep> sweeps;
+  std::vector<PopulationMultiRunSummary> summaries(configs.size());
+  for (std::size_t s = 0; s < configs.size(); ++s) {
+    configs[s].validate();
+    sweeps.push_back({run_population_many_fingerprint(configs[s], runs),
+                      configs[s].base.seed, runs});
+    summaries[s].pool_size = configs[s].pool_size();
+    summaries[s].effective_alpha = configs[s].effective_alpha();
+  }
   support::run_seeded(
-      checkpoint, outcome,
-      {{run_population_many_fingerprint(config, runs), config.base.seed, runs}},
-      [&config](std::size_t, std::uint64_t seed) {
-        PopulationConfig run_config = config;
+      checkpoint, outcome, sweeps,
+      [&configs](std::size_t s, std::uint64_t seed) {
+        PopulationConfig run_config = configs[s];
         run_config.base.seed = seed;
         return run_population_simulation(run_config);
       },
-      [&summary](std::size_t, const PopulationResult& r) {
-        summary.sim.absorb(r.sim);
-        summary.pool_member_share.add(r.pool_member_share());
+      [&summaries](std::size_t s, const PopulationResult& r) {
+        summaries[s].sim.absorb(r.sim);
+        summaries[s].pool_member_share.add(r.pool_member_share());
       });
-  return summary;
+  return summaries;
 }
 
 }  // namespace ethsm::sim

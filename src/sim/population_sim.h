@@ -44,12 +44,12 @@ struct PopulationMultiRunSummary {
   double effective_alpha = 0.0;
 };
 
-/// Runs `runs` independent population simulations (seeds derived from
-/// config.base.seed) in parallel on the global thread pool and aggregates in
-/// run order; the summary is bitwise-identical for any thread count.
-/// Checkpoint/outcome contract as run_many in sim/simulator.h.
-[[nodiscard]] PopulationMultiRunSummary run_population_many(
-    const PopulationConfig& config, int runs,
+/// Runs `runs` independent population simulations of each configuration
+/// (seeds derived from its base.seed) in one pool region and aggregates in
+/// run order; summary k covers configs[k] and is bitwise-identical for any
+/// thread count. Checkpoint/outcome contract as run_many in sim/simulator.h.
+[[nodiscard]] std::vector<PopulationMultiRunSummary> run_population_many(
+    const std::vector<PopulationConfig>& configs, int runs,
     const support::SweepCheckpoint& checkpoint = {},
     support::SweepOutcome* outcome = nullptr);
 

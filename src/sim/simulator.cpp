@@ -66,7 +66,7 @@ SimResult run_all_honest(const SimConfig& config) {
   return result;
 }
 
-/// The driver body behind both list forms: sweep s runs
+/// The driver body behind run_many and run_stubborn_many: sweep s runs
 /// run_simulation(sweeps[s].config, sweeps[s].strategy) for each seed, keyed
 /// by `keys[s]` in the checkpoint store.
 std::vector<MultiRunSummary> run_sweeps(
@@ -142,13 +142,6 @@ SimResult run_simulation(const SimConfig& config,
                     config.num_blocks,
                 "block conservation violated");
   return result;
-}
-
-MultiRunSummary run_many(const SimConfig& config, int runs,
-                         const support::SweepCheckpoint& checkpoint,
-                         support::SweepOutcome* outcome) {
-  return run_many(std::vector<SimConfig>{config}, runs, checkpoint, outcome)
-      .front();
 }
 
 std::vector<MultiRunSummary> run_many(

@@ -40,8 +40,10 @@ namespace ethsm::sim {
   return run_simulation(config, strategy);
 }
 
-/// Runs `runs` independent simulations (seeds derived from config.seed) and
-/// aggregates. The paper uses runs = 10.
+/// Runs `runs` independent simulations of each configuration (seeds derived
+/// from its seed) in one pool region and aggregates: summary k covers
+/// configs[k]'s runs. The paper uses runs = 10. A single configuration is a
+/// one-element list.
 ///
 /// With checkpoint.directory set, per-run results persist there (keyed by
 /// run_many_fingerprint) so an interrupted or sharded sweep resumes/merges
@@ -50,14 +52,6 @@ namespace ethsm::sim {
 /// shards or exceeded the job budget) the partial aggregate is only returned
 /// if the caller passed `outcome` to inspect -- otherwise the driver refuses
 /// rather than silently aggregating a subset.
-[[nodiscard]] MultiRunSummary run_many(
-    const SimConfig& config, int runs,
-    const support::SweepCheckpoint& checkpoint = {},
-    support::SweepOutcome* outcome = nullptr);
-
-/// run_many over a list of configurations in one pool region (one job
-/// budget, one outcome): summary k aggregates configs[k]'s runs, exactly as
-/// run_many(configs[k], runs) would.
 [[nodiscard]] std::vector<MultiRunSummary> run_many(
     const std::vector<SimConfig>& configs, int runs,
     const support::SweepCheckpoint& checkpoint = {},
@@ -70,8 +64,8 @@ struct StubbornSweep {
 };
 
 /// Multi-run aggregation for stubborn variants over a list of sweeps in one
-/// pool region; semantics as the list form of run_many. Every sweep must
-/// have an attacking pool (std::invalid_argument otherwise).
+/// pool region; semantics as run_many. Every sweep must have an attacking
+/// pool (std::invalid_argument otherwise).
 [[nodiscard]] std::vector<MultiRunSummary> run_stubborn_many(
     const std::vector<StubbornSweep>& sweeps, int runs,
     const support::SweepCheckpoint& checkpoint = {},

@@ -1,6 +1,5 @@
 #include "support/csv.h"
 
-#include <fstream>
 #include <sstream>
 
 #include "support/check.h"
@@ -12,29 +11,9 @@ CsvWriter::CsvWriter(std::vector<std::string> header)
   ETHSM_EXPECTS(!header_.empty(), "csv header must not be empty");
 }
 
-void CsvWriter::add_row(const std::vector<double>& values) {
-  ETHSM_EXPECTS(values.size() == header_.size(), "csv row width mismatch");
-  std::vector<std::string> cells;
-  cells.reserve(values.size());
-  for (double v : values) {
-    std::ostringstream os;
-    os.precision(12);
-    os << v;
-    cells.push_back(os.str());
-  }
-  rows_.push_back(std::move(cells));
-}
-
 void CsvWriter::add_row(const std::vector<std::string>& cells) {
   ETHSM_EXPECTS(cells.size() == header_.size(), "csv row width mismatch");
   rows_.push_back(cells);
-}
-
-void CsvWriter::add_optional_row(const std::vector<std::optional<double>>& values) {
-  std::vector<double> plain;
-  plain.reserve(values.size());
-  for (const auto& v : values) plain.push_back(v.value_or(kMissingSentinel));
-  add_row(plain);
 }
 
 std::string CsvWriter::escape(const std::string& cell) {
@@ -63,13 +42,6 @@ std::string CsvWriter::str() const {
     os << '\n';
   }
   return os.str();
-}
-
-bool CsvWriter::write_file(const std::string& path) const {
-  std::ofstream f(path);
-  if (!f) return false;
-  f << str();
-  return static_cast<bool>(f);
 }
 
 }  // namespace ethsm::support

@@ -4,7 +4,6 @@
 #ifndef ETHSM_SUPPORT_CSV_H
 #define ETHSM_SUPPORT_CSV_H
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -19,16 +18,9 @@ class CsvWriter {
 
   explicit CsvWriter(std::vector<std::string> header);
 
-  void add_row(const std::vector<double>& values);
   void add_row(const std::vector<std::string>& cells);
-  /// Optional-valued row: missing cells become kMissingSentinel. (Named
-  /// distinctly: a braced list of doubles must keep binding to add_row.)
-  void add_optional_row(const std::vector<std::optional<double>>& values);
 
   [[nodiscard]] std::string str() const;
-  /// Writes to `path`; returns false (does not throw) on I/O failure so bench
-  /// binaries keep printing to stdout even on a read-only filesystem.
-  bool write_file(const std::string& path) const;
 
  private:
   static std::string escape(const std::string& cell);

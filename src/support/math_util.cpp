@@ -10,38 +10,9 @@
 
 namespace ethsm::support {
 
-std::optional<double> bisect(const std::function<double(double)>& f, double lo,
-                             double hi, const BisectOptions& options) {
-  ETHSM_EXPECTS(lo <= hi, "bisect: empty interval");
-  double flo = f(lo);
-  double fhi = f(hi);
-  if (flo == 0.0) return lo;
-  if (fhi == 0.0) return hi;
-  if (std::signbit(flo) == std::signbit(fhi)) return std::nullopt;
-
-  for (int i = 0; i < options.max_iterations && (hi - lo) > options.tolerance;
-       ++i) {
-    const double mid = std::midpoint(lo, hi);
-    const double fmid = f(mid);
-    if (fmid == 0.0) return mid;
-    if (std::signbit(fmid) == std::signbit(flo)) {
-      lo = mid;
-      flo = fmid;
-    } else {
-      hi = mid;
-    }
-  }
-  return std::midpoint(lo, hi);
-}
-
-std::optional<double> first_true(const std::function<bool(double)>& pred,
-                                 double lo, double hi, double tolerance) {
-  return first_true_report(pred, lo, hi, tolerance).value;
-}
-
 FirstTrueReport first_true_report(const std::function<bool(double)>& pred,
                                   double lo, double hi, double tolerance) {
-  ETHSM_EXPECTS(lo <= hi, "first_true: empty interval");
+  ETHSM_EXPECTS(lo <= hi, "first_true_report: empty interval");
   if (pred(lo)) return {lo, CrossingLocation::at_lo};
   if (!pred(hi)) return {std::nullopt, CrossingLocation::none};
   const double original_hi = hi;
@@ -64,12 +35,6 @@ FirstTrueReport first_true_report(const std::function<bool(double)>& pred,
 bool close(double a, double b, double rtol, double atol) noexcept {
   const double scale = std::max(std::fabs(a), std::fabs(b));
   return std::fabs(a - b) <= atol + rtol * scale;
-}
-
-double geometric_sum(double q, int n) noexcept {
-  if (n <= 0) return 0.0;
-  if (q == 1.0) return static_cast<double>(n);
-  return (1.0 - ipow(q, n)) / (1.0 - q);
 }
 
 double ipow(double base, int exponent) noexcept {

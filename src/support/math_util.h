@@ -1,6 +1,7 @@
-// Small numerical helpers shared by the analysis modules: root bracketing and
-// bisection (threshold search), geometric-series helpers, and approximate
-// floating-point comparison used throughout the tests.
+// Small numerical helpers shared by the analysis modules: the bisection
+// behind the threshold search, integer powers, shortest round-trip double
+// printing, and approximate floating-point comparison used throughout the
+// tests.
 
 #ifndef ETHSM_SUPPORT_MATH_UTIL_H
 #define ETHSM_SUPPORT_MATH_UTIL_H
@@ -10,26 +11,6 @@
 #include <string>
 
 namespace ethsm::support {
-
-/// Options for bisection root finding.
-struct BisectOptions {
-  double tolerance = 1e-9;  ///< terminate when the bracket is narrower than this
-  int max_iterations = 200;
-};
-
-/// Finds x in [lo, hi] with f(x) == 0 given f(lo) and f(hi) of opposite sign.
-/// Returns std::nullopt when the bracket is invalid (no sign change).
-[[nodiscard]] std::optional<double> bisect(
-    const std::function<double(double)>& f, double lo, double hi,
-    const BisectOptions& options = {});
-
-/// Finds the smallest x in [lo, hi] where the monotone-crossing predicate
-/// becomes true (pred(lo) may already be true -> returns lo; pred(hi) false ->
-/// nullopt). Used for profitability-threshold searches where the objective
-/// Us(alpha) - alpha crosses zero once.
-[[nodiscard]] std::optional<double> first_true(
-    const std::function<bool(double)>& pred, double lo, double hi,
-    double tolerance = 1e-6);
 
 /// Where a monotone predicate's false->true crossing sits relative to the
 /// search bracket [lo, hi].
@@ -44,12 +25,15 @@ enum class CrossingLocation {
 };
 
 struct FirstTrueReport {
-  std::optional<double> value;  ///< as first_true(); nullopt iff crossing==none
+  std::optional<double> value;  ///< nullopt iff crossing == none
   CrossingLocation crossing = CrossingLocation::none;
 };
 
-/// first_true with an explicit bracket-verification verdict. The returned
-/// value is bitwise-identical to first_true()'s for every input.
+/// Finds, by bisection to `tolerance`, the smallest x in [lo, hi] where the
+/// monotone-crossing predicate becomes true (pred(lo) already true -> lo;
+/// pred(hi) false -> nullopt), with a verdict on where the crossing sits in
+/// the bracket. Used for profitability-threshold searches where the
+/// objective Us(alpha) - alpha crosses zero once.
 [[nodiscard]] FirstTrueReport first_true_report(
     const std::function<bool(double)>& pred, double lo, double hi,
     double tolerance = 1e-6);
@@ -63,9 +47,6 @@ struct FirstTrueReport {
 /// bitwise: spec files (api/spec.cpp) and the net topology/latency grammars
 /// (net/topology.cpp) share this one implementation so they cannot diverge.
 [[nodiscard]] std::string print_shortest_double(double value);
-
-/// Sum of the finite geometric series q^0 + q^1 + ... + q^{n-1}.
-[[nodiscard]] double geometric_sum(double q, int n) noexcept;
 
 /// Integer power with non-negative exponent (exact for small exponents, no
 /// pow() rounding surprises in hot loops).

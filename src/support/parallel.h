@@ -175,17 +175,6 @@ template <typename Result, typename F>
   return out;
 }
 
-/// A single sweep: the list form above with one entry, job i = fn(i).
-template <typename Result, typename F>
-[[nodiscard]] CheckpointedSweep<Result> run_checkpointed(
-    const SweepCheckpoint& ckpt, SweepOutcome* outcome,
-    std::uint64_t fingerprint, std::size_t n, F&& fn) {
-  return std::move(run_checkpointed<Result>(
-                       ckpt, outcome, {{fingerprint, n}},
-                       [&](std::size_t, std::size_t i) { return fn(i); })
-                       .front());
-}
-
 /// `runs` seeded copies of one configuration -- one sweep of a run_*_many
 /// driver. Job r of the sweep runs with derive_seed(seed, r).
 struct SeededSweep {

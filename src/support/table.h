@@ -31,7 +31,6 @@ class TextTable {
   static std::string opt(const std::optional<double>& value, int precision = 4,
                          const char* missing = "-");
 
-  [[nodiscard]] std::size_t row_count() const noexcept { return rows_.size(); }
   [[nodiscard]] std::string render() const;
   void print(std::ostream& os) const;
 

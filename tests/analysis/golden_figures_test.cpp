@@ -67,7 +67,8 @@ constexpr std::array<Fig8Golden, 19> kFig8 = {{
 }};
 
 TEST(GoldenFig8, RevenueCurveMatchesCheckedInSeries) {
-  const auto curve = analysis::revenue_curve(analysis::RevenueCurveOptions{});
+  const auto curve =
+      analysis::revenue_curve({analysis::RevenueCurveOptions{}}).front();
   ASSERT_EQ(curve.size(), kFig8.size());
   for (std::size_t i = 0; i < kFig8.size(); ++i) {
     SCOPED_TRACE("alpha = " + std::to_string(kFig8[i].alpha));
@@ -86,7 +87,7 @@ TEST(GoldenFig9, LandmarkTotalsAndPoolSeries) {
     opt.rewards = rewards::RewardConfig::ethereum_flat(7.0 / 8.0, 100);
     opt.alphas = {0.45};
     opt.max_lead = 300;
-    const auto curve = analysis::revenue_curve(opt);
+    const auto curve = analysis::revenue_curve({opt}).front();
     EXPECT_NEAR(curve[0].total_revenue, 1.347579737453, kRevenueTol);
   }
   // Ablation: Ethereum's structural distance cap of 6 tempers it.
@@ -95,7 +96,7 @@ TEST(GoldenFig9, LandmarkTotalsAndPoolSeries) {
     opt.rewards = rewards::RewardConfig::ethereum_flat(7.0 / 8.0);
     opt.alphas = {0.45};
     opt.max_lead = 300;
-    const auto curve = analysis::revenue_curve(opt);
+    const auto curve = analysis::revenue_curve({opt}).front();
     EXPECT_NEAR(curve[0].total_revenue, 1.268499332935, kRevenueTol);
   }
   // Pool/total at alpha = 0.3 for the three flat schedules (max_lead 120).
@@ -114,7 +115,7 @@ TEST(GoldenFig9, LandmarkTotalsAndPoolSeries) {
     opt.rewards = rewards::RewardConfig::ethereum_flat(g.ku, 100);
     opt.alphas = {0.3};
     opt.max_lead = 120;
-    const auto curve = analysis::revenue_curve(opt);
+    const auto curve = analysis::revenue_curve({opt}).front();
     EXPECT_NEAR(curve[0].pool_revenue, g.pool, kRevenueTol);
     EXPECT_NEAR(curve[0].total_revenue, g.total, kRevenueTol);
   }

@@ -77,16 +77,17 @@ TEST(CheckpointThresholdCurve, InterruptedThenResumedIsBitwiseIdentical) {
   auto opt = small_threshold_options();
   const auto fresh = analysis::threshold_curve(opt);
 
-  opt.checkpoint.directory = temp_path("threshold_resume");
-  opt.checkpoint.max_new_jobs = 2;  // interrupt mid-grid
+  SweepCheckpoint ckpt;
+  ckpt.directory = temp_path("threshold_resume");
+  ckpt.max_new_jobs = 2;  // interrupt mid-grid
   SweepOutcome first;
-  (void)analysis::threshold_curve(opt, &first);
+  (void)analysis::threshold_curve(opt, ckpt, &first);
   EXPECT_FALSE(first.complete());
   EXPECT_EQ(first.computed, 2u);
 
-  opt.checkpoint.max_new_jobs = static_cast<std::size_t>(-1);
+  ckpt.max_new_jobs = static_cast<std::size_t>(-1);
   SweepOutcome resumed_outcome;
-  const auto resumed = analysis::threshold_curve(opt, &resumed_outcome);
+  const auto resumed = analysis::threshold_curve(opt, ckpt, &resumed_outcome);
   ASSERT_TRUE(resumed_outcome.complete());
   EXPECT_EQ(resumed_outcome.loaded, 2u);  // nothing recomputed
   ASSERT_EQ(resumed.size(), fresh.size());
@@ -97,18 +98,20 @@ TEST(CheckpointThresholdCurve, InterruptedThenResumedIsBitwiseIdentical) {
 
 TEST(CheckpointRevenueCurve, FourWayShardMergeIsBitwiseIdentical) {
   auto opt = small_revenue_options();
-  const auto fresh = analysis::revenue_curve(opt);
+  const auto fresh = analysis::revenue_curve({opt}).front();
 
-  opt.checkpoint.directory = temp_path("revenue_shard4");
+  SweepCheckpoint ckpt;
+  ckpt.directory = temp_path("revenue_shard4");
   for (std::uint32_t k = 0; k < 4; ++k) {
-    opt.checkpoint.shard = ShardSpec{k, 4};
+    ckpt.shard = ShardSpec{k, 4};
     SweepOutcome outcome;
-    (void)analysis::revenue_curve(opt, &outcome);
+    (void)analysis::revenue_curve({opt}, ckpt, &outcome);
   }
   // Merge run: whole sweep, everything satisfied from the four shard files.
-  opt.checkpoint.shard = ShardSpec{};
+  ckpt.shard = ShardSpec{};
   SweepOutcome merged_outcome;
-  const auto merged = analysis::revenue_curve(opt, &merged_outcome);
+  const auto merged =
+      analysis::revenue_curve({opt}, ckpt, &merged_outcome).front();
   ASSERT_TRUE(merged_outcome.complete());
   EXPECT_EQ(merged_outcome.computed, 0u);
   ASSERT_EQ(merged.size(), fresh.size());
@@ -123,26 +126,27 @@ TEST(CheckpointShardMergeProperty, RandomSplitsEqualSingleProcessExactly) {
   RevenueCurveOptions opt;
   opt.alphas = analysis::fig8_alpha_grid();
   opt.max_lead = 30;
-  const auto fresh = analysis::revenue_curve(opt);
+  const auto fresh = analysis::revenue_curve({opt}).front();
 
   std::mt19937_64 rng(0xc0ffee);
+  SweepCheckpoint ckpt;
   for (int trial = 0; trial < 3; ++trial) {
     const std::uint32_t n_shards =
         2 + static_cast<std::uint32_t>(rng() % 5);  // N in [2, 6]
-    opt.checkpoint.directory =
-        temp_path("property_" + std::to_string(trial));
+    ckpt.directory = temp_path("property_" + std::to_string(trial));
     // Run the shards in a random order to shake out order dependence.
     std::vector<std::uint32_t> order(n_shards);
     for (std::uint32_t k = 0; k < n_shards; ++k) order[k] = k;
     std::shuffle(order.begin(), order.end(), rng);
     for (std::uint32_t k : order) {
-      opt.checkpoint.shard = ShardSpec{k, n_shards};
+      ckpt.shard = ShardSpec{k, n_shards};
       SweepOutcome outcome;
-      (void)analysis::revenue_curve(opt, &outcome);
+      (void)analysis::revenue_curve({opt}, ckpt, &outcome);
     }
-    opt.checkpoint.shard = ShardSpec{};
+    ckpt.shard = ShardSpec{};
     SweepOutcome merged_outcome;
-    const auto merged = analysis::revenue_curve(opt, &merged_outcome);
+    const auto merged =
+      analysis::revenue_curve({opt}, ckpt, &merged_outcome).front();
     ASSERT_TRUE(merged_outcome.complete()) << "N=" << n_shards;
     EXPECT_EQ(merged_outcome.computed, 0u) << "N=" << n_shards;
     ASSERT_EQ(merged.size(), fresh.size());
@@ -158,18 +162,18 @@ TEST(CheckpointRunMany, ResumedAggregateIsBitwiseIdentical) {
   config.gamma = 0.5;
   config.num_blocks = 3'000;
   const int runs = 5;
-  const auto fresh = sim::run_many(config, runs);
+  const auto fresh = sim::run_many({config}, runs).front();
 
   SweepCheckpoint ckpt;
   ckpt.directory = temp_path("run_many");
   ckpt.max_new_jobs = 2;
   SweepOutcome partial;
-  (void)sim::run_many(config, runs, ckpt, &partial);
+  (void)sim::run_many({config}, runs, ckpt, &partial);
   EXPECT_FALSE(partial.complete());
 
   ckpt.max_new_jobs = static_cast<std::size_t>(-1);
   SweepOutcome outcome;
-  const auto resumed = sim::run_many(config, runs, ckpt, &outcome);
+  const auto resumed = sim::run_many({config}, runs, ckpt, &outcome).front();
   ASSERT_TRUE(outcome.complete());
   EXPECT_EQ(outcome.loaded, 2u);
 
@@ -194,7 +198,7 @@ TEST(CheckpointRunMany, RefusesPartialAggregateWithoutOutcome) {
   SweepCheckpoint ckpt;
   ckpt.directory = temp_path("refuse");
   ckpt.shard = ShardSpec{0, 2};  // half the runs belong to the other shard
-  EXPECT_THROW((void)sim::run_many(config, 4, ckpt), std::invalid_argument);
+  EXPECT_THROW((void)sim::run_many({config}, 4, ckpt), std::invalid_argument);
 }
 
 TEST(CheckpointPopulationAndDelay, ResumeRoundTripsExactly) {
@@ -203,13 +207,14 @@ TEST(CheckpointPopulationAndDelay, ResumeRoundTripsExactly) {
     config.base.alpha = 0.3;
     config.base.num_blocks = 1'000;
     config.num_miners = 50;
-    const auto fresh = sim::run_population_many(config, 3);
+    const auto fresh = sim::run_population_many({config}, 3).front();
     SweepCheckpoint ckpt;
     ckpt.directory = temp_path("population");
     SweepOutcome first;
-    (void)sim::run_population_many(config, 3, ckpt, &first);
+    (void)sim::run_population_many({config}, 3, ckpt, &first);
     SweepOutcome outcome;
-    const auto resumed = sim::run_population_many(config, 3, ckpt, &outcome);
+    const auto resumed =
+        sim::run_population_many({config}, 3, ckpt, &outcome).front();
     EXPECT_EQ(outcome.loaded, 3u);
     EXPECT_EQ(resumed.pool_member_share.mean(), fresh.pool_member_share.mean());
     EXPECT_EQ(resumed.sim.pool_revenue_s1.mean(), fresh.sim.pool_revenue_s1.mean());
@@ -217,13 +222,14 @@ TEST(CheckpointPopulationAndDelay, ResumeRoundTripsExactly) {
   {
     sim::DelaySimConfig config;
     config.num_blocks = 1'000;
-    const auto fresh = sim::run_delay_many(config, 3);
+    const auto fresh = sim::run_delay_many({config}, 3).front();
     SweepCheckpoint ckpt;
     ckpt.directory = temp_path("delay");
     SweepOutcome first;
-    (void)sim::run_delay_many(config, 3, ckpt, &first);
+    (void)sim::run_delay_many({config}, 3, ckpt, &first);
     SweepOutcome outcome;
-    const auto resumed = sim::run_delay_many(config, 3, ckpt, &outcome);
+    const auto resumed =
+        sim::run_delay_many({config}, 3, ckpt, &outcome).front();
     EXPECT_EQ(outcome.loaded, 3u);
     EXPECT_EQ(resumed.uncle_rate.mean(), fresh.uncle_rate.mean());
     EXPECT_EQ(resumed.stale_rate.mean(), fresh.stale_rate.mean());
@@ -240,15 +246,16 @@ TEST(CheckpointCorruptionRecovery, CorruptedRecordsAreRecomputedNotTrusted) {
   auto opt = small_threshold_options();
   const auto fresh = analysis::threshold_curve(opt);
 
-  opt.checkpoint.directory = temp_path("corrupt_recompute");
+  SweepCheckpoint ckpt;
+  ckpt.directory = temp_path("corrupt_recompute");
   SweepOutcome first;
-  (void)analysis::threshold_curve(opt, &first);
+  (void)analysis::threshold_curve(opt, ckpt, &first);
   EXPECT_EQ(first.computed, opt.gammas.size());
 
   // Corrupt the single checkpoint file a few records in: the store must
   // distrust the damaged suffix and the driver recompute it.
   std::string file;
-  for (const auto& entry : fs::directory_iterator(opt.checkpoint.directory)) {
+  for (const auto& entry : fs::directory_iterator(ckpt.directory)) {
     file = entry.path().string();
   }
   ASSERT_FALSE(file.empty());
@@ -260,7 +267,7 @@ TEST(CheckpointCorruptionRecovery, CorruptedRecordsAreRecomputedNotTrusted) {
   }
 
   SweepOutcome outcome;
-  const auto recovered = analysis::threshold_curve(opt, &outcome);
+  const auto recovered = analysis::threshold_curve(opt, ckpt, &outcome);
   ASSERT_TRUE(outcome.complete());
   EXPECT_EQ(outcome.loaded, 0u);  // nothing in the damaged file was trusted
   EXPECT_EQ(outcome.computed, opt.gammas.size());
@@ -271,22 +278,21 @@ TEST(CheckpointCorruptionRecovery, CorruptedRecordsAreRecomputedNotTrusted) {
 
 TEST(CheckpointStaleFingerprint, ChangedSweepParametersIgnoreOldRecords) {
   auto opt = small_threshold_options();
-  opt.checkpoint.directory = temp_path("stale_params");
+  SweepCheckpoint ckpt;
+  ckpt.directory = temp_path("stale_params");
   SweepOutcome first;
-  (void)analysis::threshold_curve(opt, &first);
+  (void)analysis::threshold_curve(opt, ckpt, &first);
   EXPECT_EQ(first.computed, opt.gammas.size());
 
   // Tightening the tolerance changes the fingerprint: stale records must not
   // satisfy the new sweep.
   opt.threshold.tolerance = 1e-5;
   SweepOutcome outcome;
-  const auto tightened = analysis::threshold_curve(opt, &outcome);
+  const auto tightened = analysis::threshold_curve(opt, ckpt, &outcome);
   EXPECT_EQ(outcome.loaded, 0u);
   EXPECT_EQ(outcome.computed, opt.gammas.size());
   // And the tightened sweep matches its own fresh (uncheckpointed) run.
-  auto fresh_opt = opt;
-  fresh_opt.checkpoint = SweepCheckpoint{};
-  const auto fresh = analysis::threshold_curve(fresh_opt);
+  const auto fresh = analysis::threshold_curve(opt);
   for (std::size_t i = 0; i < fresh.size(); ++i) {
     expect_identical(tightened[i], fresh[i]);
   }

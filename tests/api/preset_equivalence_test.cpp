@@ -39,7 +39,7 @@ TEST(PresetEquivalence, Fig8QuickMatchesRevenueCurveDriver) {
   opt.scenario = analysis::Scenario::regular_rate_one;
   opt.sim_runs = 3;
   opt.sim_blocks = 20'000;
-  const auto curve = analysis::revenue_curve(opt);
+  const auto curve = analysis::revenue_curve({opt}).front();
 
   const ExperimentResult result = run(preset_spec("fig8", true));
   ASSERT_TRUE(result.complete());
@@ -68,11 +68,11 @@ TEST(PresetEquivalence, Fig9SeriesMatchRevenueCurveDriver) {
   wide.rewards = rewards::RewardConfig::ethereum_flat(7.0 / 8.0, 100);
   wide.scenario = analysis::Scenario::regular_rate_one;
   wide.max_lead = 120;
-  const auto wide_curve = analysis::revenue_curve(wide);
+  const auto wide_curve = analysis::revenue_curve({wide}).front();
 
   analysis::RevenueCurveOptions capped = wide;
   capped.rewards = rewards::RewardConfig::ethereum_flat(7.0 / 8.0);
-  const auto capped_curve = analysis::revenue_curve(capped);
+  const auto capped_curve = analysis::revenue_curve({capped}).front();
 
   const ExperimentResult result = run(preset_spec("fig9", false));
   ASSERT_TRUE(result.complete());
@@ -123,7 +123,7 @@ TEST(PresetEquivalence, Table2QuickMatchesAnalysisAndRunMany) {
   sc.gamma = 0.5;
   sc.num_blocks = 50'000;
   sc.seed = 0x7ab1e2;
-  const auto s45 = sim::run_many(sc, 3);
+  const auto s45 = sim::run_many({sc}, 3).front();
 
   const ExperimentResult result = run(preset_spec("table2", true));
   ASSERT_TRUE(result.complete());

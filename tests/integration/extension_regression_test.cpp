@@ -1,6 +1,6 @@
-// Regression pins for the extension experiments (EXPERIMENTS.md, extensions
-// section). Deterministic seeds; effect sizes are far above Monte-Carlo
-// noise at these run lengths.
+// Regression pins for the extension experiments beyond the paper (stubborn
+// variants, the delay network, the attack timeline). Deterministic seeds;
+// effect sizes are far above Monte-Carlo noise at these run lengths.
 
 #include <gtest/gtest.h>
 

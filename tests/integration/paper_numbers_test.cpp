@@ -26,7 +26,7 @@ TEST(PaperFig8, ThresholdNearPoint163) {
 
 TEST(PaperFig8, RevenueCurveShape) {
   analysis::RevenueCurveOptions opt;  // defaults = Fig. 8 setup
-  const auto curve = analysis::revenue_curve(opt);
+  const auto curve = analysis::revenue_curve({opt}).front();
   ASSERT_EQ(curve.size(), 19u);
   // Pool revenue below the diagonal before the threshold, above after.
   for (const auto& p : curve) {
@@ -79,8 +79,7 @@ TEST(PaperFig9, TotalRevenueSoarsTo135Percent) {
   // "the total revenue ... soars to 135% of the revenue without selfish
   // mining, when Ku = 7/8 Ks and alpha = 0.45". The paper's flat schedules
   // pay "regardless of the distance": with the reference horizon uncapped
-  // the total is 1.347; under Ethereum's structural cap of 6 it is 1.269
-  // (both recorded in EXPERIMENTS.md).
+  // the total is 1.347; under Ethereum's structural cap of 6 it is 1.269.
   const auto r = analysis::compute_revenue(
       {0.45, 0.5}, rewards::RewardConfig::ethereum_flat(7.0 / 8.0, 100), 300);
   const double total = analysis::total_revenue(r, Scenario::regular_rate_one);

@@ -176,8 +176,9 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(AblationProperty, EthereumUncleCapBarelyChangesRevenue) {
-  // DESIGN.md decision 4: the paper's unlimited-reference assumption vs real
-  // Ethereum's cap of 2. At moderate alpha the difference must be small --
+  // The paper's unlimited-reference assumption (RewardConfig's default
+  // max_uncles_per_block = 0) vs real Ethereum's cap of 2 uncles per block.
+  // At moderate alpha the difference must be small --
   // this quantifies the modelling gap rather than assuming it away.
   sim::SimConfig unlimited;
   unlimited.alpha = 0.3;
@@ -186,8 +187,8 @@ TEST(AblationProperty, EthereumUncleCapBarelyChangesRevenue) {
   unlimited.seed = 2021;
   auto capped = unlimited;
   capped.rewards.max_uncles_per_block = 2;
-  const auto ru = sim::run_many(unlimited, 3);
-  const auto rc = sim::run_many(capped, 3);
+  const auto ru = sim::run_many({unlimited}, 3).front();
+  const auto rc = sim::run_many({capped}, 3).front();
   EXPECT_NEAR(ru.pool_revenue_s1.mean(), rc.pool_revenue_s1.mean(), 0.01);
 }
 

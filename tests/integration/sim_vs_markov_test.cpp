@@ -40,7 +40,7 @@ TEST_P(SimVsMarkov, AbsoluteRevenueAgreesInBothScenarios) {
   sc.num_blocks = kBlocks;
   sc.seed = 0xfeedULL + static_cast<std::uint64_t>(alpha * 1000) +
             static_cast<std::uint64_t>(gamma * 7);
-  const auto sum = sim::run_many(sc, kRuns);
+  const auto sum = sim::run_many({sc}, kRuns).front();
 
   const auto r = analysis::compute_revenue(markov::MiningParams{alpha, gamma},
                                            config, 80);
@@ -68,7 +68,7 @@ TEST_P(SimVsMarkov, UncleRateAgrees) {
   sc.rewards = config;
   sc.num_blocks = kBlocks;
   sc.seed = 0xabcdULL;
-  const auto sum = sim::run_many(sc, kRuns);
+  const auto sum = sim::run_many({sc}, kRuns).front();
   const auto r = analysis::compute_revenue(markov::MiningParams{alpha, gamma},
                                            config, 80);
   const double expected =
@@ -100,7 +100,7 @@ TEST(SimVsMarkovTableII, UncleDistanceDistributionAgrees) {
   sc.gamma = 0.5;
   sc.num_blocks = 200'000;
   sc.seed = 99;
-  const auto sum = sim::run_many(sc, 3);
+  const auto sum = sim::run_many({sc}, 3).front();
   const auto d = analysis::honest_uncle_distance_distribution({0.3, 0.5}, 80);
   for (std::size_t dist = 1; dist <= 6; ++dist) {
     const double simulated =
@@ -118,7 +118,7 @@ TEST(SimVsMarkovBitcoin, EyalSirerShareAgrees) {
   sc.rewards = rewards::RewardConfig::bitcoin();
   sc.num_blocks = 150'000;
   sc.seed = 1234;
-  const auto sum = sim::run_many(sc, 3);
+  const auto sum = sim::run_many({sc}, 3).front();
   const auto r = analysis::compute_revenue(markov::MiningParams{0.35, 0.5},
                                            rewards::RewardConfig::bitcoin(),
                                            80);

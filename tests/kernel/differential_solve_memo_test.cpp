@@ -87,7 +87,7 @@ analysis::ThresholdOptions bisection_options(int max_lead) {
 
 /// One scenario's bisection replayed through `objective`, as
 /// analysis::profitability_threshold runs it; returns the threshold.
-std::optional<double> bisect(
+std::optional<double> replay_threshold_search(
     const std::function<RevenueBreakdown(double)>& objective,
     analysis::Scenario scenario, const analysis::ThresholdOptions& options) {
   return support::first_true_report(
@@ -141,7 +141,7 @@ TEST(KernelSolveMemo, ReplayedBisectionsMatchDirectChains) {
         // each step's revenue must match bitwise, warm starts included.
         RevenueCache cache;
         DirectChain direct;
-        const auto through_memo = bisect(
+        const auto through_memo = replay_threshold_search(
             [&](double alpha) {
               const MiningParams params{alpha, gamma};
               const RevenueBreakdown got =

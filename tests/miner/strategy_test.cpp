@@ -148,7 +148,7 @@ TEST(StubbornSimulator, DefaultMatchesAlgorithmOneSimulator) {
   config.gamma = 0.5;
   config.num_blocks = 50'000;
   config.seed = 99;
-  const auto plain = sim::run_many(config, 2);
+  const auto plain = sim::run_many({config}, 2).front();
   const auto stubborn = sim::run_stubborn_many({{config, {}}}, 2).front();
   EXPECT_EQ(plain.pool_revenue(sim::Scenario::regular_rate_one).mean(),
             stubborn.pool_revenue(sim::Scenario::regular_rate_one).mean());

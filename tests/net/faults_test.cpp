@@ -182,8 +182,8 @@ TEST_F(NetFaultDeterminism, NullFaultSpecIsBitwiseIdenticalToCleanRun) {
   spelled.faults.eclipse = parse_eclipse_spec("off");
   EXPECT_FALSE(spelled.faults.any());
 
-  const auto a = run_net_many(clean, 3);
-  const auto b = run_net_many(spelled, 3);
+  const auto a = run_net_many({clean}, 3).front();
+  const auto b = run_net_many({spelled}, 3).front();
   EXPECT_EQ(fingerprint(a), fingerprint(b));
   EXPECT_EQ(a.faults_messages_dropped, 0u);
   EXPECT_EQ(a.faults_mining_lost, 0u);
@@ -199,7 +199,7 @@ TEST_F(NetFaultDeterminism, FaultedRunsAreBitwiseIdenticalAcrossThreadCounts) {
   std::vector<double> reference;
   for (unsigned threads : {1u, 2u, 8u}) {
     ThreadPool::set_global_concurrency(threads);
-    const auto fp = fingerprint(run_net_many(config, 6));
+    const auto fp = fingerprint(run_net_many({config}, 6).front());
     if (reference.empty()) {
       reference = fp;
     } else {
@@ -211,7 +211,7 @@ TEST_F(NetFaultDeterminism, FaultedRunsAreBitwiseIdenticalAcrossThreadCounts) {
 TEST_F(NetFaultDeterminism, FaultedInterruptedResumeIsBitwiseIdentical) {
   const NetSimConfig config = faulted_config();
   constexpr int kRuns = 5;
-  const auto fresh = fingerprint(run_net_many(config, kRuns));
+  const auto fresh = fingerprint(run_net_many({config}, kRuns).front());
 
   const std::string dir = temp_path("resume");
   support::SweepCheckpoint checkpoint;
@@ -220,11 +220,12 @@ TEST_F(NetFaultDeterminism, FaultedInterruptedResumeIsBitwiseIdentical) {
   support::SweepCheckpoint budgeted = checkpoint;
   budgeted.max_new_jobs = 2;
   support::SweepOutcome partial;
-  (void)run_net_many(config, kRuns, budgeted, &partial);
+  (void)run_net_many({config}, kRuns, budgeted, &partial);
   EXPECT_EQ(partial.computed, 2u);
 
   support::SweepOutcome resumed;
-  const auto summary = run_net_many(config, kRuns, checkpoint, &resumed);
+  const auto summary =
+      run_net_many({config}, kRuns, checkpoint, &resumed).front();
   EXPECT_EQ(resumed.loaded, 2u);
   EXPECT_EQ(resumed.computed, static_cast<std::size_t>(kRuns) - 2u);
   EXPECT_EQ(fingerprint(summary), fresh);
@@ -253,7 +254,7 @@ TEST(NetFaultAnchor, PermanentAttackerPartitionDrivesGammaToZero) {
   config.latency = parse_latency_spec("fixed:50");
   config.faults.partition = parse_partition_spec("0:1e15:attacker");
 
-  const auto summary = run_net_many(config, 2);
+  const auto summary = run_net_many({config}, 2).front();
 
   // No honest node ever sees a pool block, so no honest mining event ever
   // races: the endogenous gamma is *exactly* zero, not merely small.
@@ -290,11 +291,11 @@ TEST(NetFaultAnchor, EclipsingAnHonestNodeRaisesGammaAboveClean) {
   config.seed = 0x5eedf00dULL;
   config.latency = parse_latency_spec("fixed:300");
 
-  const auto clean = run_net_many(config, 2);
+  const auto clean = run_net_many({config}, 2).front();
 
   NetSimConfig eclipsed = config;
   eclipsed.faults.eclipse = parse_eclipse_spec("1:1000");
-  const auto victim = run_net_many(eclipsed, 2);
+  const auto victim = run_net_many({eclipsed}, 2).front();
 
   EXPECT_GT(clean.race_samples, 200u);
   EXPECT_GT(victim.race_samples, 200u);
@@ -353,10 +354,10 @@ TEST(NetFaultAccounting, MessageDropRaisesStaleRate) {
   config.seed = 0x5eedf00dULL;
   config.latency = parse_latency_spec("fixed:500");
 
-  const auto clean = run_net_many(config, 2);
+  const auto clean = run_net_many({config}, 2).front();
   NetSimConfig lossy = config;
   lossy.faults.drop = 0.25;
-  const auto dropped = run_net_many(lossy, 2);
+  const auto dropped = run_net_many({lossy}, 2).front();
 
   // Losing a quarter of all gossip messages slows propagation (push relays
   // die, announces must retry), so natural forks become more common.

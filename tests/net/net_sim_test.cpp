@@ -82,7 +82,7 @@ std::vector<double> fingerprint(const NetMultiRunSummary& s) {
 
 TEST_F(NetSimTest, NetZeroLatencyCompleteGraphMatchesMarkovAtEmergentGamma) {
   NetSimConfig config = base_config();  // complete graph, fixed:0 defaults
-  const auto summary = run_net_many(config, 3);
+  const auto summary = run_net_many({config}, 3).front();
 
   // The emergent gamma is (N-1)/N: in every race only the miner of the
   // honest block saw it before the attacker's rushed match.
@@ -116,7 +116,7 @@ TEST_F(NetSimTest, NetStarThroughAttackerMatchesGammaZeroMarkov) {
   NetSimConfig config = base_config();
   config.topology = parse_topology_spec("star");
   config.latency = parse_latency_spec("fixed:14");  // 0.1% of the interval
-  const auto summary = run_net_many(config, 3);
+  const auto summary = run_net_many({config}, 3).front();
 
   // Honest relays win every race at the leaves.
   EXPECT_LT(summary.gamma.mean(), 0.01);
@@ -138,7 +138,7 @@ TEST_F(NetSimTest, NetHigherLatencyBreedsNaturalForksAndUncles) {
   config.alpha = 0.0;  // all-honest: every stale block is a latency fork
   config.num_blocks = 10'000;
   config.latency = parse_latency_spec("fixed:2000");  // the ~2s/14s ratio
-  const auto summary = run_net_many(config, 2);
+  const auto summary = run_net_many({config}, 2).front();
   EXPECT_EQ(summary.race_samples, 0u);  // no attacker blocks, no races
   // An all-honest network with real propagation delay forks naturally; the
   // uncle mechanism recovers most of those blocks.
@@ -157,7 +157,7 @@ TEST_F(NetSimTest, NetRunManyIsBitwiseIdenticalAcrossThreadCounts) {
   std::vector<double> reference;
   for (unsigned threads : {1u, 4u, ThreadPool::default_concurrency()}) {
     ThreadPool::set_global_concurrency(threads);
-    const auto fp = fingerprint(run_net_many(config, 6));
+    const auto fp = fingerprint(run_net_many({config}, 6).front());
     if (reference.empty()) {
       reference = fp;
     } else {
@@ -172,7 +172,7 @@ TEST_F(NetSimTest, NetInterruptedResumeIsBitwiseIdenticalToFresh) {
   config.latency = parse_latency_spec("uniform:50:400");
   constexpr int kRuns = 5;
 
-  const auto fresh = fingerprint(run_net_many(config, kRuns));
+  const auto fresh = fingerprint(run_net_many({config}, kRuns).front());
 
   const std::string dir = temp_path("resume");
   support::SweepCheckpoint checkpoint;
@@ -182,12 +182,13 @@ TEST_F(NetSimTest, NetInterruptedResumeIsBitwiseIdenticalToFresh) {
   support::SweepCheckpoint budgeted = checkpoint;
   budgeted.max_new_jobs = 2;
   support::SweepOutcome partial;
-  (void)run_net_many(config, kRuns, budgeted, &partial);
+  (void)run_net_many({config}, kRuns, budgeted, &partial);
   EXPECT_EQ(partial.computed, 2u);
   EXPECT_EQ(partial.skipped, static_cast<std::size_t>(kRuns) - 2u);
 
   support::SweepOutcome resumed;
-  const auto summary = run_net_many(config, kRuns, checkpoint, &resumed);
+  const auto summary =
+      run_net_many({config}, kRuns, checkpoint, &resumed).front();
   EXPECT_EQ(resumed.loaded, 2u);
   EXPECT_EQ(resumed.computed, static_cast<std::size_t>(kRuns) - 2u);
   EXPECT_EQ(fingerprint(summary), fresh);

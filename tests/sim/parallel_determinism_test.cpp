@@ -4,8 +4,8 @@
 // in index order (support/parallel.h). These tests run the same experiment
 // at 1, 4 and hardware threads and compare every statistic with exact
 // floating-point equality. A cell's sweep list runs as ONE pool region, so
-// the list forms are checked too: every sweep of a batched net or stubborn
-// list equals its own serial run at 1, 2, 3, 4 and 7 threads, and the
+// batching is checked too: every sweep of a batched net or stubborn list
+// equals its own one-element run at 1, 2, 3, 4 and 7 threads, and the
 // Markov passes api::run moved onto the pool (reward_design, timeline,
 // uncle_distance) render the same at 1 and 4 threads. Tests of Markov
 // results empty the process solve memo before each thread count, so every
@@ -93,7 +93,7 @@ TEST_F(DeterminismTest, RunManyIsBitwiseIdenticalAcrossThreadCounts) {
   std::vector<double> reference;
   for (unsigned threads : thread_counts_under_test()) {
     ThreadPool::set_global_concurrency(threads);
-    const auto fp = fingerprint(run_many(config, 10));
+    const auto fp = fingerprint(run_many({config}, 10).front());
     if (reference.empty()) {
       reference = fp;
     } else {
@@ -141,7 +141,8 @@ TEST_F(DeterminismTest, RunManyMatchesTheHistoricalSerialSeeds) {
   }
 
   ThreadPool::set_global_concurrency(4);
-  EXPECT_EQ(fingerprint(serial), fingerprint(run_many(config, kRuns)));
+  EXPECT_EQ(fingerprint(serial),
+            fingerprint(run_many({config}, kRuns).front()));
 }
 
 TEST_F(DeterminismTest, RevenueCurveSimsAreBitwiseIdenticalAcrossThreadCounts) {
@@ -170,7 +171,7 @@ TEST_F(DeterminismTest, RevenueCurveSimsAreBitwiseIdenticalAcrossThreadCounts) {
   std::vector<double> reference;
   for (unsigned threads : thread_counts_under_test()) {
     use_threads_with_a_cold_memo(threads);
-    const auto fp = flatten(analysis::revenue_curve(options));
+    const auto fp = flatten(analysis::revenue_curve({options}).front());
     if (reference.empty()) {
       reference = fp;
     } else {
@@ -218,7 +219,7 @@ TEST_F(DeterminismTest, PopulationManyIsBitwiseIdenticalAcrossThreadCounts) {
   std::vector<double> reference;
   for (unsigned threads : thread_counts_under_test()) {
     ThreadPool::set_global_concurrency(threads);
-    const auto summary = run_population_many(config, 4);
+    const auto summary = run_population_many({config}, 4).front();
     auto fp = fingerprint(summary.sim);
     append_stats(fp, summary.pool_member_share);
     fp.push_back(static_cast<double>(summary.pool_size));
@@ -239,7 +240,7 @@ TEST_F(DeterminismTest, DelayManyIsBitwiseIdenticalAcrossThreadCounts) {
   std::vector<double> reference;
   for (unsigned threads : thread_counts_under_test()) {
     ThreadPool::set_global_concurrency(threads);
-    const auto summary = run_delay_many(config, 4);
+    const auto summary = run_delay_many({config}, 4).front();
     std::vector<double> fp;
     append_stats(fp, summary.uncle_rate);
     append_stats(fp, summary.stale_rate);
@@ -304,7 +305,7 @@ TEST_F(DeterminismTest, BatchedNetSweepsMatchTheirSerialRuns) {
   ThreadPool::set_global_concurrency(1);
   std::vector<std::vector<double>> serial;
   for (const auto& config : configs) {
-    serial.push_back(fingerprint(net::run_net_many(config, kRuns)));
+    serial.push_back(fingerprint(net::run_net_many({config}, kRuns).front()));
   }
   for (unsigned threads : kBatchThreadCounts) {
     ThreadPool::set_global_concurrency(threads);

@@ -85,7 +85,7 @@ TEST(PopulationSim, AgreesWithAggregateSimulator) {
 
   SimConfig agg_config = pop_config.base;
   agg_config.alpha = pop.effective_alpha;
-  const auto agg = run_many(agg_config, 4);
+  const auto agg = run_many({agg_config}, 4).front();
 
   const double pop_us =
       pop.sim.pool_absolute_revenue(Scenario::regular_rate_one);

@@ -140,7 +140,7 @@ TEST(Simulator, UncleCapReducesReferencedUncles) {
 TEST(RunMany, AggregatesAcrossSeeds) {
   auto c = small_config();
   c.num_blocks = 10'000;
-  const auto summary = run_many(c, 5);
+  const auto summary = run_many({c}, 5).front();
   EXPECT_EQ(summary.runs, 5);
   EXPECT_EQ(summary.pool_revenue_s1.count(), 5u);
   EXPECT_GT(summary.pool_revenue_s1.mean(), 0.0);
@@ -150,7 +150,7 @@ TEST(RunMany, AggregatesAcrossSeeds) {
 }
 
 TEST(RunMany, RejectsZeroRuns) {
-  EXPECT_THROW(run_many(small_config(), 0), std::invalid_argument);
+  EXPECT_THROW((void)run_many({small_config()}, 0), std::invalid_argument);
 }
 
 TEST(SimResult, ScenarioNormalizers) {

@@ -349,11 +349,15 @@ double job_value(std::size_t i) {
   return std::sin(static_cast<double>(i) * 1.618033988749895) + 1.0 / (i + 1.0);
 }
 
+/// job_value as the job of a one-sweep region: (sweep, i) -> job_value(i).
+double one_sweep_value(std::size_t, std::size_t i) { return job_value(i); }
+
 TEST(CheckpointedRun, DisabledMatchesParallelMap) {
   const auto plain = parallel_map(10, job_value);
   SweepOutcome outcome;
   const auto sweep = run_checkpointed<double>(SweepCheckpoint{}, &outcome,
-                                              0x1ULL, 10, job_value);
+                                              {{0x1ULL, 10}}, one_sweep_value)
+                         .front();
   ASSERT_TRUE(outcome.complete());
   EXPECT_EQ(sweep.results, plain);
   EXPECT_EQ(outcome.computed, 10u);
@@ -362,7 +366,8 @@ TEST(CheckpointedRun, DisabledMatchesParallelMap) {
 TEST(CheckpointedRun, InterruptedThenResumedIsBitwiseIdentical) {
   const std::size_t n = 23;
   const auto fresh = run_checkpointed<double>(SweepCheckpoint{}, nullptr,
-                                              0x2ULL, n, job_value);
+                                              {{0x2ULL, n}}, one_sweep_value)
+                         .front();
 
   SweepCheckpoint ckpt;
   ckpt.directory = temp_path("resume");
@@ -370,8 +375,9 @@ TEST(CheckpointedRun, InterruptedThenResumedIsBitwiseIdentical) {
   std::size_t total_computed = 0;
   for (int attempt = 0; attempt < 10; ++attempt) {
     SweepOutcome outcome;
-    const auto partial =
-        run_checkpointed<double>(ckpt, &outcome, 0x2ULL, n, job_value);
+    const auto partial = run_checkpointed<double>(ckpt, &outcome, {{0x2ULL, n}},
+                                                  one_sweep_value)
+                             .front();
     total_computed += outcome.computed;
     if (outcome.complete()) {
       EXPECT_EQ(partial.results, fresh.results);  // exact double equality
@@ -385,21 +391,24 @@ TEST(CheckpointedRun, InterruptedThenResumedIsBitwiseIdentical) {
 TEST(CheckpointedRun, FourWayShardMergeIsBitwiseIdentical) {
   const std::size_t n = 18;
   const auto fresh = run_checkpointed<double>(SweepCheckpoint{}, nullptr,
-                                              0x3ULL, n, job_value);
+                                              {{0x3ULL, n}}, one_sweep_value)
+                         .front();
 
   SweepCheckpoint ckpt;
   ckpt.directory = temp_path("shard4");
   for (std::uint32_t k = 0; k < 4; ++k) {
     ckpt.shard = ShardSpec{k, 4};
     SweepOutcome outcome;
-    (void)run_checkpointed<double>(ckpt, &outcome, 0x3ULL, n, job_value);
+    (void)run_checkpointed<double>(ckpt, &outcome, {{0x3ULL, n}},
+                                   one_sweep_value);
     if (k < 3) EXPECT_FALSE(outcome.complete());
   }
   // Merge pass: every record comes from disk, none recomputed.
   ckpt.shard = ShardSpec{};
   SweepOutcome outcome;
-  const auto merged =
-      run_checkpointed<double>(ckpt, &outcome, 0x3ULL, n, job_value);
+  const auto merged = run_checkpointed<double>(ckpt, &outcome, {{0x3ULL, n}},
+                                               one_sweep_value)
+                          .front();
   ASSERT_TRUE(outcome.complete());
   EXPECT_EQ(outcome.loaded, n);
   EXPECT_EQ(outcome.computed, 0u);
@@ -411,9 +420,11 @@ TEST(CheckpointedRun, ShardsOnlyComputeOwnedIndices) {
   ckpt.directory = temp_path("owned");
   ckpt.shard = ShardSpec{1, 3};
   SweepOutcome outcome;
-  const auto part = run_checkpointed<std::uint64_t>(
-      ckpt, &outcome, 0x4ULL, 10,
-      [](std::size_t i) { return std::uint64_t{i}; });
+  const auto part =
+      run_checkpointed<std::uint64_t>(
+          ckpt, &outcome, {{0x4ULL, 10}},
+          [](std::size_t, std::size_t i) { return std::uint64_t{i}; })
+          .front();
   EXPECT_EQ(outcome.computed, 4u);  // indices 0, 3, 6, 9: (4 + i) % 3 == 1
   for (std::size_t i = 0; i < 10; ++i) {
     EXPECT_EQ(part.have[i] != 0, (0x4 + i) % 3 == 1) << "index " << i;
@@ -450,7 +461,8 @@ TEST(CheckpointedRun, IncompleteSweepWithoutOutcomeIsRefused) {
   ckpt.directory = temp_path("refused");
   ckpt.max_new_jobs = 2;
   EXPECT_THROW(
-      (void)run_checkpointed<double>(ckpt, nullptr, 0x5ULL, 6, job_value),
+      (void)run_checkpointed<double>(ckpt, nullptr, {{0x5ULL, 6}},
+                                     one_sweep_value),
       std::logic_error);
 }
 
@@ -496,9 +508,9 @@ TEST_P(CheckpointedBatch, EverySweepMatchesItsSingleSweepRun) {
   EXPECT_EQ(outcome.computed, 15u);
   for (std::size_t s = 0; s < kBatch.size(); ++s) {
     const auto single = run_checkpointed<double>(
-        SweepCheckpoint{}, nullptr, kBatch[s].fingerprint, kBatch[s].n,
-        [s](std::size_t i) { return batch_value(s, i); });
-    EXPECT_EQ(batch[s].results, single.results) << "sweep " << s;
+        SweepCheckpoint{}, nullptr, {kBatch[s]},
+        [s](std::size_t, std::size_t i) { return batch_value(s, i); });
+    EXPECT_EQ(batch[s].results, single.front().results) << "sweep " << s;
   }
 }
 

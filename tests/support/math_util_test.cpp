@@ -7,64 +7,12 @@
 namespace ethsm::support {
 namespace {
 
-TEST(Bisect, FindsSimpleRoot) {
-  auto root = bisect([](double x) { return x * x - 2.0; }, 0.0, 2.0);
-  ASSERT_TRUE(root.has_value());
-  EXPECT_NEAR(*root, std::sqrt(2.0), 1e-8);
-}
-
-TEST(Bisect, ReturnsEndpointWhenRootAtEndpoint) {
-  auto root = bisect([](double x) { return x; }, 0.0, 1.0);
-  ASSERT_TRUE(root.has_value());
-  EXPECT_DOUBLE_EQ(*root, 0.0);
-}
-
-TEST(Bisect, RejectsBracketWithoutSignChange) {
-  auto root = bisect([](double x) { return x * x + 1.0; }, -1.0, 1.0);
-  EXPECT_FALSE(root.has_value());
-}
-
-TEST(Bisect, HonorsTolerance) {
-  BisectOptions opt;
-  opt.tolerance = 1e-12;
-  auto root = bisect([](double x) { return std::cos(x); }, 0.0, 3.0, opt);
-  ASSERT_TRUE(root.has_value());
-  EXPECT_NEAR(*root, M_PI / 2.0, 1e-10);
-}
-
-TEST(FirstTrue, FindsCrossingPoint) {
-  auto x = first_true([](double v) { return v >= 0.37; }, 0.0, 1.0, 1e-9);
-  ASSERT_TRUE(x.has_value());
-  EXPECT_NEAR(*x, 0.37, 1e-7);
-}
-
-TEST(FirstTrue, ReturnsLoWhenAlreadyTrue) {
-  auto x = first_true([](double) { return true; }, 0.25, 1.0);
-  ASSERT_TRUE(x.has_value());
-  EXPECT_DOUBLE_EQ(*x, 0.25);
-}
-
-TEST(FirstTrue, ReturnsNulloptWhenNeverTrue) {
-  auto x = first_true([](double) { return false; }, 0.0, 1.0);
-  EXPECT_FALSE(x.has_value());
-}
-
 TEST(Close, RelativeAndAbsolute) {
   EXPECT_TRUE(close(1.0, 1.0 + 1e-12));
   EXPECT_FALSE(close(1.0, 1.001));
   EXPECT_TRUE(close(1.0, 1.001, 1e-2));
   EXPECT_TRUE(close(0.0, 1e-13));
   EXPECT_FALSE(close(0.0, 1e-6));
-}
-
-TEST(GeometricSum, MatchesDirectSummation) {
-  for (double q : {0.3, 0.99, 1.0, 1.5}) {
-    for (int n : {0, 1, 5, 20}) {
-      double direct = 0.0;
-      for (int k = 0; k < n; ++k) direct += std::pow(q, k);
-      EXPECT_NEAR(geometric_sum(q, n), direct, 1e-9) << "q=" << q << " n=" << n;
-    }
-  }
 }
 
 TEST(Ipow, MatchesStdPowForIntegers) {
@@ -109,14 +57,6 @@ TEST(FirstTrueReport, SignChangeOnHiIsReportedAsAtHi) {
   ASSERT_TRUE(r.value.has_value());
   EXPECT_EQ(r.crossing, CrossingLocation::at_hi);
   EXPECT_NEAR(*r.value, 1.0, 1e-8);
-}
-
-TEST(FirstTrueReport, ValueIsBitwiseIdenticalToFirstTrue) {
-  const auto pred = [](double v) { return v * v >= 0.2; };
-  const auto report = first_true_report(pred, 0.0, 1.0, 1e-7);
-  const auto legacy = first_true(pred, 0.0, 1.0, 1e-7);
-  ASSERT_TRUE(report.value && legacy);
-  EXPECT_EQ(*report.value, *legacy);
 }
 
 TEST(FirstTrueReport, CrossingWithinToleranceOfHiIsAtHi) {

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "api/render.h"
 #include "support/csv.h"
 #include "support/table.h"
 
@@ -51,7 +52,7 @@ TEST(TextTable, ColumnsAlignToWidestCell) {
 
 TEST(CsvWriter, BasicOutput) {
   CsvWriter w({"gamma", "threshold"});
-  w.add_row(std::vector<double>{0.5, 0.163});
+  w.add_row(std::vector<std::string>{"0.5", "0.163"});
   const std::string s = w.str();
   EXPECT_EQ(s.rfind("gamma,threshold\n", 0), 0u);
   EXPECT_NE(s.find("0.5,0.163"), std::string::npos);
@@ -68,7 +69,8 @@ TEST(CsvWriter, EscapesSpecialCharacters) {
 
 TEST(CsvWriter, RejectsWidthMismatch) {
   CsvWriter w({"a", "b"});
-  EXPECT_THROW(w.add_row(std::vector<double>{1.0}), std::invalid_argument);
+  EXPECT_THROW(w.add_row(std::vector<std::string>{"1"}),
+               std::invalid_argument);
 }
 
 TEST(CsvWriter, RejectsEmptyHeader) {
@@ -83,11 +85,17 @@ TEST(TextTable, OptionalCellRendering) {
   EXPECT_EQ(TextTable::opt(std::nullopt, 4, "never"), "never");
 }
 
-TEST(CsvWriter, OptionalRowUsesMissingSentinel) {
-  CsvWriter w({"alpha", "us_sim"});
-  w.add_optional_row({0.3, std::nullopt});
-  const std::string s = w.str();
-  EXPECT_NE(s.find("0.3,-1"), std::string::npos)
+TEST(RenderCsv, MissingNumberUsesTheSentinel) {
+  // The CSV export writes a missing numeric cell (a sim column not yet
+  // merged, a threshold that is never reached) as CsvWriter's -1 sentinel.
+  api::ExperimentResult result;
+  api::ResultTable table;
+  table.columns = {api::Column::make_numeric("alpha"),
+                   api::Column::make_numeric("us_sim")};
+  table.columns[0].numbers = {0.3};
+  table.columns[1].numbers = {std::nullopt};
+  result.tables.push_back(table);
+  EXPECT_EQ(api::render_csv(result), "alpha,us_sim\n0.3,-1\n")
       << "missing optionals must encode as the historical -1 sentinel";
 }
 

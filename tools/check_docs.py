@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs-consistency gate.
 
-Two checks, both run in CI (stdlib only, no pip):
+Three checks, all run in CI (stdlib only, no pip):
 
 1. The generated preset table in docs/CLI.md must match what the built
    binary actually registers (`ethsm list --format json`): names, kinds,
@@ -11,6 +11,11 @@ Two checks, both run in CI (stdlib only, no pip):
 2. Every relative markdown link in README.md and docs/*.md must point at a
    file that exists (http(s)/mailto links are skipped; #fragments are
    stripped before the existence check).
+
+3. Every `*.md` path named in a comment of a source file under src/,
+   tests/, examples/, bench/ or cli/ (C++ `//` and `/* */` comments, `#`
+   comments in spec and study files) must name a file that exists, relative
+   to the repository root or to the citing file's directory.
 
 Exit code 0 when everything is consistent, 1 otherwise.
 """
@@ -32,6 +37,12 @@ END_MARK = "<!-- END GENERATED PRESETS -->"
 LINK_DOCS = ["README.md", "docs/ARCHITECTURE.md", "docs/CLI.md",
              "docs/OPERATIONS.md", "docs/OBSERVABILITY.md"]
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+
+COMMENT_DIRS = ["src", "tests", "examples", "bench", "cli"]
+CXX_EXTS = (".cpp", ".h")
+CXX_COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?\*/", re.S)
+HASH_COMMENT_RE = re.compile(r"#[^\n]*")
+MD_REF_RE = re.compile(r"[\w./-]*\w\.md\b")
 
 
 def preset_table(binary: str) -> str:
@@ -105,6 +116,27 @@ def check_links() -> list[str]:
     return errors
 
 
+def check_comment_refs() -> list[str]:
+    errors = []
+    for top in COMMENT_DIRS:
+        for dirpath, _, files in os.walk(os.path.join(REPO_ROOT, top)):
+            for name in sorted(files):
+                path = os.path.join(dirpath, name)
+                comment_re = (CXX_COMMENT_RE if name.endswith(CXX_EXTS)
+                              else HASH_COMMENT_RE)
+                with open(path, encoding="utf-8", errors="replace") as f:
+                    text = f.read()
+                rel = os.path.relpath(path, REPO_ROOT)
+                for comment in comment_re.finditer(text):
+                    line = text.count("\n", 0, comment.start()) + 1
+                    for ref in MD_REF_RE.findall(comment.group()):
+                        if not any(os.path.exists(os.path.join(base, ref))
+                                   for base in (REPO_ROOT, dirpath)):
+                            errors.append(
+                                f"{rel}:{line}: comment cites missing {ref}")
+    return errors
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--binary", default=os.path.join("build", "ethsm"),
@@ -115,10 +147,12 @@ def main() -> int:
 
     errors = check_preset_table(args.binary, args.fix)
     errors += check_links()
+    errors += check_comment_refs()
     if errors:
         print("\n".join(errors), file=sys.stderr)
         return 1
-    print("docs consistent: preset table matches the binary, all links resolve")
+    print("docs consistent: preset table matches the binary, all links and "
+          "comment references resolve")
     return 0
 
 
