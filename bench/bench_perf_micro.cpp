@@ -25,7 +25,6 @@
 #include "analysis/threshold.h"
 #include "analysis/uncle_distance.h"
 #include "chain/uncle_index.h"
-#include "markov/closed_form.h"
 #include "markov/stationary.h"
 #include "miner/honest_policy.h"
 #include "miner/selfish_policy.h"
@@ -415,18 +414,6 @@ void BM_MetricsCounterHotPath(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MetricsCounterHotPath);
-
-void BM_ClosedFormPiij(benchmark::State& state) {
-  for (auto _ : state) {
-    for (int i = 3; i <= 12; ++i) {
-      for (int j = 1; j <= i - 2; ++j) {
-        benchmark::DoNotOptimize(
-            ethsm::markov::piij_closed_form(0.4, 0.5, i, j));
-      }
-    }
-  }
-}
-BENCHMARK(BM_ClosedFormPiij);
 
 /// A chain with a stale sibling every 3 blocks: realistic candidate load.
 ethsm::chain::BlockTree periodic_stale_tree() {

@@ -180,25 +180,4 @@ int recommended_max_lead(const markov::MiningParams& params) {
   return std::clamp(depth, 80, 600);
 }
 
-double pool_static_rate_closed_form(double alpha, double gamma) {
-  const double a = alpha;
-  const double b = 1.0 - a;
-  const double d = 2 * a * a * a - 4 * a * a + 1;
-  return (a * b * b * (4 * a + gamma * (1 - 2 * a)) - a * a * a) / d;
-}
-
-double honest_static_rate_closed_form(double alpha, double gamma) {
-  const double a = alpha;
-  const double b = 1.0 - a;
-  const double d = 2 * a * a * a - 4 * a * a + 1;
-  return (1 - 2 * a) * b * (a * b * (2 - gamma) + 1) / d;
-}
-
-double pool_uncle_rate_closed_form(double alpha, double gamma, double ku1) {
-  const double a = alpha;
-  const double b = 1.0 - a;
-  const double d = 2 * a * a * a - 4 * a * a + 1;
-  return (1 - 2 * a) * b * b * a * (1 - gamma) / d * ku1;
-}
-
 }  // namespace ethsm::analysis

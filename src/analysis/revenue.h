@@ -124,17 +124,6 @@ struct RevenueCache {
 /// own depth of 200.
 [[nodiscard]] int recommended_max_lead(const markov::MiningParams& params);
 
-/// Paper Eq. (3): closed-form r_b^s (static reward rate of the pool).
-[[nodiscard]] double pool_static_rate_closed_form(double alpha, double gamma);
-
-/// Paper Eq. (4): closed-form r_b^h (static reward rate of honest miners).
-[[nodiscard]] double honest_static_rate_closed_form(double alpha, double gamma);
-
-/// Paper Eq. (5): closed-form r_u^s (uncle reward rate of the pool); the
-/// pool's uncles are always referenced at distance 1 (Remark 5).
-[[nodiscard]] double pool_uncle_rate_closed_form(double alpha, double gamma,
-                                                 double ku1);
-
 }  // namespace ethsm::analysis
 
 #endif  // ETHSM_ANALYSIS_REVENUE_H

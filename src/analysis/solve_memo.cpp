@@ -19,7 +19,7 @@ std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
 std::size_t SolveMemo::KeyHash::operator()(const Key& key) const noexcept {
   support::Fingerprint fp;
-  fp.mix(key.max_lead).mix(key.tolerance).mix(key.max_iterations).mix(key.method);
+  fp.mix(key.max_lead);
   for (std::uint64_t x : key.path) fp.mix(x);
   return static_cast<std::size_t>(fp.digest());
 }
@@ -136,12 +136,8 @@ void SolveMemo::clear() {
 RevenueBreakdown SolveMemo::revenue(const markov::MiningParams& params,
                                     const rewards::RewardConfig& config,
                                     int max_lead, RevenueCache* cache) {
-  const markov::StationaryOptions defaults;
   Key key;
   key.max_lead = max_lead;
-  key.tolerance = bits(defaults.tolerance);
-  key.max_iterations = defaults.max_iterations;
-  key.method = static_cast<int>(defaults.method);
   if (cache != nullptr) {
     if (cache->max_lead != max_lead) {
       cache->max_lead = max_lead;
@@ -163,7 +159,7 @@ RevenueBreakdown SolveMemo::revenue(const markov::MiningParams& params,
       cache->space = std::make_unique<markov::StateSpace>(max_lead);
     }
     const markov::TransitionModel model(cache ? *cache->space : *local, params);
-    markov::StationaryOptions options = defaults;
+    markov::StationaryOptions options;
     if (cache != nullptr) options.initial = cache->last_pi.get();
     const markov::StationaryDistribution pi =
         markov::solve_stationary(model, options);

@@ -8,10 +8,11 @@
 // the same chains. The memo solves each one once.
 //
 // Rules:
-//   * The key holds every input bit of a solve: the truncation, the bit
+//   * The key holds every input bit of a solve: the truncation and the bit
 //     pattern of each (alpha, gamma) on the chain's path from its cold solve
 //     to this one (a warm-started solve starts from its predecessor's
-//     vector), and the solver options. 0.0 and -0.0 are different keys.
+//     vector). The solver options are always the defaults. 0.0 and -0.0 are
+//     different keys.
 //   * A hit returns what the solve would have produced, bit for bit, so a
 //     hit never shows in any output -- only in the solver counters.
 //   * A request for a key that another thread is still solving waits for
@@ -75,9 +76,6 @@ class SolveMemo {
  private:
   struct Key {
     int max_lead = 0;
-    std::uint64_t tolerance = 0;  ///< bit pattern
-    int max_iterations = 0;
-    int method = 0;
     std::vector<std::uint64_t> path;  ///< (alpha, gamma) bit patterns
 
     bool operator==(const Key&) const = default;

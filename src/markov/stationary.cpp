@@ -187,7 +187,9 @@ void gauss_seidel_sweep(const TransitionModel::Incoming& in,
 /// sweep; a cold start overshoots convergence by at most 7 sweeps, which is
 /// noise against the hundreds it needs. Between checkpoints the vector is
 /// unnormalised; the fixed point is scale-invariant and a handful of sweeps
-/// cannot overflow.
+/// cannot overflow. A block that `sweep_limit` cuts short spans fewer sweeps
+/// than its schedule, so its smaller change is no convergence witness: such
+/// a block always stalls.
 double gauss_seidel_iterate(const TransitionModel& model,
                             std::vector<double>& pi, double tolerance,
                             int sweep_limit, int& iter, bool& stalled) {
@@ -199,8 +201,10 @@ double gauss_seidel_iterate(const TransitionModel& model,
   stalled = false;
   double diff = 1.0;
   int interval = 1;
+  bool cut_short = false;
   while (iter < sweep_limit && diff > tolerance) {
     const int block = std::min(interval, sweep_limit - iter);
+    cut_short = block < interval;
     for (int b = 0; b < block; ++b) gauss_seidel_sweep(in, pi);
     iter += block;
     interval = std::min(interval * 2, 8);
@@ -223,7 +227,7 @@ double gauss_seidel_iterate(const TransitionModel& model,
     }
     diff = change;
   }
-  stalled = diff > tolerance;
+  stalled = cut_short || diff > tolerance;
   return diff;
 }
 

@@ -1,5 +1,4 @@
-// Simulation configuration (paper Sec. V: n = 1000 miners with equal hash
-// rate, pool controls alpha*n of them, 10 runs x 100,000 blocks).
+// Simulation configuration (paper Sec. V: 10 runs x 100,000 blocks).
 
 #ifndef ETHSM_SIM_SIM_CONFIG_H
 #define ETHSM_SIM_SIM_CONFIG_H
@@ -26,19 +25,6 @@ struct SimConfig {
   bool pool_uses_selfish_strategy = true;
 
   void validate() const;
-};
-
-/// Extra knobs for the population simulator.
-struct PopulationConfig {
-  SimConfig base;
-  /// Total miners; the pool controls round(alpha * num_miners) of them, and
-  /// alpha is snapped to that ratio (paper: 1000 miners, pool <= 450).
-  std::uint32_t num_miners = 1000;
-
-  void validate() const;
-  [[nodiscard]] std::uint32_t pool_size() const;
-  /// alpha after snapping to pool_size() / num_miners.
-  [[nodiscard]] double effective_alpha() const;
 };
 
 }  // namespace ethsm::sim

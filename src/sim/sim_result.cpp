@@ -1,7 +1,5 @@
 #include "sim/sim_result.h"
 
-#include <cmath>
-
 #include "support/check.h"
 
 namespace ethsm::sim {
@@ -11,22 +9,6 @@ void SimConfig::validate() const {
                 "alpha must lie in [0, 0.5): a majority pool trivially wins");
   ETHSM_EXPECTS(gamma >= 0.0 && gamma <= 1.0, "gamma must lie in [0, 1]");
   ETHSM_EXPECTS(num_blocks > 0, "num_blocks must be positive");
-}
-
-void PopulationConfig::validate() const {
-  base.validate();
-  ETHSM_EXPECTS(num_miners >= 2, "population needs at least two miners");
-  ETHSM_EXPECTS(pool_size() < num_miners,
-                "the pool may not control every miner");
-}
-
-std::uint32_t PopulationConfig::pool_size() const {
-  return static_cast<std::uint32_t>(
-      std::llround(base.alpha * static_cast<double>(num_miners)));
-}
-
-double PopulationConfig::effective_alpha() const {
-  return static_cast<double>(pool_size()) / static_cast<double>(num_miners);
 }
 
 double SimResult::normalizer(Scenario s) const {
@@ -62,12 +44,6 @@ double SimResult::uncle_rate() const {
   const auto regular = static_cast<double>(ledger.regular_total());
   if (regular == 0.0) return 0.0;
   return static_cast<double>(ledger.referenced_uncle_total()) / regular;
-}
-
-double SimResult::wasted_fraction(chain::MinerClass c) const {
-  const auto& f = ledger.fate_of(c);
-  const auto mined = static_cast<double>(f.total());
-  return mined == 0.0 ? 0.0 : static_cast<double>(f.stale) / mined;
 }
 
 void MultiRunSummary::absorb(const SimResult& r) {

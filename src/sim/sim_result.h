@@ -56,9 +56,6 @@ struct SimResult {
   /// Referenced uncles per regular block (what EIP100 feeds back into the
   /// difficulty).
   [[nodiscard]] double uncle_rate() const;
-
-  /// Fraction of pool / honest blocks that ended up stale and unreferenced.
-  [[nodiscard]] double wasted_fraction(chain::MinerClass c) const;
 };
 
 /// Mean/CI aggregation across independent runs (paper: average of 10 runs).

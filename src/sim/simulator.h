@@ -11,8 +11,8 @@
 //
 // This is the *aggregate* simulator: the honest side is a single entity whose
 // tie-break is sampled per block (exactly the Markov model's assumption). The
-// population simulator (population_sim.h) tracks 1000 individual miners as in
-// the paper's evaluation and is validated against this one.
+// test suite checks that assumption against the paper's 1000-miner population
+// rig (tests/sim/population_sim.h).
 
 #ifndef ETHSM_SIM_SIMULATOR_H
 #define ETHSM_SIM_SIMULATOR_H

@@ -91,14 +91,6 @@ std::vector<double> Histogram::latency_bounds_seconds() {
           1e-1, 5e-1, 1.0,  5.0,  10.0, 30.0, 100.0};
 }
 
-std::vector<double> Histogram::size_bounds_bytes() {
-  std::vector<double> bounds;
-  for (double b = 64.0; b <= 256.0 * 1024 * 1024; b *= 4.0) {
-    bounds.push_back(b);
-  }
-  return bounds;
-}
-
 // --------------------------------------------------------------- Registry ---
 
 Registry::Entry& Registry::find_or_create(const std::string& name, Kind kind,

@@ -130,8 +130,6 @@ class Histogram {
 
   /// Default latency bounds in seconds: 1us .. ~100s, quasi-logarithmic.
   static std::vector<double> latency_bounds_seconds();
-  /// Default size bounds in bytes: 64B .. 256MiB, powers of four.
-  static std::vector<double> size_bounds_bytes();
 
  private:
   std::vector<double> bounds_;

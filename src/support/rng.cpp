@@ -4,23 +4,6 @@
 
 namespace ethsm::support {
 
-void Xoshiro256::jump() noexcept {
-  static constexpr std::array<std::uint64_t, 4> kJump = {
-      0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL, 0xa9582618e03fc9aaULL,
-      0x39abdc4529b1661cULL};
-
-  std::array<std::uint64_t, 4> acc{};
-  for (std::uint64_t word : kJump) {
-    for (int bit = 0; bit < 64; ++bit) {
-      if (word & (std::uint64_t{1} << bit)) {
-        for (std::size_t i = 0; i < acc.size(); ++i) acc[i] ^= state_[i];
-      }
-      (*this)();
-    }
-  }
-  state_ = acc;
-}
-
 double Xoshiro256::exponential(double rate) noexcept {
   // Inverse-CDF sampling on (0,1] so log() never sees zero.
   return -std::log(uniform01_open_low()) / rate;

@@ -6,8 +6,6 @@
 //    produce different streams on different standard libraries, which would make
 //    the recorded experiment outputs machine-dependent). All distribution
 //    sampling here is hand-rolled and fully specified.
-//  * jump() support so independent simulation runs can share one master seed
-//    yet have provably non-overlapping streams.
 //
 // The generator satisfies the C++ UniformRandomBitGenerator concept so it can
 // still be plugged into <random> when portability of the stream is not needed.
@@ -67,9 +65,6 @@ class Xoshiro256 {
     state_[3] = rotl(state_[3], 45);
     return result;
   }
-
-  /// Advances the stream by 2^128 steps; used to derive per-run sub-streams.
-  void jump() noexcept;
 
   /// Uniform double in [0, 1) with 53 bits of randomness.
   double uniform01() noexcept {

@@ -75,12 +75,6 @@ std::uint64_t Histogram::at(std::size_t bucket) const {
   return counts_[bucket];
 }
 
-double Histogram::fraction(std::size_t bucket) const {
-  const std::uint64_t in_range = total_ - overflow_;
-  if (in_range == 0) return 0.0;
-  return static_cast<double>(at(bucket)) / static_cast<double>(in_range);
-}
-
 double Histogram::conditional_fraction(std::size_t bucket, std::size_t lo,
                                        std::size_t hi) const {
   ETHSM_EXPECTS(lo <= hi && hi < counts_.size(), "bad conditional range");
@@ -100,16 +94,6 @@ double Histogram::conditional_mean(std::size_t lo, std::size_t hi) const {
   }
   if (mass == 0) return 0.0;
   return weighted / static_cast<double>(mass);
-}
-
-std::vector<double> Histogram::normalized() const {
-  std::vector<double> out(counts_.size(), 0.0);
-  const std::uint64_t in_range = total_ - overflow_;
-  if (in_range == 0) return out;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    out[i] = static_cast<double>(counts_[i]) / static_cast<double>(in_range);
-  }
-  return out;
 }
 
 }  // namespace ethsm::support

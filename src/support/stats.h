@@ -56,16 +56,11 @@ class Histogram {
   [[nodiscard]] std::uint64_t overflow() const noexcept { return overflow_; }
   [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
 
-  /// Probability mass of `bucket` relative to the in-range total.
-  [[nodiscard]] double fraction(std::size_t bucket) const;
   /// Probability mass conditional on bucket in [lo, hi].
   [[nodiscard]] double conditional_fraction(std::size_t bucket, std::size_t lo,
                                             std::size_t hi) const;
   /// E[bucket | bucket in [lo, hi]]; 0 when the range is empty.
   [[nodiscard]] double conditional_mean(std::size_t lo, std::size_t hi) const;
-
-  /// Normalised in-range mass as a vector of fractions.
-  [[nodiscard]] std::vector<double> normalized() const;
 
  private:
   std::vector<std::uint64_t> counts_;

@@ -114,11 +114,6 @@ void complete_event(const std::string& name, std::uint64_t begin_us,
       {name, begin_us, end_us >= begin_us ? end_us - begin_us : 0});
 }
 
-void complete_event(const char* name, std::uint64_t begin_us,
-                    std::uint64_t end_us) {
-  complete_event(std::string(name), begin_us, end_us);
-}
-
 bool stop() {
   Global& g = global();
   // false without an active trace: nothing was flushed. Lets callers (and

@@ -35,8 +35,6 @@ std::uint64_t now_us() noexcept;
 /// Record one complete event directly (begin timestamp taken by the caller
 /// via now_us()). Prefer Span below; this exists for call sites whose scope
 /// does not nest cleanly.
-void complete_event(const char* name, std::uint64_t begin_us,
-                    std::uint64_t end_us);
 void complete_event(const std::string& name, std::uint64_t begin_us,
                     std::uint64_t end_us);
 

@@ -23,6 +23,7 @@
 
 #include "analysis/bitcoin_es.h"
 #include "analysis/revenue.h"
+#include "analysis/revenue_closed_form.h"
 #include "analysis/sweep.h"
 #include "analysis/uncle_distance.h"
 

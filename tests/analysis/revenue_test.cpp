@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/absolute_revenue.h"
+#include "analysis/revenue_closed_form.h"
 
 namespace ethsm::analysis {
 namespace {

@@ -16,7 +16,6 @@
 
 #include "analysis/sweep.h"
 #include "sim/delay_sim.h"
-#include "sim/population_sim.h"
 #include "sim/simulator.h"
 #include "support/checkpoint.h"
 #include "support/temp_dir.h"
@@ -201,44 +200,25 @@ TEST(CheckpointRunMany, RefusesPartialAggregateWithoutOutcome) {
   EXPECT_THROW((void)sim::run_many({config}, 4, ckpt), std::invalid_argument);
 }
 
-TEST(CheckpointPopulationAndDelay, ResumeRoundTripsExactly) {
-  {
-    sim::PopulationConfig config;
-    config.base.alpha = 0.3;
-    config.base.num_blocks = 1'000;
-    config.num_miners = 50;
-    const auto fresh = sim::run_population_many({config}, 3).front();
-    SweepCheckpoint ckpt;
-    ckpt.directory = temp_path("population");
-    SweepOutcome first;
-    (void)sim::run_population_many({config}, 3, ckpt, &first);
-    SweepOutcome outcome;
-    const auto resumed =
-        sim::run_population_many({config}, 3, ckpt, &outcome).front();
-    EXPECT_EQ(outcome.loaded, 3u);
-    EXPECT_EQ(resumed.pool_member_share.mean(), fresh.pool_member_share.mean());
-    EXPECT_EQ(resumed.sim.pool_revenue_s1.mean(), fresh.sim.pool_revenue_s1.mean());
-  }
-  {
-    sim::DelaySimConfig config;
-    config.num_blocks = 1'000;
-    const auto fresh = sim::run_delay_many({config}, 3).front();
-    SweepCheckpoint ckpt;
-    ckpt.directory = temp_path("delay");
-    SweepOutcome first;
-    (void)sim::run_delay_many({config}, 3, ckpt, &first);
-    SweepOutcome outcome;
-    const auto resumed =
-        sim::run_delay_many({config}, 3, ckpt, &outcome).front();
-    EXPECT_EQ(outcome.loaded, 3u);
-    EXPECT_EQ(resumed.uncle_rate.mean(), fresh.uncle_rate.mean());
-    EXPECT_EQ(resumed.stale_rate.mean(), fresh.stale_rate.mean());
-    ASSERT_EQ(resumed.per_miner_stale_fraction.size(),
-              fresh.per_miner_stale_fraction.size());
-    for (std::size_t m = 0; m < fresh.per_miner_stale_fraction.size(); ++m) {
-      EXPECT_EQ(resumed.per_miner_stale_fraction[m].mean(),
-                fresh.per_miner_stale_fraction[m].mean());
-    }
+TEST(CheckpointDelay, ResumeRoundTripsExactly) {
+  sim::DelaySimConfig config;
+  config.num_blocks = 1'000;
+  const auto fresh = sim::run_delay_many({config}, 3).front();
+  SweepCheckpoint ckpt;
+  ckpt.directory = temp_path("delay");
+  SweepOutcome first;
+  (void)sim::run_delay_many({config}, 3, ckpt, &first);
+  SweepOutcome outcome;
+  const auto resumed =
+      sim::run_delay_many({config}, 3, ckpt, &outcome).front();
+  EXPECT_EQ(outcome.loaded, 3u);
+  EXPECT_EQ(resumed.uncle_rate.mean(), fresh.uncle_rate.mean());
+  EXPECT_EQ(resumed.stale_rate.mean(), fresh.stale_rate.mean());
+  ASSERT_EQ(resumed.per_miner_stale_fraction.size(),
+            fresh.per_miner_stale_fraction.size());
+  for (std::size_t m = 0; m < fresh.per_miner_stale_fraction.size(); ++m) {
+    EXPECT_EQ(resumed.per_miner_stale_fraction[m].mean(),
+              fresh.per_miner_stale_fraction[m].mean());
   }
 }
 

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "analysis/revenue.h"
+#include "analysis/revenue_closed_form.h"
 #include "markov/stationary.h"
 #include "markov/state_space.h"
 #include "markov/transition_model.h"

@@ -166,5 +166,32 @@ TEST(KernelSolverInvariants, FallbackRespectsIterationBudget) {
   EXPECT_NEAR(mass_sum(pi), 1.0, 1e-12);  // still a distribution
 }
 
+// Gauss-Seidel checks convergence after blocks of 1, 2, 4, then 8 sweeps. A
+// last block that the budget cuts short spans fewer sweeps, so its change can
+// dip under the tolerance before the chain has converged; it must never
+// pass. Every Gauss-Seidel budget below the unlimited solve's sweep count
+// therefore falls back to power iteration, and a budget equal to it
+// reproduces the unlimited solve.
+TEST(KernelSolverInvariants, BudgetTruncatedBlockNeverPasses) {
+  const StateSpace space(8);
+  const TransitionModel model = make_model(space, 0.3, 0.5);
+  const auto unlimited = solve_stationary(model);
+  ASSERT_EQ(unlimited.method(), SolveMethod::gauss_seidel);
+  const int sweeps = unlimited.iterations();
+  ASSERT_GT(sweeps, 8);
+  for (int budget = sweeps - 8; budget <= sweeps; ++budget) {
+    StationaryOptions options;
+    options.max_iterations = 2 * budget;  // `automatic` gives Gauss-Seidel half
+    const auto pi = solve_stationary(model, options);
+    if (budget < sweeps) {
+      EXPECT_EQ(pi.method(), SolveMethod::power) << "budget " << budget;
+    } else {
+      EXPECT_EQ(pi.method(), SolveMethod::gauss_seidel);
+      EXPECT_EQ(pi.iterations(), sweeps);
+      EXPECT_EQ(pi.values(), unlimited.values());
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ethsm::markov

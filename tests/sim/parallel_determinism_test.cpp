@@ -24,7 +24,6 @@
 #include "api/runner.h"
 #include "net/net_sim.h"
 #include "sim/delay_sim.h"
-#include "sim/population_sim.h"
 #include "sim/simulator.h"
 #include "support/rng.h"
 #include "support/thread_pool.h"
@@ -201,29 +200,6 @@ TEST_F(DeterminismTest, ThresholdCurveIsIdenticalAcrossThreadCounts) {
   for (unsigned threads : thread_counts_under_test()) {
     use_threads_with_a_cold_memo(threads);
     const auto fp = flatten(analysis::threshold_curve(options));
-    if (reference.empty()) {
-      reference = fp;
-    } else {
-      EXPECT_EQ(reference, fp) << "thread count " << threads;
-    }
-  }
-}
-
-TEST_F(DeterminismTest, PopulationManyIsBitwiseIdenticalAcrossThreadCounts) {
-  PopulationConfig config;
-  config.base.alpha = 0.3;
-  config.base.num_blocks = 4'000;
-  config.base.seed = 99;
-  config.num_miners = 100;
-
-  std::vector<double> reference;
-  for (unsigned threads : thread_counts_under_test()) {
-    ThreadPool::set_global_concurrency(threads);
-    const auto summary = run_population_many({config}, 4).front();
-    auto fp = fingerprint(summary.sim);
-    append_stats(fp, summary.pool_member_share);
-    fp.push_back(static_cast<double>(summary.pool_size));
-    fp.push_back(summary.effective_alpha);
     if (reference.empty()) {
       reference = fp;
     } else {

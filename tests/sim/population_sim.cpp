@@ -1,12 +1,12 @@
 #include "sim/population_sim.h"
 
+#include <cmath>
 #include <numeric>
 
 #include "chain/block_tree.h"
 #include "miner/honest_policy.h"
 #include "miner/selfish_policy.h"
 #include "support/check.h"
-#include "support/parallel.h"
 #include "support/rng.h"
 
 namespace ethsm::sim {
@@ -39,6 +39,22 @@ class TiePreferences {
 };
 
 }  // namespace
+
+void PopulationConfig::validate() const {
+  base.validate();
+  ETHSM_EXPECTS(num_miners >= 2, "population needs at least two miners");
+  ETHSM_EXPECTS(pool_size() < num_miners,
+                "the pool may not control every miner");
+}
+
+std::uint32_t PopulationConfig::pool_size() const {
+  return static_cast<std::uint32_t>(
+      std::llround(base.alpha * static_cast<double>(num_miners)));
+}
+
+double PopulationConfig::effective_alpha() const {
+  return static_cast<double>(pool_size()) / static_cast<double>(num_miners);
+}
 
 double PopulationResult::pool_member_share() const {
   const double total =
@@ -121,68 +137,4 @@ PopulationResult run_population_simulation(const PopulationConfig& config) {
   return result;
 }
 
-std::uint64_t run_population_many_fingerprint(const PopulationConfig& config,
-                                              int runs) {
-  support::Fingerprint fp;
-  fp.mix("run_population_many/v1");
-  fp.mix(config.base.alpha);
-  fp.mix(config.base.gamma);
-  fp.mix(config.base.num_blocks);
-  fp.mix(config.base.seed);
-  fp.mix(rewards::sweep_fingerprint(config.base.rewards));
-  fp.mix(config.base.pool_uses_selfish_strategy);
-  fp.mix(config.num_miners);
-  fp.mix(runs);
-  return fp.digest();
-}
-
-std::vector<PopulationMultiRunSummary> run_population_many(
-    const std::vector<PopulationConfig>& configs, int runs,
-    const support::SweepCheckpoint& checkpoint,
-    support::SweepOutcome* outcome) {
-  std::vector<support::SeededSweep> sweeps;
-  std::vector<PopulationMultiRunSummary> summaries(configs.size());
-  for (std::size_t s = 0; s < configs.size(); ++s) {
-    configs[s].validate();
-    sweeps.push_back({run_population_many_fingerprint(configs[s], runs),
-                      configs[s].base.seed, runs});
-    summaries[s].pool_size = configs[s].pool_size();
-    summaries[s].effective_alpha = configs[s].effective_alpha();
-  }
-  support::run_seeded(
-      checkpoint, outcome, sweeps,
-      [&configs](std::size_t s, std::uint64_t seed) {
-        PopulationConfig run_config = configs[s];
-        run_config.base.seed = seed;
-        return run_population_simulation(run_config);
-      },
-      [&summaries](std::size_t s, const PopulationResult& r) {
-        summaries[s].sim.absorb(r.sim);
-        summaries[s].pool_member_share.add(r.pool_member_share());
-      });
-  return summaries;
-}
-
 }  // namespace ethsm::sim
-
-namespace ethsm::support {
-
-void CheckpointCodec<sim::PopulationResult>::encode(
-    ByteWriter& w, const sim::PopulationResult& result) {
-  CheckpointCodec<sim::SimResult>::encode(w, result.sim);
-  w.f64_vec(result.per_miner_reward);
-  w.u32(result.pool_size);
-  w.f64(result.effective_alpha);
-}
-
-sim::PopulationResult CheckpointCodec<sim::PopulationResult>::decode(
-    ByteReader& r) {
-  sim::PopulationResult result;
-  result.sim = CheckpointCodec<sim::SimResult>::decode(r);
-  result.per_miner_reward = r.f64_vec();
-  result.pool_size = r.u32();
-  result.effective_alpha = r.f64();
-  return result;
-}
-
-}  // namespace ethsm::support

@@ -106,13 +106,12 @@ TEST(Simulator, PoolUnclesOnlyAtDistanceOne) {
   for (std::size_t d = 2; d < h.size(); ++d) EXPECT_EQ(h.at(d), 0u);
 }
 
-TEST(Simulator, WastedFractionPositiveForBothSides) {
+TEST(Simulator, HonestForkBlocksGoStale) {
   const auto r = run_simulation(small_config());
   // Honest fork blocks die (Case 11/12); the pool occasionally loses its
   // first lead but those become distance-1 uncles, not pure waste -- so pool
   // waste can be zero under unlimited referencing.
-  EXPECT_GT(r.wasted_fraction(chain::MinerClass::honest), 0.0);
-  EXPECT_GE(r.wasted_fraction(chain::MinerClass::selfish), 0.0);
+  EXPECT_GT(r.ledger.fate_of(chain::MinerClass::honest).stale, 0u);
 }
 
 TEST(Simulator, GammaOnePoolNeverLosesLead) {

@@ -95,15 +95,6 @@ TEST(Histogram, CountsAndOverflow) {
   EXPECT_EQ(h.total(), 6u);
 }
 
-TEST(Histogram, FractionExcludesOverflow) {
-  Histogram h(2);
-  h.add(0, 3);
-  h.add(1, 1);
-  h.add(5, 4);  // overflow
-  EXPECT_DOUBLE_EQ(h.fraction(0), 0.75);
-  EXPECT_DOUBLE_EQ(h.fraction(1), 0.25);
-}
-
 TEST(Histogram, ConditionalFractionAndMean) {
   Histogram h(8);
   h.add(1, 10);
@@ -131,16 +122,6 @@ TEST(Histogram, MergeAddsCounts) {
 TEST(Histogram, MergeRejectsSizeMismatch) {
   Histogram a(3), b(4);
   EXPECT_THROW(a.merge(b), std::invalid_argument);
-}
-
-TEST(Histogram, NormalizedSumsToOne) {
-  Histogram h(5);
-  h.add(0, 1);
-  h.add(3, 3);
-  const auto norm = h.normalized();
-  double sum = 0.0;
-  for (double f : norm) sum += f;
-  EXPECT_NEAR(sum, 1.0, 1e-12);
 }
 
 TEST(KahanSum, BeatsNaiveSummation) {
