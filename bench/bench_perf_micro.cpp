@@ -268,7 +268,7 @@ BENCHMARK(BM_StationarySolvePower)->Arg(40)->Arg(80)->Arg(160)
     ->Unit(benchmark::kMillisecond);
 
 /// The corner the Gauss-Seidel solver exists for: large alpha, small gamma,
-/// deep truncation (recommended_max_lead grows to 600 there). Arg 0 = GS,
+/// deep truncation (the private branch runs longest there). Arg 0 = GS,
 /// Arg 1 = power; the iteration gap is ~an order of magnitude.
 void BM_StationarySolveDeepCorner(benchmark::State& state) {
   const ethsm::markov::StateSpace space(300);

@@ -4,17 +4,6 @@
 
 namespace ethsm::analysis {
 
-double eyal_sirer_revenue(double alpha, double gamma) {
-  ETHSM_EXPECTS(alpha >= 0.0 && alpha < 0.5, "alpha must lie in [0, 0.5)");
-  ETHSM_EXPECTS(gamma >= 0.0 && gamma <= 1.0, "gamma must lie in [0, 1]");
-  const double a = alpha;
-  const double g = gamma;
-  const double numerator =
-      a * (1 - a) * (1 - a) * (4 * a + g * (1 - 2 * a)) - a * a * a;
-  const double denominator = 1 - a * (1 + (2 - a) * a);
-  return denominator == 0.0 ? 0.0 : numerator / denominator;
-}
-
 double eyal_sirer_threshold(double gamma) {
   ETHSM_EXPECTS(gamma >= 0.0 && gamma <= 1.0, "gamma must lie in [0, 1]");
   return (1 - gamma) / (3 - 2 * gamma);

@@ -9,10 +9,6 @@
 
 namespace ethsm::analysis {
 
-/// The pool's relative revenue under Eyal–Sirer selfish mining:
-///   R(a, g) = [a(1-a)^2 (4a + g(1-2a)) - a^3] / [1 - a(1 + (2-a)a)].
-[[nodiscard]] double eyal_sirer_revenue(double alpha, double gamma);
-
 /// Profitability threshold in Bitcoin: alpha* = (1-g) / (3-2g); 1/3 at g=0,
 /// 1/4 at g=1/2 (the famous 25%), 0 at g=1.
 [[nodiscard]] double eyal_sirer_threshold(double gamma);

@@ -1,7 +1,6 @@
 #include "analysis/revenue.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -163,21 +162,6 @@ RevenueBreakdown compute_revenue(const markov::MiningParams& params,
                                  const rewards::RewardConfig& config,
                                  int max_lead, RevenueCache* cache) {
   return SolveMemo::process().revenue(params, config, max_lead, cache);
-}
-
-int recommended_max_lead(const markov::MiningParams& params) {
-  const double a = params.alpha;
-  const double g = params.gamma;
-  if (a <= 0.0) return 8;
-  // Re-roots trim the branch roughly every 1/(beta*gamma) blocks; with
-  // gamma >= 0.25 the default depth of 80 is already conservative.
-  if (g >= 0.25 || a <= 0.35) return 80;
-  // Critical-excursion tail: (2 sqrt(a b))^n per block, alpha of which grow
-  // the private branch. Solve (2 sqrt(ab))^(n/a) <= 1e-9 for n.
-  const double decay = 2.0 * std::sqrt(a * (1.0 - a));
-  const double blocks = std::log(1e-9) / std::log(decay);
-  const int depth = static_cast<int>(blocks * a) + 40;
-  return std::clamp(depth, 80, 600);
 }
 
 }  // namespace ethsm::analysis

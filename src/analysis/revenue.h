@@ -103,8 +103,9 @@ struct RevenueCache {
 
 /// Convenience: the revenue of the chain at (alpha, gamma). `max_lead` is the
 /// truncation (the paper's footnote 3 uses 200). For gamma >= 0.25 the
-/// stationary tail is negligible far below 80; see recommended_max_lead for
-/// the small-gamma / large-alpha corner. `cache`, when given, carries the
+/// stationary tail is negligible far below 80; small gamma with alpha near
+/// 1/2 needs far more (at alpha = 0.45, gamma = 0 a depth of 200 still
+/// misses 2.3e-4 of the pool's static rate). `cache`, when given, carries the
 /// warm start from one evaluation to the next. Stationary solves go through
 /// the process-wide solve memo, so a chain already solved with the same
 /// inputs is priced without solving it again; the result is bitwise the same
@@ -112,17 +113,6 @@ struct RevenueCache {
 [[nodiscard]] RevenueBreakdown compute_revenue(
     const markov::MiningParams& params, const rewards::RewardConfig& config,
     int max_lead = 80, RevenueCache* cache = nullptr);
-
-/// Truncation advisor. The private-branch length survives like a critical
-/// birth-death excursion whose tail decays as (2 sqrt(alpha*beta))^n; gamma
-/// re-roots (Case 7) cut the branch back, so small gamma combined with alpha
-/// near 1/2 needs a much deeper truncation than the default. Returns 80 when
-/// gamma >= 0.25 or alpha <= 0.35; otherwise a depth sized from that decay,
-/// clamped to [80, 600]. A heuristic, not a tail bound: at alpha = 0.45 the
-/// pool's static rate still differs from the untruncated Eq. (3) by 1.9e-8
-/// at gamma = 0.25 (depth 80), and by 2.3e-4 at gamma = 0 with the paper's
-/// own depth of 200.
-[[nodiscard]] int recommended_max_lead(const markov::MiningParams& params);
 
 }  // namespace ethsm::analysis
 

@@ -314,11 +314,6 @@ void parse_source_args(RunArgs& args, const SourceUsage& usage, int argc,
 
 RunArgs parse_run_args(int argc, char** argv, int first) {
   RunArgs args;
-  if (const char* dir = std::getenv("ETHSM_CHECKPOINT_DIR")) {
-    args.checkpoint.directory = dir;
-  }
-  args.checkpoint.shard = support::shard_from_env();
-
   parse_source_args(
       args, kRunUsage, argc, argv, first,
       [&](std::string_view arg, const FlagValue& next) {

@@ -18,8 +18,8 @@
 //                                          the run's --set overrides too, as
 //                                          they change sweep fingerprints)
 //
-// Environment fallbacks: ETHSM_CHECKPOINT_DIR,
-// ETHSM_SHARD (flags win). Exit codes: 0 success, 1 runtime failure, 2 usage.
+// Environment: ETHSM_THREADS sets the worker-thread count. Exit codes: 0
+// success, 1 runtime failure, 2 usage.
 
 #ifndef ETHSM_API_CLI_H
 #define ETHSM_API_CLI_H

@@ -246,7 +246,7 @@ struct KeyRow {
 
 /// Every key but `kind` and `series.N.*`, in print order: print_spec's bytes
 /// -- hence spec_fingerprint and every checkpoint key -- follow this order.
-constexpr std::array<KeyRow, 30> kKeys{{
+constexpr std::array<KeyRow, 29> kKeys{{
     {"title", &ExperimentSpec::title},
     {"gamma", &ExperimentSpec::gamma},
     {"scenario", &ExperimentSpec::scenario},
@@ -265,7 +265,6 @@ constexpr std::array<KeyRow, 30> kKeys{{
     {"sim_blocks", &ExperimentSpec::sim_blocks},
     {"sim_seed", &ExperimentSpec::sim_seed, nullptr, true},
     {"shares", &ExperimentSpec::shares},
-    {"delay", &ExperimentSpec::delay},
     {"net.topology", &ExperimentSpec::net_topology,
      check_net<net::parse_topology_spec>},
     {"net.nodes", &ExperimentSpec::net_nodes},

@@ -113,7 +113,6 @@ struct ExperimentSpec {
 
   // Delay-network model.
   std::vector<double> shares;      ///< hash shares; empty = 20 equal miners
-  double delay = 0.15;             ///< propagation delay / block interval
 
   // P2P network model (`net` kind; grammars in net/topology.h, net/net_sim.h).
   std::string net_topology = "complete";  ///< complete|star|ring|random:p|...

@@ -22,11 +22,11 @@ StateSpace::StateSpace(int max_lead) : max_lead_(max_lead) {
   }
 }
 
-int StateSpace::index_of(const State& s) const noexcept {
+int StateSpace::index_of(const State& s, int max_lead) noexcept {
   if (s == State{0, 0}) return idx_00();
   if (s == State{1, 0}) return idx_10();
   if (s == State{1, 1}) return idx_11();
-  if (s.ls < 2 || s.ls > max_lead_ || s.lh < 0 || s.ls - s.lh < 2) return -1;
+  if (s.ls < 2 || s.ls > max_lead || s.lh < 0 || s.ls - s.lh < 2) return -1;
   // Block of states with first coordinate i starts after 3 specials plus
   // sum_{k=2}^{i-1} (k-1) = (i-1)(i-2)/2 entries.
   const int base = 3 + (s.ls - 1) * (s.ls - 2) / 2;

@@ -26,7 +26,12 @@ class StateSpace {
   [[nodiscard]] int max_lead() const noexcept { return max_lead_; }
 
   /// Dense index of a state; -1 if outside the (truncated) space.
-  [[nodiscard]] int index_of(const State& s) const noexcept;
+  [[nodiscard]] int index_of(const State& s) const noexcept {
+    return index_of(s, max_lead_);
+  }
+  /// The same for the space truncated at `max_lead`, without building it:
+  /// the enumeration order is fixed, so the index depends on nothing else.
+  [[nodiscard]] static int index_of(const State& s, int max_lead) noexcept;
 
   [[nodiscard]] const State& state_at(int index) const;
 
@@ -35,9 +40,9 @@ class StateSpace {
   }
 
   /// Well-known indices.
-  [[nodiscard]] int idx_00() const noexcept { return 0; }
-  [[nodiscard]] int idx_10() const noexcept { return 1; }
-  [[nodiscard]] int idx_11() const noexcept { return 2; }
+  [[nodiscard]] static constexpr int idx_00() noexcept { return 0; }
+  [[nodiscard]] static constexpr int idx_10() noexcept { return 1; }
+  [[nodiscard]] static constexpr int idx_11() noexcept { return 2; }
 
  private:
   int max_lead_;

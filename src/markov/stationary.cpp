@@ -13,7 +13,7 @@ StationaryDistribution::StationaryDistribution(const StateSpace& space,
                                                std::vector<double> pi,
                                                int iterations, double residual,
                                                SolveMethod method)
-    : space_(&space),
+    : max_lead_(space.max_lead()),
       pi_(std::move(pi)),
       iterations_(iterations),
       residual_(residual),
@@ -23,13 +23,13 @@ StationaryDistribution::StationaryDistribution(const StateSpace& space,
 }
 
 double StationaryDistribution::at(const State& s) const {
-  const int idx = space_->index_of(s);
+  const int idx = StateSpace::index_of(s, max_lead_);
   return idx < 0 ? 0.0 : pi_[static_cast<std::size_t>(idx)];
 }
 
 double StationaryDistribution::balance_residual(
     const TransitionModel& model) const {
-  const auto n = static_cast<std::size_t>(space_->size());
+  const std::size_t n = pi_.size();
   // Scratch reused across calls (sweeps evaluate thousands of models); the
   // assign() below only reallocates when a larger space comes along.
   thread_local std::vector<double> inflow;

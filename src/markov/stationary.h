@@ -53,7 +53,9 @@ struct StationaryOptions {
   SolveMethod method = SolveMethod::automatic;
 };
 
-/// The solved distribution plus solver diagnostics.
+/// The solved distribution plus solver diagnostics. Self-contained: it keeps
+/// the truncation depth, not the StateSpace, so it may outlive the space it
+/// was solved on.
 class StationaryDistribution {
  public:
   StationaryDistribution(const StateSpace& space, std::vector<double> pi,
@@ -80,7 +82,7 @@ class StationaryDistribution {
   [[nodiscard]] double balance_residual(const TransitionModel& model) const;
 
  private:
-  const StateSpace* space_;
+  int max_lead_;
   std::vector<double> pi_;
   int iterations_;
   double residual_;

@@ -14,8 +14,8 @@ HonestPolicy::HonestPolicy(double gamma, const rewards::RewardConfig& rewards)
 
 chain::BlockId HonestPolicy::choose_parent(const PublicView& view,
                                            support::Xoshiro256& rng) const {
-  if (!view.tie) return view.consensus_tip;
-  return rng.bernoulli(gamma_) ? view.pool_branch_tip : view.honest_branch_tip;
+  // Short-circuit: only a tie consumes a tie-break draw from `rng`.
+  return parent_for_preference(view, view.tie && rng.bernoulli(gamma_));
 }
 
 chain::BlockId HonestPolicy::parent_for_preference(const PublicView& view,

@@ -169,11 +169,17 @@ void SelfishPolicy::on_honest_block(BlockId b, double now) {
 
 BlockId SelfishPolicy::finalize(double now) {
   publish_up_to(private_length(), now);
-  // Longest published branch wins; on equal length the honest branch was
-  // visible first, so honest miners keep it (uniform first-seen rule).
-  return private_length() > honest_len_ ? private_tip()
-         : honest_len_ > 0             ? honest_tip_
-                                       : base_;
+  if (private_length() > honest_len_) {
+    // The whole private branch is public and strictly longest: it is the
+    // consensus now, so the machine restarts from its tip. Left as it was,
+    // the fully published branch would outrun the honest fork, a state
+    // public_view() cannot describe.
+    reset_to(private_.back());
+    return base_;
+  }
+  // On equal length the honest branch was visible first, so honest miners
+  // keep it (uniform first-seen rule); the tie stays tracked.
+  return honest_len_ > 0 ? honest_tip_ : base_;
 }
 
 PublicView SelfishPolicy::public_view() const {
@@ -186,7 +192,8 @@ PublicView SelfishPolicy::public_view() const {
     view.tie = false;
     view.consensus_tip = honest_tip_;  // the unique longest public branch
   } else {
-    ETHSM_ASSERT(honest_len_ == 0 && published_ == 0);
+    ETHSM_ENSURES(honest_len_ == 0 && published_ == 0,
+                  "published pool prefix outruns the honest fork");
     view.tie = false;
     view.consensus_tip = base_;
   }

@@ -78,7 +78,9 @@ class SelfishPolicy {
 
   /// End of run: publish whatever is still private and return the tip of the
   /// winning chain (longest; ties go to the honest branch, which was public
-  /// first). The policy is left in a terminal state.
+  /// first). The policy then tracks that public view: a winning private
+  /// branch becomes the consensus base, so blocks that still arrive (the
+  /// network simulator's gossip drains) meet a consistent state.
   chain::BlockId finalize(double now);
 
   /// Network-layer resync hook (net/net_sim.h): restart the machine with

@@ -4,7 +4,6 @@
 #include <bit>
 #include <charconv>
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -76,12 +75,6 @@ std::optional<ShardSpec> parse_shard(std::string_view text) {
     return std::nullopt;
   if (n == 0 || k >= n) return std::nullopt;
   return ShardSpec{k, n};
-}
-
-ShardSpec shard_from_env() {
-  const char* text = std::getenv("ETHSM_SHARD");
-  if (text == nullptr) return {};
-  return parse_shard(text).value_or(ShardSpec{});
 }
 
 // ------------------------------------------------------------ fingerprints --

@@ -59,10 +59,6 @@ struct ShardSpec {
 /// Parses "k/N" (0 <= k < N); nullopt on malformed input.
 [[nodiscard]] std::optional<ShardSpec> parse_shard(std::string_view text);
 
-/// ShardSpec from the ETHSM_SHARD environment variable ("k/N"); the default
-/// whole-sweep spec when unset or malformed.
-[[nodiscard]] ShardSpec shard_from_env();
-
 // ------------------------------------------------------------ fingerprints --
 
 /// Order-sensitive 64-bit mixer used for sweep fingerprints and record

@@ -1,7 +1,5 @@
 #include "support/math_util.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <numeric>
@@ -30,11 +28,6 @@ FirstTrueReport first_true_report(const std::function<bool(double)>& pred,
   const bool on_endpoint = hi >= original_hi - tolerance;
   return {hi,
           on_endpoint ? CrossingLocation::at_hi : CrossingLocation::interior};
-}
-
-bool close(double a, double b, double rtol, double atol) noexcept {
-  const double scale = std::max(std::fabs(a), std::fabs(b));
-  return std::fabs(a - b) <= atol + rtol * scale;
 }
 
 double ipow(double base, int exponent) noexcept {

@@ -1,7 +1,6 @@
 // Small numerical helpers shared by the analysis modules: the bisection
-// behind the threshold search, integer powers, shortest round-trip double
-// printing, and approximate floating-point comparison used throughout the
-// tests.
+// behind the threshold search, integer powers and shortest round-trip double
+// printing.
 
 #ifndef ETHSM_SUPPORT_MATH_UTIL_H
 #define ETHSM_SUPPORT_MATH_UTIL_H
@@ -37,10 +36,6 @@ struct FirstTrueReport {
 [[nodiscard]] FirstTrueReport first_true_report(
     const std::function<bool(double)>& pred, double lo, double hi,
     double tolerance = 1e-6);
-
-/// Relative/absolute closeness test: |a-b| <= atol + rtol*max(|a|,|b|).
-[[nodiscard]] bool close(double a, double b, double rtol = 1e-9,
-                         double atol = 1e-12) noexcept;
 
 /// Shortest decimal form that strtod parses back to exactly the same double.
 /// The round-trip contract behind every text codec that must re-parse

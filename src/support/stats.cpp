@@ -20,23 +20,6 @@ void RunningStats::add(double x) noexcept {
   m2_ += delta * (x - mean_);
 }
 
-void RunningStats::merge(const RunningStats& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double nt = na + nb;
-  mean_ += delta * nb / nt;
-  m2_ += other.m2_ + delta * delta * na * nb / nt;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double RunningStats::variance() const noexcept {
   return n_ >= 2 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
 }

@@ -16,9 +16,6 @@ class RunningStats {
  public:
   void add(double x) noexcept;
 
-  /// Merges another accumulator (parallel/segmented runs); Chan et al. update.
-  void merge(const RunningStats& other) noexcept;
-
   [[nodiscard]] std::size_t count() const noexcept { return n_; }
   [[nodiscard]] double mean() const noexcept { return n_ > 0 ? mean_ : 0.0; }
   /// Sample variance (n-1 denominator); 0 for fewer than two samples.

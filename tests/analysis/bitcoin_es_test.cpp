@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/revenue.h"
+#include "analysis/revenue_closed_form.h"
 
 namespace ethsm::analysis {
 namespace {

@@ -154,14 +154,6 @@ TEST(Revenue, ComputeRevenueFromPrebuiltChainMatchesConvenience) {
   EXPECT_DOUBLE_EQ(a.honest_nephew, b.honest_nephew);
 }
 
-TEST(Revenue, RecommendedMaxLeadExpandsInTheCorner) {
-  EXPECT_EQ(recommended_max_lead({0.3, 0.5}), 80);
-  EXPECT_EQ(recommended_max_lead({0.45, 0.5}), 80);
-  EXPECT_GT(recommended_max_lead({0.45, 0.0}), 200);
-  EXPECT_LE(recommended_max_lead({0.45, 0.0}), 600);
-  EXPECT_EQ(recommended_max_lead({0.0, 0.0}), 8);
-}
-
 TEST(AbsoluteRevenue, HonestBaselineEarnsAlpha) {
   // A protocol-following pool earns its hash share: with alpha mass of the
   // rewards and no selfish mining the normalized revenue is alpha. Checked

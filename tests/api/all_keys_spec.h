@@ -32,7 +32,6 @@ inline api::ExperimentSpec all_keys_spec() {
   spec.sim_blocks = 300;
   spec.sim_seed = 0xabcdef;
   spec.shares = {0.5, 0.3, 0.2};
-  spec.delay = 0.2;
   spec.net_topology = "ring";
   spec.net_nodes = 6;
   spec.net_latency = "uniform:1:5";

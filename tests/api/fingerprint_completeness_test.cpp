@@ -47,7 +47,6 @@ const std::map<std::string, std::string>& perturbations() {
       {"sim_blocks", "250"},
       {"sim_seed", "0x1234"},
       {"shares", "0.6,0.4"},
-      {"delay", "0.3"},
       {"net.topology", "ring"},
       {"net.nodes", "5"},
       {"net.latency", "fixed:5"},

@@ -114,7 +114,6 @@ ExperimentSpec fuzz_spec(Xoshiro256& rng) {
   if (maybe(0.3)) spec.sim_blocks = 1 + static_cast<std::uint64_t>(rng() >> 24);
   if (maybe(0.3)) spec.sim_seed = rng();
   if (maybe(0.3)) spec.shares = fuzz_grid(rng, 8);
-  if (maybe(0.3)) spec.delay = rng.uniform01();
   if (maybe(0.4)) {
     static const char* kTopologies[] = {
         "star", "ring", "random:0.25", "random:1", "two_clusters:5",

@@ -59,6 +59,8 @@ TEST(SpecCodec, RangeSyntaxMatchesPaperGrids) {
 TEST(SpecCodec, UnknownKeyIsAnError) {
   EXPECT_THROW((void)parse_spec("kind = revenue\nbogus = 1\n"), SpecError);
   EXPECT_THROW((void)parse_spec("series.0.wat = 1\n"), SpecError);
+  // `kind = delay` sweeps `delays`; there is no singular `delay` key.
+  EXPECT_THROW((void)parse_spec("kind = delay\ndelay = 0.2\n"), SpecError);
 }
 
 TEST(SpecCodec, NetKeysRoundTripAndValidateEagerly) {
@@ -273,7 +275,6 @@ TEST(SpecCodec, AllKeysPrintBytesArePinned) {
       "sim_blocks = 300\n"
       "sim_seed = 0xabcdef\n"
       "shares = 0.5,0.3,0.2\n"
-      "delay = 0.2\n"
       "net.topology = ring\n"
       "net.nodes = 6\n"
       "net.latency = uniform:1:5\n"

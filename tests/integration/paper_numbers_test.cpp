@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/bitcoin_es.h"
+#include "analysis/revenue_closed_form.h"
 #include "analysis/sweep.h"
 #include "analysis/threshold.h"
 #include "analysis/uncle_distance.h"

@@ -7,14 +7,6 @@
 namespace ethsm::support {
 namespace {
 
-TEST(Close, RelativeAndAbsolute) {
-  EXPECT_TRUE(close(1.0, 1.0 + 1e-12));
-  EXPECT_FALSE(close(1.0, 1.001));
-  EXPECT_TRUE(close(1.0, 1.001, 1e-2));
-  EXPECT_TRUE(close(0.0, 1e-13));
-  EXPECT_FALSE(close(0.0, 1e-6));
-}
-
 TEST(Ipow, MatchesStdPowForIntegers) {
   for (double b : {0.0, 0.5, 1.0, 2.0, -3.0}) {
     for (int e : {0, 1, 2, 7, 15}) {

@@ -45,38 +45,6 @@ TEST(RunningStats, SemAndCi) {
   EXPECT_NEAR(s.ci_halfwidth(2.58), 2.58 * s.sem(), 1e-12);
 }
 
-TEST(RunningStats, MergeEqualsConcatenation) {
-  RunningStats left, right, whole;
-  for (int i = 0; i < 50; ++i) {
-    const double x = std::sin(i) * 10.0;
-    left.add(x);
-    whole.add(x);
-  }
-  for (int i = 50; i < 120; ++i) {
-    const double x = std::cos(i) * 3.0 + 1.0;
-    right.add(x);
-    whole.add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-12);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-10);
-  EXPECT_DOUBLE_EQ(left.min(), whole.min());
-  EXPECT_DOUBLE_EQ(left.max(), whole.max());
-}
-
-TEST(RunningStats, MergeWithEmptyIsIdentity) {
-  RunningStats s, empty;
-  s.add(1.0);
-  s.add(3.0);
-  s.merge(empty);
-  EXPECT_EQ(s.count(), 2u);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.0);
-  empty.merge(s);
-  EXPECT_EQ(empty.count(), 2u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 2.0);
-}
-
 TEST(Histogram, RejectsZeroBuckets) {
   EXPECT_THROW(Histogram(0), std::invalid_argument);
 }
