@@ -55,6 +55,7 @@ class Engine {
         stride_(config.num_blocks + 2),
         known_(static_cast<std::size_t>(n_) * stride_, 0),
         requested_(static_cast<std::size_t>(n_) * stride_, 0),
+        orphan_(static_cast<std::size_t>(n_) * stride_, 0),
         policy_(tree_, config.rewards, {}, known_span(0)),
         faults_(config.faults, n_, config.topology.kind, config.seed),
         down_(n_, 0),
@@ -266,9 +267,9 @@ class Engine {
       if (faults_.active()) {
         send(MsgType::request, u, msg.src, parent, now, *msg.link);
       }
-      for (const auto& [pb, ps] : pending_[u]) {
-        if (pb == b) return;  // already waiting on its parent
-      }
+      std::uint8_t& orphan = orphan_[flat(u, b)];
+      if (orphan != 0) return;  // already waiting on its parent
+      orphan = 1;
       pending_[u].emplace_back(b, msg.src);  // admit once the parent arrives
       return;
     }
@@ -291,6 +292,7 @@ class Engine {
       ++result_.faults_downtime_events;
       // The crash loses the orphan buffer; known_ survives (the node keeps
       // its chain database) and gaps re-sync via the parent-fetch path.
+      for (const auto& [pb, ps] : pending_[v]) orphan_[flat(v, pb)] = 0;
       pending_[v].clear();
       schedule_churn(v, now + faults_.sample_downtime_ms(v));
     } else {
@@ -317,6 +319,7 @@ class Engine {
         const auto [pb, ps] = pending[i];
         if (!knows(u, tree_.parent(pb))) continue;
         pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
+        orphan_[flat(u, pb)] = 0;
         admit(u, pb, now, ps);
         progressed = true;
         break;
@@ -500,6 +503,7 @@ class Engine {
   // known_ never reallocates, so the span stays valid for the run.
   std::vector<std::uint8_t> known_;      ///< node-major [node][block]
   std::vector<std::uint8_t> requested_;  ///< announce-handshake dedup
+  std::vector<std::uint8_t> orphan_;     ///< [node][block] held in pending_
   miner::SelfishPolicy policy_;
   FaultModel faults_;
   std::vector<std::uint8_t> down_;  ///< crashed-by-churn flag per node

@@ -1,6 +1,8 @@
 #include "support/thread_pool.h"
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
 
@@ -12,17 +14,19 @@ namespace ethsm::support {
 
 namespace {
 
-/// True on threads currently executing a pool job; nested regions run inline.
-thread_local bool t_inside_pool_job = false;
+/// The pool whose job this thread is executing (null outside any job). A
+/// region entered on that same pool runs inline; any other pool publishes it.
+thread_local const ThreadPool* t_current_pool = nullptr;
 
 std::mutex g_global_mutex;
 std::unique_ptr<ThreadPool> g_global_pool;  // guarded by g_global_mutex
 
 /// Write-only observability tap. Tasks drained through regions are counted
 /// and timed; for_each_index's inline paths (n == 1, single-thread pools,
-/// nested regions) bypass the pool machinery and are deliberately not
-/// counted -- the metrics describe pool work, not total work. Queue depth is
-/// the remaining-ticket estimate of the most recently touched region.
+/// regions nested in a job of the same pool) bypass the pool machinery and
+/// are deliberately not counted -- the metrics describe pool work, not total
+/// work. Several regions can be active at once (concurrent callers); queue
+/// depth is the remaining-ticket estimate of the region touched last.
 struct PoolMetrics {
   metrics::Counter& tasks;
   metrics::Counter& regions;
@@ -43,7 +47,7 @@ struct PoolMetrics {
         reg.gauge("ethsm_pool_active_regions",
                   "Parallel regions currently executing"),
         reg.gauge("ethsm_pool_queue_depth",
-                  "Remaining tickets in the most recent region"),
+                  "Remaining tickets in the region touched last"),
     };
     return m;
   }
@@ -75,7 +79,8 @@ ThreadPool::~ThreadPool() {
 }
 
 std::size_t ThreadPool::drain(Region& region) {
-  t_inside_pool_job = true;
+  const ThreadPool* const outer = t_current_pool;
+  t_current_pool = this;
   std::size_t completed = 0;
   for (;;) {
     const std::size_t i =
@@ -105,27 +110,35 @@ std::size_t ThreadPool::drain(Region& region) {
     }
     ++completed;
   }
-  t_inside_pool_job = false;
+  t_current_pool = outer;
   return completed;
 }
 
+std::shared_ptr<ThreadPool::Region> ThreadPool::claimable_region() const {
+  for (const std::shared_ptr<Region>& region : open_) {
+    if (region->next_index.load(std::memory_order_relaxed) < region->size) {
+      return region;
+    }
+  }
+  return nullptr;
+}
+
 void ThreadPool::worker_loop() {
-  std::uint64_t seen_epoch = 0;
   for (;;) {
     std::shared_ptr<Region> region;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       work_cv_.wait(lock, [&] {
-        return stop_ || (region_ != nullptr && epoch_ != seen_epoch);
+        return stop_ || (region = claimable_region()) != nullptr;
       });
       if (stop_) return;
-      seen_epoch = epoch_;
-      region = region_;
     }
 
-    // A stale snapshot (the region finished while this thread was between
-    // the wait and here) is harmless: its ticket counter is exhausted, so
-    // the loop below exits at once with zero completions.
+    // Draining the oldest claimable region to exhaustion is oldest-first:
+    // every older region is already fully claimed, and regions published
+    // meanwhile are newer. A stale snapshot (other threads claimed the last
+    // tickets between the check and here) is harmless: the loop below exits
+    // at once with zero completions.
     const std::size_t completed = drain(*region);
     if (completed > 0) {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -149,8 +162,7 @@ void ThreadPool::run_region(std::size_t n,
   region->remaining = n;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    region_ = region;
-    ++epoch_;
+    open_.push_back(region);
   }
   work_cv_.notify_all();
 
@@ -162,7 +174,7 @@ void ThreadPool::run_region(std::size_t n,
     std::unique_lock<std::mutex> lock(mutex_);
     region->remaining -= completed;
     done_cv_.wait(lock, [&] { return region->remaining == 0; });
-    if (region_ == region) region_.reset();
+    open_.erase(std::find(open_.begin(), open_.end(), region));
     error = region->first_error;
   }
   if constexpr (metrics::kEnabled) {
@@ -176,7 +188,7 @@ void ThreadPool::run_region(std::size_t n,
 void ThreadPool::for_each_index(std::size_t n,
                                 const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  if (n == 1 || concurrency_ == 1 || t_inside_pool_job) {
+  if (n == 1 || concurrency_ == 1 || t_current_pool == this) {
     // Inline, but with the region's error contract: every job runs, then the
     // first error is rethrown.
     std::exception_ptr first_error;

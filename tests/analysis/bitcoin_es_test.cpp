@@ -38,7 +38,7 @@ TEST(EyalSirer, RevenueExceedsAlphaAboveThreshold) {
 TEST(EyalSirer, RejectsOutOfRangeInputs) {
   EXPECT_THROW(eyal_sirer_revenue(0.6, 0.5), std::invalid_argument);
   EXPECT_THROW(eyal_sirer_revenue(0.3, 1.5), std::invalid_argument);
-  EXPECT_THROW(eyal_sirer_threshold(-0.1), std::invalid_argument);
+  EXPECT_THROW((void)eyal_sirer_threshold(-0.1), std::invalid_argument);
 }
 
 class EsEquivalenceTest

@@ -54,7 +54,7 @@ TEST(BlockTree, PublishBeforeMinedIsAnError) {
 
 TEST(BlockTree, RejectsUnknownIds) {
   BlockTree t;
-  EXPECT_THROW(t.height(42), std::invalid_argument);
+  EXPECT_THROW((void)t.height(42), std::invalid_argument);
   EXPECT_THROW((void)t.append(42, MinerClass::honest, 0, 1.0),
                std::invalid_argument);
 }
@@ -99,7 +99,7 @@ TEST_F(ForkedTree, AncestorAtHeight) {
   EXPECT_EQ(t.ancestor_at_height(c, 1), a);
   EXPECT_EQ(t.ancestor_at_height(c, 2), b);
   EXPECT_EQ(t.ancestor_at_height(y, 2), x);
-  EXPECT_THROW(t.ancestor_at_height(a, 5), std::invalid_argument);
+  EXPECT_THROW((void)t.ancestor_at_height(a, 5), std::invalid_argument);
 }
 
 TEST_F(ForkedTree, ChainFromGenesis) {

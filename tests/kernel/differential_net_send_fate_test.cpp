@@ -7,6 +7,8 @@
 // five topologies, four latency models, both relay modes and six fault mixes;
 // each cell runs several short seeded runs of varying length, so the end of
 // the run (where a queued message is never popped) comes up again and again.
+// One longer cell on the net_faults preset's network grows churned nodes'
+// orphan buffers well past what the short cells reach.
 
 #include <gtest/gtest.h>
 
@@ -147,6 +149,23 @@ TEST(KernelNetSendFate, ChurnMatchesReference) {
 
 TEST(KernelNetSendFate, AllFaultsAtOnceMatchReference) {
   check_fault_mix(FaultMix::all);
+}
+
+TEST(KernelNetSendFate, ChurnedOrphanBuffersMatchReference) {
+  // The net_faults network (12 honest nodes, fixed:140, 5% loss, churn
+  // 70000:14000) at alpha 0.36, long enough for restarted nodes to buffer
+  // many orphans while they walk their gaps back.
+  for (const std::uint64_t seed : {0x0f0a11ULL, 0x0f0a12ULL}) {
+    NetSimConfig config;
+    config.alpha = 0.36;
+    config.honest_nodes = 12;
+    config.latency = net::parse_latency_spec("fixed:140");
+    config.faults.drop = 0.05;
+    config.faults.churn = net::parse_churn_spec("70000:14000");
+    config.num_blocks = 3000;
+    config.seed = seed;
+    EXPECT_EQ(compare_run(config), "") << "seed " << seed;
+  }
 }
 
 }  // namespace

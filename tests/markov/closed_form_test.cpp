@@ -57,8 +57,8 @@ TEST(Pi00, KnownValues) {
 }
 
 TEST(Pi00, RejectsAlphaOutOfRange) {
-  EXPECT_THROW(pi00_closed_form(0.5), std::invalid_argument);
-  EXPECT_THROW(pi00_closed_form(-0.1), std::invalid_argument);
+  EXPECT_THROW((void)pi00_closed_form(0.5), std::invalid_argument);
+  EXPECT_THROW((void)pi00_closed_form(-0.1), std::invalid_argument);
 }
 
 TEST(Pii0, GeometricDecay) {
@@ -69,8 +69,8 @@ TEST(Pii0, GeometricDecay) {
 }
 
 TEST(PiijClosedForm, RejectsInvalidStates) {
-  EXPECT_THROW(piij_closed_form(0.3, 0.5, 2, 1), std::invalid_argument);
-  EXPECT_THROW(piij_closed_form(0.3, 0.5, 3, 0), std::invalid_argument);
+  EXPECT_THROW((void)piij_closed_form(0.3, 0.5, 2, 1), std::invalid_argument);
+  EXPECT_THROW((void)piij_closed_form(0.3, 0.5, 3, 0), std::invalid_argument);
 }
 
 class PiijGridTest : public ::testing::TestWithParam<std::tuple<double, double>> {};

@@ -65,8 +65,8 @@ TEST(StateSpace, OutOfSpaceStatesReturnMinusOne) {
 
 TEST(StateSpace, StateAtBoundsChecked) {
   StateSpace space(5);
-  EXPECT_THROW(space.state_at(-1), std::invalid_argument);
-  EXPECT_THROW(space.state_at(space.size()), std::invalid_argument);
+  EXPECT_THROW((void)space.state_at(-1), std::invalid_argument);
+  EXPECT_THROW((void)space.state_at(space.size()), std::invalid_argument);
 }
 
 }  // namespace

@@ -22,10 +22,11 @@ TEST(NetTopologySpec, ParsesAndRoundTripsEveryKind) {
 }
 
 TEST(NetTopologySpec, RejectsMalformedSpecs) {
-  EXPECT_THROW(parse_topology_spec("mesh"), std::invalid_argument);
-  EXPECT_THROW(parse_topology_spec("random:1.5"), std::invalid_argument);
-  EXPECT_THROW(parse_topology_spec("random:x"), std::invalid_argument);
-  EXPECT_THROW(parse_topology_spec("two_clusters:-1"), std::invalid_argument);
+  EXPECT_THROW((void)parse_topology_spec("mesh"), std::invalid_argument);
+  EXPECT_THROW((void)parse_topology_spec("random:1.5"), std::invalid_argument);
+  EXPECT_THROW((void)parse_topology_spec("random:x"), std::invalid_argument);
+  EXPECT_THROW((void)parse_topology_spec("two_clusters:-1"),
+               std::invalid_argument);
 }
 
 TEST(NetLatencySpec, ParsesAndRoundTripsEveryKind) {
@@ -37,11 +38,12 @@ TEST(NetLatencySpec, ParsesAndRoundTripsEveryKind) {
 }
 
 TEST(NetLatencySpec, RejectsMalformedSpecs) {
-  EXPECT_THROW(parse_latency_spec("50"), std::invalid_argument);
-  EXPECT_THROW(parse_latency_spec("fixed:-1"), std::invalid_argument);
-  EXPECT_THROW(parse_latency_spec("uniform:80:20"), std::invalid_argument);
-  EXPECT_THROW(parse_latency_spec("uniform:20"), std::invalid_argument);
-  EXPECT_THROW(parse_latency_spec("exp:-5"), std::invalid_argument);
+  EXPECT_THROW((void)parse_latency_spec("50"), std::invalid_argument);
+  EXPECT_THROW((void)parse_latency_spec("fixed:-1"), std::invalid_argument);
+  EXPECT_THROW((void)parse_latency_spec("uniform:80:20"),
+               std::invalid_argument);
+  EXPECT_THROW((void)parse_latency_spec("uniform:20"), std::invalid_argument);
+  EXPECT_THROW((void)parse_latency_spec("exp:-5"), std::invalid_argument);
 }
 
 TEST(NetLatencySpec, FixedSamplingNeverTouchesTheRng) {

@@ -26,8 +26,8 @@ TEST(ByzantiumUncleSchedule, ZeroBeyondDistanceSix) {
 
 TEST(ByzantiumUncleSchedule, RejectsNonPositiveDistance) {
   ByzantiumUncleSchedule s;
-  EXPECT_THROW(s.reward(0), std::invalid_argument);
-  EXPECT_THROW(s.reward(-1), std::invalid_argument);
+  EXPECT_THROW((void)s.reward(0), std::invalid_argument);
+  EXPECT_THROW((void)s.reward(-1), std::invalid_argument);
 }
 
 TEST(FlatUncleSchedule, ConstantWithinHorizon) {

@@ -21,7 +21,10 @@
 #include <thread>
 
 #include "api/presets.h"
+#include "api/render.h"
 #include "api/result.h"
+#include "api/runner.h"
+#include "api/spec.h"
 #include "support/temp_dir.h"
 
 namespace ethsm::serve {
@@ -136,6 +139,36 @@ TEST(ServeServer, RoundTripsStatusAndRun) {
   ::close(run_fd);
   EXPECT_NE(run.find("HTTP/1.1 200 OK"), std::string::npos);
   EXPECT_NE(run.find("\"kind\": \"reward_table\""), std::string::npos);
+}
+
+TEST(ServeServer, PostedMultiJobSpecMatchesTheCliBytes) {
+  // A fig8-shaped spec: one Markov revenue job per alpha, which a connection
+  // thread fans out on the global pool. Which thread solves which alpha must
+  // not show in the payload.
+  const std::string spec_text =
+      "kind = revenue\n"
+      "title = served sweep\n"
+      "gamma = 0.5\n"
+      "series.0.label = Ku\n"
+      "series.0.rewards = flat:0.5\n";
+  api::RunOptions options;
+  options.checkpoint.directory = temp_path("multijob-cli");
+  const std::string direct = api::render_json(api::provenance_normalized(
+      api::run(api::parse_spec(spec_text), options)));
+
+  RunningServer daemon(service_config(temp_path("multijob")));
+  const int fd = connect_to(daemon.port());
+  ASSERT_GE(fd, 0);
+  send_all(fd, "POST /v1/run HTTP/1.1\r\nConnection: close\r\n"
+               "Content-Length: " +
+                   std::to_string(spec_text.size()) + "\r\n\r\n" +
+                   spec_text);
+  const std::string response = read_until_close(fd);
+  ::close(fd);
+  ASSERT_EQ(response.rfind("HTTP/1.1 200 OK", 0), 0u) << response;
+  const std::size_t body_at = response.find("\r\n\r\n");
+  ASSERT_NE(body_at, std::string::npos);
+  EXPECT_EQ(response.substr(body_at + 4), direct);
 }
 
 TEST(ServeServer, KeepAliveServesSequentialRequestsOnOneConnection) {

@@ -3,15 +3,44 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "support/thread_pool.h"
 
 namespace ethsm::support {
 namespace {
+
+constexpr auto kPatience = std::chrono::seconds(10);
+
+/// A counter threads can wait on, with a deadline instead of a sleep: a
+/// scheduling bug shows up as a timed-out wait, never as a hang.
+class Tally {
+ public:
+  void arrive() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      ++count_;
+    }
+    cv_.notify_all();
+  }
+  /// True once `n` arrivals have happened; false after kPatience.
+  [[nodiscard]] bool wait_for(int n) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return cv_.wait_for(lock, kPatience, [&] { return count_ >= n; });
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  int count_ = 0;
+};
 
 /// Restores the default global pool after each test so the suite's other
 /// tests never observe a leftover thread count.
@@ -73,12 +102,94 @@ TEST_F(ParallelTest, PropagatesTheFirstException) {
 TEST_F(ParallelTest, NestedRegionsRunInlineWithoutDeadlock) {
   ThreadPool::set_global_concurrency(4);
   std::atomic<int> total{0};
+  std::atomic<int> moved{0};
   parallel_for(8, [&](std::size_t) {
-    // A parallel region inside a pool job must not dispatch back to the pool
-    // (deadlock risk); it runs serially on the current worker.
-    parallel_for(8, [&](std::size_t) { total.fetch_add(1); });
+    // A parallel region inside a job of the same pool must not dispatch back
+    // to it (deadlock risk); it runs serially on the current thread.
+    const std::thread::id outer = std::this_thread::get_id();
+    parallel_for(8, [&](std::size_t) {
+      total.fetch_add(1);
+      if (std::this_thread::get_id() != outer) moved.fetch_add(1);
+    });
   });
   EXPECT_EQ(total.load(), 64);
+  EXPECT_EQ(moved.load(), 0);
+}
+
+TEST_F(ParallelTest, JobOfAnotherPoolIsHelpedByThisPoolsWorkers) {
+  // A connection thread of the daemon is a job of the server's own pool; the
+  // sweeps it starts must still fan out on the compute pool. Both jobs of
+  // the inner region must be running at once to meet, which needs a worker
+  // of `compute` next to the calling thread.
+  ThreadPool outer(2);
+  ThreadPool compute(2);
+  std::atomic<int> met{0};
+  std::atomic<int> inner_jobs{0};
+  outer.for_each_index(2, [&](std::size_t job) {
+    if (job != 0) return;
+    Tally arrived;
+    compute.for_each_index(2, [&](std::size_t) {
+      arrived.arrive();
+      if (arrived.wait_for(2)) met.fetch_add(1);
+      inner_jobs.fetch_add(1);
+    });
+  });
+  EXPECT_EQ(inner_jobs.load(), 2);
+  EXPECT_EQ(met.load(), 2) << "the inner region ran on one thread";
+}
+
+TEST_F(ParallelTest, ConcurrentRegionsAllCompleteAndTheOlderIsHelpedFirst) {
+  // One worker. Region 0 pins it (and its caller) until `release` opens;
+  // regions 1 and 2 are then published in that order from two threads, each
+  // caller blocked in its first job until a helper shows up. The freed
+  // worker must pick region 1, the oldest with unclaimed jobs.
+  ThreadPool pool(2);
+  constexpr std::size_t kJobs = 16;
+  Tally pinned;
+  Tally release;
+  Tally blocked;
+  Tally helped;
+  std::atomic<int> first_helped{0};
+  std::vector<std::atomic<int>> hits(2 * kJobs);
+
+  auto region = [&](int id) {
+    const std::thread::id caller = std::this_thread::get_id();
+    pool.for_each_index(kJobs, [&, id, caller](std::size_t i) {
+      hits[static_cast<std::size_t>(id - 1) * kJobs + i].fetch_add(1);
+      if (std::this_thread::get_id() != caller) {
+        int none = 0;
+        first_helped.compare_exchange_strong(none, id);
+        helped.arrive();
+      } else if (i == 0) {
+        blocked.arrive();
+        (void)helped.wait_for(1);
+      }
+    });
+  };
+
+  std::thread pin([&] {
+    pool.for_each_index(2, [&](std::size_t) {
+      pinned.arrive();
+      (void)release.wait_for(1);
+    });
+  });
+  // EXPECT, not ASSERT: every wait has a deadline, so on a failed step the
+  // test still runs to the joins below.
+  EXPECT_TRUE(pinned.wait_for(2));
+  std::thread older([&] { region(1); });
+  EXPECT_TRUE(blocked.wait_for(1));
+  std::thread newer([&] { region(2); });
+  EXPECT_TRUE(blocked.wait_for(2));
+  release.arrive();
+  pin.join();
+  older.join();
+  newer.join();
+
+  EXPECT_EQ(first_helped.load(), 1);
+  for (std::size_t k = 0; k < hits.size(); ++k) {
+    EXPECT_EQ(hits[k].load(), 1) << "region " << k / kJobs + 1 << " job "
+                                 << k % kJobs;
+  }
 }
 
 TEST_F(ParallelTest, BackToBackRegionsStaySane) {
