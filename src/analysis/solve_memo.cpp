@@ -2,6 +2,8 @@
 
 #include <bit>
 #include <optional>
+#include <set>
+#include <tuple>
 #include <utility>
 
 #include "markov/stationary.h"
@@ -181,6 +183,17 @@ SolveMemo::Stats SolveMemo::stats() const {
   std::lock_guard lock(mutex_);
   return {bytes_,        lru_.size(),    solves_.value(),
           hits_.value(), waits_.value(), evictions_.value()};
+}
+
+std::vector<double> cold_solve_costs(const std::vector<ColdSolve>& solves) {
+  std::set<std::tuple<std::uint64_t, std::uint64_t, int>> seen;
+  std::vector<double> costs;
+  for (const auto& [params, max_lead] : solves) {
+    const bool first =
+        seen.emplace(bits(params.alpha), bits(params.gamma), max_lead).second;
+    costs.push_back(first ? params.alpha : -1.0);
+  }
+  return costs;
 }
 
 }  // namespace ethsm::analysis

@@ -118,6 +118,16 @@ class SolveMemo {
   support::metrics::Counter evictions_;
 };
 
+/// A cold solve: compute_revenue(params, config, max_lead), no RevenueCache.
+struct ColdSolve { markov::MiningParams params; int max_lead = 0; };
+
+/// Dispatch costs (support::parallel_for) of a list of cold solves: alpha,
+/// since a solve costs more as alpha nears 1/2, or -1 for a solve that
+/// repeats an earlier entry, so that it finds that solve in the memo instead
+/// of waiting for it in flight.
+[[nodiscard]] std::vector<double> cold_solve_costs(
+    const std::vector<ColdSolve>& solves);
+
 }  // namespace ethsm::analysis
 
 #endif  // ETHSM_ANALYSIS_SOLVE_MEMO_H

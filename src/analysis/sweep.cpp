@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "analysis/bitcoin_es.h"
+#include "analysis/solve_memo.h"
 #include "support/check.h"
 #include "support/parallel.h"
 #include "support/rng.h"
@@ -102,13 +103,17 @@ std::vector<std::vector<RevenuePoint>> revenue_curve(
   // {Markov key[, simulation key when sim_runs > 0]} per curve.
   std::vector<std::vector<std::uint64_t>> keys;
   std::vector<support::SweepKey> markov_sweeps;
+  std::vector<ColdSolve> solves;
   for (const RevenueCurveOptions& options : curves) {
     alphas.push_back(curve_alphas(options));
     keys.push_back(revenue_curve_fingerprints(options));
     markov_sweeps.push_back({keys.back()[0], alphas.back().size()});
+    for (double alpha : alphas.back()) {
+      solves.push_back({{alpha, options.gamma}, options.max_lead});
+    }
   }
 
-  // Markov analysis: one independent job per (curve, alpha).
+  // Markov analysis: one independent job per (curve, alpha), costliest first.
   support::SweepOutcome progress;
   const auto markov = support::run_checkpointed<RevenuePoint>(
       checkpoint, &progress, markov_sweeps,
@@ -128,7 +133,7 @@ std::vector<std::vector<RevenuePoint>> revenue_curve(
                                ? 0.0
                                : r.referenced_uncle_rate / r.regular_rate;
         return point;
-      });
+      }, cold_solve_costs(solves));
 
   std::vector<std::vector<RevenuePoint>> out(curves.size());
   for (std::size_t c = 0; c < curves.size(); ++c) {

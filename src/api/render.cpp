@@ -82,11 +82,10 @@ std::string render_csv(const ExperimentResult& result) {
     cells.reserve(table.columns.size());
     for (const Column& c : table.columns) {
       if (c.numeric) {
-        const auto v =
-            row < c.numbers.size() ? c.numbers[row] : std::optional<double>{};
+        const bool has = row < c.numbers.size() && c.numbers[row];
         std::ostringstream os;
         os.precision(12);
-        os << v.value_or(support::CsvWriter::kMissingSentinel);
+        os << (has ? *c.numbers[row] : support::CsvWriter::kMissingSentinel);
         cells.push_back(os.str());
       } else {
         cells.push_back(row < c.text.size() ? c.text[row] : std::string{});

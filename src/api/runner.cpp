@@ -5,6 +5,7 @@
 
 #include "analysis/absolute_revenue.h"
 #include "analysis/attack_timeline.h"
+#include "analysis/solve_memo.h"
 #include "analysis/sweep.h"
 #include "analysis/uncle_distance.h"
 #include "net/net_sim.h"
@@ -442,7 +443,7 @@ void run_uncle_distance(const ExperimentSpec& spec, const RunOptions& options,
       support::parallel_map(alphas.size(), [&](std::size_t a) {
         return analysis::honest_uncle_distance_distribution(
             {alphas[a], spec.gamma}, spec.max_lead);
-      });
+      }, alphas);  // a solve costs more as alpha nears 1/2
 
   ResultTable table;
   table.columns.push_back(Column::make_text("Referencing distance"));
@@ -576,16 +577,20 @@ void run_timeline(const ExperimentSpec& spec, ExperimentResult& result) {
                    Column::make_numeric("bleed rate (s2)"),
                    Column::make_numeric("gain rate (s2)"),
                    Column::make_numeric("breakeven blocks (s2)", 0, "never")};
-  // Timeline 2a is scenario 1 at alphas[a], 2a + 1 scenario 2.
+  // Timeline 2a is scenario 1 at alphas[a], 2a + 1 scenario 2 (same chain).
   const auto alphas = resolved_alphas(spec);
+  std::vector<analysis::ColdSolve> solves;
+  for (std::size_t j = 0; j < 2 * alphas.size(); ++j) {
+    solves.push_back({{alphas[j / 2], spec.gamma}, spec.max_lead});
+  }
   const auto timelines =
-      support::parallel_map(2 * alphas.size(), [&](std::size_t j) {
+      support::parallel_map(solves.size(), [&](std::size_t j) {
         return analysis::compute_attack_timeline(
-            {alphas[j / 2], spec.gamma}, config,
+            solves[j].params, config,
             j % 2 == 0 ? sim::Scenario::regular_rate_one
                        : sim::Scenario::regular_and_uncle_rate_one,
             spec.max_lead);
-      });
+      }, analysis::cold_solve_costs(solves));
   for (std::size_t a = 0; a < alphas.size(); ++a) {
     const auto& s1 = timelines[2 * a];
     const auto& s2 = timelines[2 * a + 1];
@@ -716,16 +721,19 @@ void run_net(const ExperimentSpec& spec, const RunOptions& options,
 
   // The Markov model at the measured gamma (job 2i) and at the spec's fixed
   // gamma (job 2i + 1), for alphas[i].
+  std::vector<analysis::ColdSolve> solves;
+  for (std::size_t j = 0; j < 2 * alphas.size(); ++j) {
+    const std::size_t i = j / 2;
+    const double gamma = j % 2 == 0 ? summaries[i].gamma.mean() : spec.gamma;
+    solves.push_back({{alphas[i], gamma}, spec.max_lead});
+  }
   const auto markov_us =
-      support::parallel_map(2 * alphas.size(), [&](std::size_t j) {
-        const std::size_t i = j / 2;
-        const double gamma =
-            j % 2 == 0 ? summaries[i].gamma.mean() : spec.gamma;
+      support::parallel_map(solves.size(), [&](std::size_t j) {
         return analysis::pool_absolute_revenue(
-            analysis::compute_revenue({alphas[i], gamma}, rewards_config,
+            analysis::compute_revenue(solves[j].params, rewards_config,
                                       spec.max_lead),
             scenario);
-      });
+      }, analysis::cold_solve_costs(solves));
 
   // Headline: the measured-gamma curve against the Markov model evaluated
   // both at the measured gamma (does the aggregate theory predict the

@@ -162,7 +162,7 @@ std::string to_string(const EclipseSpec& spec) {
   if (!spec.enabled()) return "off";
   std::string out =
       std::to_string(spec.victim) + ":" + print_number(spec.delay_ms);
-  if (spec.drop != 0.0) out += ":" + print_number(spec.drop);
+  if (spec.drop != 0.0) out.append(":").append(print_number(spec.drop));
   return out;
 }
 

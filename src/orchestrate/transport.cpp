@@ -101,7 +101,7 @@ std::vector<std::string> SshTransport::command(
   }
   remote += shell_quote(config_.remote_binary);
   for (const std::string& arg : ethsm_args) {
-    remote += " " + shell_quote(arg);
+    remote.append(" ").append(shell_quote(arg));
   }
 
   std::vector<std::string> argv = {"ssh"};

@@ -10,6 +10,7 @@
 #include "support/check.h"
 #include "support/parallel.h"
 #include "support/rng.h"
+#include "support/trace.h"
 
 namespace ethsm::sim {
 
@@ -48,6 +49,7 @@ double DelaySimResult::stale_rate() const {
 
 DelaySimResult run_delay_simulation(const DelaySimConfig& config) {
   config.validate();
+  support::trace::Span span("delay.run");  // one clock pair per run
   const auto shares = config.effective_shares();
   const auto n = static_cast<std::uint32_t>(shares.size());
 

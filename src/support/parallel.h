@@ -4,15 +4,18 @@
 // jobs are pure functions of their index, results land in an index-ordered
 // vector, and any order-sensitive reduction is the caller's to perform
 // serially afterwards. Under that discipline every aggregate is
-// bitwise-identical whether the pool has 1 thread or 64. Dispatch order
-// (which thread claims which job, and when) is the pool's; key and absorb
-// order are the caller's, and never depend on it.
+// bitwise-identical whether the pool has 1 thread or 64. Dispatch order is
+// the driver's (costliest first, given cost estimates); which thread runs a
+// job, and when, is the pool's. Key and absorb order are the caller's, and
+// never depend on either.
 
 #ifndef ETHSM_SUPPORT_PARALLEL_H
 #define ETHSM_SUPPORT_PARALLEL_H
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
+#include <numeric>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -26,25 +29,36 @@
 namespace ethsm::support {
 
 /// Runs fn(i) for every i in [0, n) on the global pool; blocks until done.
+/// Given `cost` (one estimate per job), the jobs are claimed highest cost
+/// first, ties in listed order, so that the slowest job does not start last
+/// and run alone while the other threads idle.
 template <typename F>
-void parallel_for(std::size_t n, F&& fn) {
-  ThreadPool::global().for_each_index(n, std::forward<F>(fn));
+void parallel_for(std::size_t n, F&& fn,
+                  const std::vector<double>& cost = {}) {
+  ETHSM_EXPECTS(cost.empty() || cost.size() == n, "one cost per job");
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](auto a, auto b) {
+    return !cost.empty() && cost[a] > cost[b];
+  });
+  ThreadPool::global().for_each_index(n, [&](std::size_t k) { fn(order[k]); });
 }
 
 /// Maps i -> fn(i) into a vector with results at their job index. The result
 /// type must be default-constructible (job slots are pre-allocated so no
-/// synchronisation is needed on the output). Each job is one `sweep.job`
-/// trace span, as in run_checkpointed.
+/// synchronisation is needed on the output), claimed in parallel_for's cost
+/// order. Each job is one `sweep.job` trace span, as in run_checkpointed.
 template <typename F>
-[[nodiscard]] auto parallel_map(std::size_t n, F&& fn) {
+[[nodiscard]] auto parallel_map(std::size_t n, F&& fn,
+                                const std::vector<double>& cost = {}) {
   using Result = std::decay_t<std::invoke_result_t<F&, std::size_t>>;
   static_assert(std::is_default_constructible_v<Result>,
                 "parallel_map pre-allocates result slots");
   std::vector<Result> results(n);
-  ThreadPool::global().for_each_index(n, [&](std::size_t i) {
+  parallel_for(n, [&](std::size_t i) {
     trace::Span span("sweep.job");
     results[i] = fn(i);
-  });
+  }, cost);
   return results;
 }
 
@@ -85,8 +99,10 @@ inline void report_progress(SweepOutcome* outcome,
 /// shard (ShardSpec::owns(fingerprint, i)) and to ONE job budget taken in
 /// (sweep, index) order, run on the pool, each result appended to its
 /// sweep's store as it completes, so an interrupted region resumes where it
-/// stopped. Because jobs are pure functions of (s, i) and payloads are raw
-/// bit patterns, results land at their (s, i) slot bitwise-identical to a
+/// stopped. The pool claims them in parallel_for's order of their `cost`
+/// entries (empty, or one per job of the list, sweep after sweep). Because
+/// jobs are pure functions of (s, i) and payloads are raw bit patterns,
+/// results land at their (s, i) slot bitwise-identical to a
 /// fresh, unsharded, single-threaded run; which thread runs a job, and when,
 /// never shows. A sweep whose fingerprint repeats an earlier one in the
 /// list shares that sweep's store and results (counted as loaded, as if it
@@ -105,7 +121,8 @@ inline void report_progress(SweepOutcome* outcome,
 template <typename Result, typename F>
 [[nodiscard]] std::vector<CheckpointedSweep<Result>> run_checkpointed(
     const SweepCheckpoint& ckpt, SweepOutcome* outcome,
-    const std::vector<SweepKey>& sweeps, F&& fn) {
+    const std::vector<SweepKey>& sweeps, F&& fn,
+    const std::vector<double>& cost = {}) {
   static_assert(std::is_default_constructible_v<Result>,
                 "run_checkpointed pre-allocates result slots");
   struct Job {
@@ -116,16 +133,22 @@ template <typename Result, typename F>
   std::vector<std::unique_ptr<CheckpointStore>> stores(sweeps.size());
   std::vector<std::size_t> owner(sweeps.size());  // first sweep with its key
   std::vector<Job> todo;
+  std::vector<double> todo_cost;  // cost's entries for todo, when given
   SweepOutcome progress;
 
   for (std::size_t s = 0; s < sweeps.size(); ++s) {
     const std::size_t n = sweeps[s].n;
+    const std::size_t first = progress.jobs_total;  // job (s, 0) in `cost`
+    auto add = [&](std::size_t i) {
+      todo.push_back({s, i});
+      if (!cost.empty()) todo_cost.push_back(cost.at(first + i));
+    };
     out[s].results.resize(n);
     out[s].have.assign(n, 0);
     progress.jobs_total += n;
     owner[s] = s;
     if (!ckpt.enabled()) {
-      for (std::size_t i = 0; i < n; ++i) todo.push_back({s, i});
+      for (std::size_t i = 0; i < n; ++i) add(i);
       continue;
     }
     for (std::size_t t = 0; t < s; ++t) {
@@ -146,7 +169,7 @@ template <typename Result, typename F>
         ++progress.loaded;
       } else if (ckpt.shard.owns(sweeps[s].fingerprint, i) &&
                  todo.size() < ckpt.max_new_jobs) {
-        todo.push_back({s, i});
+        add(i);
       }
     }
   }
@@ -162,7 +185,7 @@ template <typename Result, typename F>
     }
     out[job.sweep].results[job.index] = std::move(result);
     out[job.sweep].have[job.index] = 1;
-  });
+  }, todo_cost);
   progress.computed = todo.size();
 
   for (std::size_t s = 0; s < sweeps.size(); ++s) {

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdlib>
 #include <mutex>
 #include <numeric>
@@ -12,6 +15,9 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/solve_memo.h"
+#include "analysis/sweep.h"
+#include "support/temp_dir.h"
 #include "support/thread_pool.h"
 
 namespace ethsm::support {
@@ -220,6 +226,127 @@ TEST_F(ParallelTest, ReductionIsIdenticalAcrossThreadCounts) {
   const double serial = reduce(1);
   EXPECT_EQ(serial, reduce(3));
   EXPECT_EQ(serial, reduce(8));
+}
+
+/// Fig. 9's shape: five revenue curves (one per reward schedule) over the
+/// same 19 alphas at one gamma and truncation, so curves 1-4 repeat curve
+/// 0's solves. Returns the sweeps and their jobs' dispatch costs.
+std::vector<SweepKey> fig9_shape(std::vector<double>& cost) {
+  const std::vector<double> alphas = analysis::fig8_alpha_grid();
+  std::vector<SweepKey> sweeps;
+  std::vector<analysis::ColdSolve> solves;
+  for (std::uint64_t curve = 0; curve < 5; ++curve) {
+    sweeps.push_back({0xf19 + curve, alphas.size()});
+    for (double alpha : alphas) solves.push_back({{alpha, 0.5}, 80});
+  }
+  cost = analysis::cold_solve_costs(solves);
+  return sweeps;
+}
+
+/// A job whose result has many significant bits, so a misplaced result
+/// cannot compare equal by accident.
+double job_value(std::size_t s, std::size_t i) {
+  return std::sin(static_cast<double>(s * 1000 + i) + 0.5) / 3.0;
+}
+
+TEST_F(ParallelTest, RegionClaimsTheCostliestJobFirstAndMemoRepeatsLast) {
+  ThreadPool::set_global_concurrency(1);  // claims run inline, in order
+  std::vector<double> cost;
+  const std::vector<SweepKey> sweeps = fig9_shape(cost);
+  std::vector<std::pair<std::size_t, std::size_t>> claims;
+  (void)run_checkpointed<double>(
+      {}, nullptr, sweeps,
+      [&](std::size_t s, std::size_t i) {
+        claims.emplace_back(s, i);
+        return job_value(s, i);
+      },
+      cost);
+  const std::size_t n = sweeps[0].n;
+  ASSERT_EQ(claims.size(), 5 * n);
+  // Curve 0 holds the first solve of every key: highest alpha first.
+  for (std::size_t k = 0; k < n; ++k) {
+    EXPECT_EQ(claims[k], std::make_pair(std::size_t{0}, n - 1 - k))
+        << "claim " << k;
+  }
+  // Every repeat after every first solve, in listed order.
+  for (std::size_t k = n; k < claims.size(); ++k) {
+    EXPECT_EQ(claims[k], std::make_pair(k / n, k % n)) << "claim " << k;
+  }
+
+  // parallel_for and parallel_map order the same way; equal costs keep
+  // listed order.
+  const std::vector<double> flat{0.1, 0.3, 0.2, 0.3, -1.0};
+  const std::vector<std::size_t> expected{1, 3, 2, 0, 4};
+  std::vector<std::size_t> ran;
+  parallel_for(5, [&](std::size_t i) { ran.push_back(i); }, flat);
+  EXPECT_EQ(ran, expected);
+  ran.clear();
+  (void)parallel_map(
+      5,
+      [&](std::size_t i) {
+        ran.push_back(i);
+        return i;
+      },
+      flat);
+  EXPECT_EQ(ran, expected);
+}
+
+TEST_F(ParallelTest, CostOrderLeavesEveryResultBitIdentical) {
+  std::vector<double> cost;
+  const std::vector<SweepKey> sweeps = fig9_shape(cost);
+  auto bits_of = [&](const std::vector<double>& order_cost) {
+    std::vector<std::uint64_t> bits;
+    const auto out = run_checkpointed<double>({}, nullptr, sweeps, job_value,
+                                              order_cost);
+    for (const auto& sweep : out) {
+      for (double v : sweep.results) {
+        bits.push_back(std::bit_cast<std::uint64_t>(v));
+      }
+    }
+    const auto mapped = parallel_map(
+        cost.size(), [](std::size_t j) { return job_value(7, j); },
+        order_cost);
+    for (double v : mapped) bits.push_back(std::bit_cast<std::uint64_t>(v));
+    return bits;
+  };
+  ThreadPool::set_global_concurrency(1);
+  const std::vector<std::uint64_t> listed = bits_of({});
+  for (unsigned threads : {1u, 3u, 4u}) {
+    ThreadPool::set_global_concurrency(threads);
+    EXPECT_EQ(bits_of(cost), listed) << threads << " threads";
+  }
+}
+
+TEST_F(ParallelTest, BudgetedRunStoresTheSameJobsInAnyDispatchOrder) {
+  // An interrupted `--max-new-jobs N` run must leave the records the listed
+  // order leaves: the budget is taken in (sweep, index) order, before the
+  // cost sort. 23 jobs end inside sweep 1.
+  ThreadPool::set_global_concurrency(4);
+  std::vector<double> cost;
+  const std::vector<SweepKey> sweeps = fig9_shape(cost);
+  auto stored = [&](const std::vector<double>& order_cost) {
+    SweepCheckpoint ckpt;
+    ckpt.directory = testutil::temp_path("store");
+    ckpt.max_new_jobs = 23;
+    SweepOutcome outcome;
+    (void)run_checkpointed<double>(ckpt, &outcome, sweeps, job_value,
+                                   order_cost);
+    EXPECT_EQ(outcome.computed, 23u);
+    std::vector<std::pair<std::size_t, std::size_t>> jobs;
+    for (std::size_t s = 0; s < sweeps.size(); ++s) {
+      const CheckpointStore store(ckpt.directory, sweeps[s].fingerprint);
+      for (std::size_t i = 0; i < sweeps[s].n; ++i) {
+        if (store.contains(i)) jobs.emplace_back(s, i);
+      }
+    }
+    return jobs;
+  };
+  const auto listed = stored({});
+  ASSERT_EQ(listed.size(), 23u);
+  for (std::size_t k = 0; k < listed.size(); ++k) {
+    EXPECT_EQ(listed[k], std::make_pair(k / 19, k % 19));
+  }
+  EXPECT_EQ(stored(cost), listed);
 }
 
 TEST(ThreadPool, HonoursExplicitConcurrency) {
