@@ -42,8 +42,8 @@ class Narrator {
   void finish() {
     const auto tip = pool_.finalize(++now_);
     std::cout << "\nFinal main chain: ";
-    for (const auto b : tree_.chain_from_genesis(tip)) {
-      std::cout << name(b) << ' ';
+    for (std::uint32_t h = 0; h <= tree_.height(tip); ++h) {
+      std::cout << name(tree_.ancestor_at_height(tip, h)) << ' ';
     }
     const auto ledger = chain::settle_rewards(tree_, tip, config_);
     std::cout << "\nPool rewards:   static "

@@ -1,6 +1,6 @@
 #include "chain/block_tree.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "support/check.h"
 
@@ -110,30 +110,12 @@ void BlockTree::publish(BlockId id, double now) {
   blocks_[id].published_at = now;
 }
 
-bool BlockTree::is_ancestor_of(BlockId ancestor, BlockId descendant) const {
-  check_id(ancestor);
-  check_id(descendant);
-  if (blocks_[ancestor].height > blocks_[descendant].height) return false;
-  return ancestor_at_height(descendant, blocks_[ancestor].height) == ancestor;
-}
-
 BlockId BlockTree::ancestor_at_height(BlockId from, std::uint32_t h) const {
   check_id(from);
   ETHSM_EXPECTS(h <= blocks_[from].height, "ancestor height above block");
   BlockId cur = from;
   while (blocks_[cur].height > h) cur = blocks_[cur].parent;
   return cur;
-}
-
-std::vector<BlockId> BlockTree::chain_from_genesis(BlockId tip) const {
-  check_id(tip);
-  std::vector<BlockId> chain;
-  chain.reserve(blocks_[tip].height + 1);
-  for (BlockId cur = tip; cur != kNoBlock; cur = blocks_[cur].parent) {
-    chain.push_back(cur);
-  }
-  std::reverse(chain.begin(), chain.end());
-  return chain;
 }
 
 BlockTree& thread_local_tree(std::size_t reserve_hint) {

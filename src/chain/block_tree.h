@@ -151,15 +151,8 @@ class BlockTree {
     return h < height_count_.size() && height_count_[h] > 1;
   }
 
-  /// True iff `ancestor` lies on the parent path of `descendant`
-  /// (a block is an ancestor of itself).
-  [[nodiscard]] bool is_ancestor_of(BlockId ancestor, BlockId descendant) const;
-
   /// The unique ancestor of `from` at height `h` (requires h <= height(from)).
   [[nodiscard]] BlockId ancestor_at_height(BlockId from, std::uint32_t h) const;
-
-  /// Blocks from genesis to `tip`, inclusive, in height order.
-  [[nodiscard]] std::vector<BlockId> chain_from_genesis(BlockId tip) const;
 
   /// Total number of blocks mined by each class (for conservation checks).
   [[nodiscard]] std::uint64_t mined_count(MinerClass c) const noexcept {

@@ -86,19 +86,6 @@ void scan_window(const BlockTree& tree, BlockId parent, int horizon,
 
 }  // namespace
 
-void find_uncle_candidates(const BlockTree& tree, BlockId parent, int horizon,
-                           UncleScratch& scratch,
-                           std::span<const std::uint8_t> visible) {
-  scan_window(tree, parent, horizon, 0, scratch, visible);
-}
-
-std::vector<UncleCandidate> find_uncle_candidates(const BlockTree& tree,
-                                                  BlockId parent, int horizon) {
-  UncleScratch scratch;
-  find_uncle_candidates(tree, parent, horizon, scratch);
-  return std::move(scratch.candidates);
-}
-
 void collect_uncle_references(const BlockTree& tree, BlockId parent,
                               int horizon, int max_refs, UncleScratch& scratch,
                               std::span<const std::uint8_t> visible) {
@@ -108,14 +95,6 @@ void collect_uncle_references(const BlockTree& tree, BlockId parent,
   std::vector<BlockId>& refs = scratch.refs;
   refs.clear();
   for (const auto& c : scratch.candidates) refs.push_back(c.id);
-}
-
-std::vector<BlockId> collect_uncle_references(const BlockTree& tree,
-                                              BlockId parent, int horizon,
-                                              int max_refs) {
-  UncleScratch scratch;
-  collect_uncle_references(tree, parent, horizon, max_refs, scratch);
-  return std::move(scratch.refs);
 }
 
 }  // namespace ethsm::chain

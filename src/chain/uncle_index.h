@@ -30,19 +30,6 @@ struct UncleCandidate {
   int distance;
 };
 
-/// Enumerates eligible uncles for a block about to be appended on `parent`.
-/// Candidates are returned in (height, id) order -- oldest first, then in
-/// append order -- which is also the greedy order used when `max_refs`
-/// truncates. A window whose heights each hold a single block (no fork) has
-/// no candidates and costs a few byte reads (BlockTree::has_fork_at).
-[[nodiscard]] std::vector<UncleCandidate> find_uncle_candidates(
-    const BlockTree& tree, BlockId parent, int horizon);
-
-/// As find_uncle_candidates, but returns only the ids, truncated to
-/// `max_refs` (0 = unlimited).
-[[nodiscard]] std::vector<BlockId> collect_uncle_references(
-    const BlockTree& tree, BlockId parent, int horizon, int max_refs = 0);
-
 /// Reusable buffers for the per-block collection hot path. The mining
 /// policies hold one scratch per policy instance so a 100k-block run performs
 /// no per-block heap allocation once the buffers reach steady-state capacity
@@ -50,22 +37,22 @@ struct UncleCandidate {
 struct UncleScratch {
   std::vector<UncleCandidate> candidates;
   std::vector<BlockId> ancestors;  ///< ancestors of windows deeper than 7
-  std::vector<BlockId> refs;  ///< collect_uncle_references output
+  std::vector<BlockId> refs;  ///< the ids of `candidates`
 };
 
-/// In-place find_uncle_candidates: fills scratch.candidates (clearing it
-/// first), using scratch.ancestors as working space for deep windows.
+/// Collects the eligible uncles for a block about to be appended on
+/// `parent`, truncated to `max_refs` (0 = unlimited): scratch.candidates gets
+/// each uncle with its distance, scratch.refs only the ids (both cleared
+/// first); scratch.ancestors is working space for deep windows. Candidates
+/// come in (height, id) order -- oldest first, then in append order -- which
+/// is also the greedy order `max_refs` truncates in. A window whose heights
+/// each hold a single block (no fork) has no candidates and costs a few byte
+/// reads (BlockTree::has_fork_at). This is what the mining policies call.
 /// A non-empty `visible` mask (indexed by BlockId, nonzero = visible)
 /// additionally restricts candidates to blocks this miner has actually
 /// received -- the network simulator's per-node view, where a published
 /// block may not have propagated to the referencing miner yet. An empty
 /// mask keeps the historical published-only filtering.
-void find_uncle_candidates(const BlockTree& tree, BlockId parent, int horizon,
-                           UncleScratch& scratch,
-                           std::span<const std::uint8_t> visible = {});
-
-/// In-place collect_uncle_references: result lands in scratch.refs. This is
-/// what the mining policies call. `visible` as in find_uncle_candidates.
 void collect_uncle_references(const BlockTree& tree, BlockId parent,
                               int horizon, int max_refs, UncleScratch& scratch,
                               std::span<const std::uint8_t> visible = {});

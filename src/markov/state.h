@@ -9,7 +9,6 @@
 #define ETHSM_MARKOV_STATE_H
 
 #include <compare>
-#include <iosfwd>
 
 namespace ethsm::markov {
 
@@ -28,8 +27,6 @@ struct State {
     return lh >= 0 && ls - lh >= 2;
   }
 };
-
-std::ostream& operator<<(std::ostream& os, const State& s);
 
 }  // namespace ethsm::markov
 

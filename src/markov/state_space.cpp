@@ -1,14 +1,8 @@
 #include "markov/state_space.h"
 
-#include <ostream>
-
 #include "support/check.h"
 
 namespace ethsm::markov {
-
-std::ostream& operator<<(std::ostream& os, const State& s) {
-  return os << '(' << s.ls << ", " << s.lh << ')';
-}
 
 StateSpace::StateSpace(int max_lead) : max_lead_(max_lead) {
   ETHSM_EXPECTS(max_lead >= 2, "state space needs max_lead >= 2");

@@ -13,51 +13,12 @@ StationaryDistribution::StationaryDistribution(const StateSpace& space,
                                                std::vector<double> pi,
                                                int iterations, double residual,
                                                SolveMethod method)
-    : max_lead_(space.max_lead()),
-      pi_(std::move(pi)),
+    : pi_(std::move(pi)),
       iterations_(iterations),
       residual_(residual),
       method_(method) {
   ETHSM_EXPECTS(static_cast<int>(pi_.size()) == space.size(),
                 "distribution/space size mismatch");
-}
-
-double StationaryDistribution::at(const State& s) const {
-  const int idx = StateSpace::index_of(s, max_lead_);
-  return idx < 0 ? 0.0 : pi_[static_cast<std::size_t>(idx)];
-}
-
-double StationaryDistribution::balance_residual(
-    const TransitionModel& model) const {
-  const std::size_t n = pi_.size();
-  // Scratch reused across calls (sweeps evaluate thousands of models); the
-  // assign() below only reallocates when a larger space comes along.
-  thread_local std::vector<double> inflow;
-  thread_local std::vector<double> outflow;
-  inflow.assign(n, 0.0);
-  outflow.assign(n, 0.0);
-
-  const auto& row = model.row_offsets();
-  const auto& col = model.columns();
-  const auto& rate = model.rates();
-  for (std::size_t s = 0; s < n; ++s) {
-    const double ps = pi_[s];
-    if (ps == 0.0) continue;
-    double out_flux = 0.0;
-    for (std::uint32_t k = row[s]; k < row[s + 1]; ++k) {
-      const auto to = static_cast<std::size_t>(col[k]);
-      if (to == s) continue;  // self-loops cancel in balance
-      const double flux = ps * rate[k];
-      out_flux += flux;
-      inflow[to] += flux;
-    }
-    outflow[s] += out_flux;
-  }
-  double worst = 0.0;
-  for (std::size_t s = 0; s < n; ++s) {
-    worst = std::max(worst, std::fabs(inflow[s] - outflow[s]));
-  }
-  return worst;
 }
 
 namespace {

@@ -54,8 +54,8 @@ struct StationaryOptions {
 };
 
 /// The solved distribution plus solver diagnostics. Self-contained: it keeps
-/// the truncation depth, not the StateSpace, so it may outlive the space it
-/// was solved on.
+/// no reference to the StateSpace, so it may outlive the space it was solved
+/// on.
 class StationaryDistribution {
  public:
   StationaryDistribution(const StateSpace& space, std::vector<double> pi,
@@ -66,8 +66,6 @@ class StationaryDistribution {
   [[nodiscard]] double operator[](int index) const {
     return pi_[static_cast<std::size_t>(index)];
   }
-  /// pi(state) by coordinates; 0 for states outside the truncated space.
-  [[nodiscard]] double at(const State& s) const;
 
   [[nodiscard]] const std::vector<double>& values() const noexcept {
     return pi_;
@@ -78,11 +76,8 @@ class StationaryDistribution {
   /// Which solver produced the vector. `automatic` never appears here: a
   /// solve that fell back reports `power` with the total sweep count.
   [[nodiscard]] SolveMethod method() const noexcept { return method_; }
-  /// Max |inflow - outflow| over states: how well global balance holds.
-  [[nodiscard]] double balance_residual(const TransitionModel& model) const;
 
  private:
-  int max_lead_;
   std::vector<double> pi_;
   int iterations_;
   double residual_;

@@ -10,27 +10,6 @@ void MiningParams::validate() const {
   ETHSM_EXPECTS(gamma >= 0.0 && gamma <= 1.0, "gamma must lie in [0, 1]");
 }
 
-const char* to_string(TransitionKind k) noexcept {
-  switch (k) {
-    case TransitionKind::honest_at_consensus: return "honest_at_consensus";
-    case TransitionKind::pool_first_lead: return "pool_first_lead";
-    case TransitionKind::pool_extend_lead: return "pool_extend_lead";
-    case TransitionKind::honest_match: return "honest_match";
-    case TransitionKind::pool_win_tie: return "pool_win_tie";
-    case TransitionKind::honest_resolve_tie: return "honest_resolve_tie";
-    case TransitionKind::honest_resolve_lead2_nofork:
-      return "honest_resolve_lead2_nofork";
-    case TransitionKind::honest_resolve_lead2_prefix:
-      return "honest_resolve_lead2_prefix";
-    case TransitionKind::honest_resolve_lead2_fork:
-      return "honest_resolve_lead2_fork";
-    case TransitionKind::honest_first_fork: return "honest_first_fork";
-    case TransitionKind::honest_prefix_reroot: return "honest_prefix_reroot";
-    case TransitionKind::honest_fork_extend: return "honest_fork_extend";
-  }
-  return "unknown";
-}
-
 static_assert(static_cast<int>(TransitionKind::honest_fork_extend) + 1 ==
                   kNumTransitionKinds,
               "kNumTransitionKinds out of sync with the TransitionKind enum");

@@ -39,8 +39,6 @@ enum class TransitionKind : std::uint8_t {
   honest_fork_extend,         ///< Case 11: (i,j) -b(1-g)-> (i,j+1), i-j >= 3, j >= 1
 };
 
-[[nodiscard]] const char* to_string(TransitionKind k) noexcept;
-
 /// Number of TransitionKind enumerators (the kind-batched layout sizes its
 /// offset table with this; a static_assert in transition_model.cpp keeps it
 /// in sync with the enum).

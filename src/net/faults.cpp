@@ -3,9 +3,9 @@
 #include <cmath>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 
 #include "support/check.h"
-#include "support/math_util.h"
 
 namespace ethsm::net {
 
@@ -37,10 +37,6 @@ double parse_number(std::string_view whole, std::string_view part) {
   return value;
 }
 
-std::string print_number(double value) {
-  return support::print_shortest_double(value);
-}
-
 /// Splits "a:b[:c]" on ':'; returns the pieces in order.
 std::vector<std::string_view> split_colons(std::string_view text) {
   std::vector<std::string_view> parts;
@@ -53,20 +49,6 @@ std::vector<std::string_view> split_colons(std::string_view text) {
     parts.push_back(text.substr(0, colon));
     text.remove_prefix(colon + 1);
   }
-}
-
-std::string_view to_string(PartitionCut cut) noexcept {
-  switch (cut) {
-    case PartitionCut::automatic:
-      return "auto";
-    case PartitionCut::bridge:
-      return "bridge";
-    case PartitionCut::random_cut:
-      return "random";
-    case PartitionCut::attacker:
-      return "attacker";
-  }
-  return "auto";  // unreachable
 }
 
 PartitionCut parse_partition_cut(std::string_view whole, std::string_view s) {
@@ -140,30 +122,6 @@ EclipseSpec parse_eclipse_spec(std::string_view text) {
     fail("eclipse drop probability must lie in [0, 1), got", trimmed);
   }
   return spec;
-}
-
-std::string to_string(const ChurnSpec& spec) {
-  if (!spec.enabled()) return "off";
-  return print_number(spec.mean_up_ms) + ":" + print_number(spec.mean_down_ms);
-}
-
-std::string to_string(const PartitionSpec& spec) {
-  if (!spec.enabled) return "off";
-  std::string out =
-      print_number(spec.start_ms) + ":" + print_number(spec.heal_ms);
-  if (spec.cut != PartitionCut::automatic) {
-    out += ":";
-    out += to_string(spec.cut);
-  }
-  return out;
-}
-
-std::string to_string(const EclipseSpec& spec) {
-  if (!spec.enabled()) return "off";
-  std::string out =
-      std::to_string(spec.victim) + ":" + print_number(spec.delay_ms);
-  if (spec.drop != 0.0) out.append(":").append(print_number(spec.drop));
-  return out;
 }
 
 void FaultSpec::validate(std::uint32_t honest_nodes) const {

@@ -34,7 +34,6 @@
 #define ETHSM_NET_FAULTS_H
 
 #include <cstdint>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -98,14 +97,11 @@ struct FaultSpec {
   friend bool operator==(const FaultSpec&, const FaultSpec&) = default;
 };
 
-// Sub-spec grammars (spec-layer round-trip contract: parse(to_string(s)) is
-// exactly s). All parsers throw std::invalid_argument on malformed input.
+// Sub-spec grammars. All parsers throw std::invalid_argument on malformed
+// input.
 [[nodiscard]] ChurnSpec parse_churn_spec(std::string_view text);
 [[nodiscard]] PartitionSpec parse_partition_spec(std::string_view text);
 [[nodiscard]] EclipseSpec parse_eclipse_spec(std::string_view text);
-[[nodiscard]] std::string to_string(const ChurnSpec& spec);
-[[nodiscard]] std::string to_string(const PartitionSpec& spec);
-[[nodiscard]] std::string to_string(const EclipseSpec& spec);
 
 /// Domain separator for the per-node fault streams: keeps them provably
 /// disjoint from the per-run seeds derive_seed(master, run) hands the engine.

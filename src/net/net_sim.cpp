@@ -528,10 +528,6 @@ class Engine {
 
 }  // namespace
 
-std::string_view to_string(RelayMode mode) noexcept {
-  return mode == RelayMode::push ? "push" : "announce";
-}
-
 RelayMode relay_mode_from_string(std::string_view s) {
   if (s == "push") return RelayMode::push;
   if (s == "announce") return RelayMode::announce;

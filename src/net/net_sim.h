@@ -81,7 +81,6 @@ inline constexpr double kBlockIntervalMs = 14'000.0;
 /// announce -> request -> deliver handshake (three crossings).
 enum class RelayMode { push, announce };
 
-[[nodiscard]] std::string_view to_string(RelayMode mode) noexcept;
 /// Throws std::invalid_argument on anything but "push" / "announce".
 [[nodiscard]] RelayMode relay_mode_from_string(std::string_view s);
 

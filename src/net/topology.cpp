@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 
 #include "support/check.h"
-#include "support/math_util.h"
 
 namespace ethsm::net {
 
@@ -34,12 +34,6 @@ double parse_number(std::string_view whole, std::string_view part) {
     fail("malformed number in net spec", whole);
   }
   return value;
-}
-
-/// Shortest decimal form that parses back bitwise (the spec codec's
-/// round-trip contract; one shared implementation in support/math_util.h).
-std::string print_number(double value) {
-  return support::print_shortest_double(value);
 }
 
 }  // namespace
@@ -117,40 +111,6 @@ LatencySpec parse_latency_spec(std::string_view text) {
         trimmed);
   }
   return spec;
-}
-
-std::string to_string(const TopologySpec& spec) {
-  switch (spec.kind) {
-    case TopologyKind::complete:
-      return "complete";
-    case TopologyKind::star:
-      return "star";
-    case TopologyKind::ring:
-      return "ring";
-    case TopologyKind::random_p:
-      return "random:" + print_number(spec.param);
-    case TopologyKind::two_clusters:
-      return "two_clusters:" + print_number(spec.param);
-  }
-  return "complete";  // unreachable
-}
-
-std::string to_string(const LatencySpec& spec) {
-  switch (spec.kind) {
-    case LatencyKind::fixed:
-      return "fixed:" + print_number(spec.a);
-    case LatencyKind::uniform:
-      return "uniform:" + print_number(spec.a) + ":" + print_number(spec.b);
-    case LatencyKind::exponential:
-      return "exp:" + print_number(spec.a);
-  }
-  return "fixed:0";  // unreachable
-}
-
-std::size_t Topology::num_links() const noexcept {
-  std::size_t directed = 0;
-  for (const auto& links : adjacency) directed += links.size();
-  return directed / 2;
 }
 
 bool Topology::connected() const noexcept {

@@ -28,7 +28,6 @@
 #define ETHSM_NET_TOPOLOGY_H
 
 #include <cstdint>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -68,10 +67,6 @@ struct LatencySpec {
 [[nodiscard]] TopologySpec parse_topology_spec(std::string_view text);
 [[nodiscard]] LatencySpec parse_latency_spec(std::string_view text);
 
-/// Canonical text forms (inverse of the parsers for valid specs).
-[[nodiscard]] std::string to_string(const TopologySpec& spec);
-[[nodiscard]] std::string to_string(const LatencySpec& spec);
-
 /// One directed adjacency record: messages from this node to `peer` sample
 /// `latency` per crossing.
 struct Link {
@@ -89,7 +84,6 @@ struct Topology {
   [[nodiscard]] std::uint32_t num_nodes() const noexcept {
     return static_cast<std::uint32_t>(adjacency.size());
   }
-  [[nodiscard]] std::size_t num_links() const noexcept;
   [[nodiscard]] bool connected() const noexcept;
 };
 

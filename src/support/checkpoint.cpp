@@ -12,6 +12,7 @@
 #include "support/json.h"
 #include "support/metrics.h"
 #include "support/retry.h"
+#include "support/trace.h"
 
 namespace ethsm::support {
 
@@ -339,6 +340,7 @@ CheckpointStore::CheckpointStore(std::string directory,
     : directory_(std::move(directory)),
       fingerprint_(fingerprint),
       shard_(shard) {
+  trace::Span span("checkpoint.load");  // one clock pair per load
   ETHSM_EXPECTS(!directory_.empty(), "checkpoint directory must be non-empty");
   // Missing parents are created, not reported: `--checkpoint-dir a/b/c` on a
   // fresh machine should just work. Only a real filesystem refusal (EROFS,
@@ -510,6 +512,7 @@ std::vector<CheckpointFileInfo> scan_checkpoint_directory(
 
 std::map<std::uint64_t, std::vector<std::byte>> read_checkpoint_records(
     const std::string& directory, std::uint64_t fingerprint) {
+  trace::Span span("checkpoint.load");  // one clock pair per load
   std::map<std::uint64_t, std::vector<std::byte>> records;
   for (const auto& path : checkpoint_files_in(directory)) {
     walk_checkpoint_file(path, fingerprint,

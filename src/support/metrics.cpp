@@ -64,28 +64,6 @@ std::uint64_t Histogram::cumulative(std::size_t i) const noexcept {
   return total;
 }
 
-double Histogram::quantile(double q) const noexcept {
-  const std::uint64_t n = count();
-  if (n == 0 || bounds_.empty()) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(n);
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < bounds_.size(); ++i) {
-    const std::uint64_t in_bucket =
-        buckets_[i].load(std::memory_order_relaxed);
-    if (static_cast<double>(seen + in_bucket) >= target && in_bucket > 0) {
-      // Linear interpolation inside the bucket, Prometheus-style.
-      const double lower = i == 0 ? 0.0 : bounds_[i - 1];
-      const double upper = bounds_[i];
-      const double into =
-          (target - static_cast<double>(seen)) / static_cast<double>(in_bucket);
-      return lower + (upper - lower) * std::clamp(into, 0.0, 1.0);
-    }
-    seen += in_bucket;
-  }
-  return bounds_.back();  // quantile falls in the +Inf bucket
-}
-
 std::vector<double> Histogram::latency_bounds_seconds() {
   return {1e-6, 1e-5, 1e-4, 1e-3, 5e-3, 1e-2, 5e-2,
           1e-1, 5e-1, 1.0,  5.0,  10.0, 30.0, 100.0};

@@ -124,9 +124,6 @@ class Histogram {
   /// Cumulative count of observations <= bounds()[i] (Prometheus `le`
   /// semantics); i == bounds().size() gives the +Inf bucket == count().
   std::uint64_t cumulative(std::size_t i) const noexcept;
-  /// Bucket-interpolated quantile in [0, 1]. Returns the last finite bound
-  /// when the quantile falls in the +Inf bucket, 0 when empty.
-  double quantile(double q) const noexcept;
 
   /// Default latency bounds in seconds: 1us .. ~100s, quasi-logarithmic.
   static std::vector<double> latency_bounds_seconds();

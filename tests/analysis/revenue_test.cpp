@@ -4,6 +4,7 @@
 
 #include "analysis/absolute_revenue.h"
 #include "analysis/revenue_closed_form.h"
+#include "support/grid_name.h"
 
 namespace ethsm::analysis {
 namespace {
@@ -97,10 +98,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(0.05, 0.15, 0.25, 0.35, 0.45),
                        ::testing::Values(0.3, 0.5, 0.8, 1.0)),
     [](const auto& info) {
-      return "a" +
-             std::to_string(static_cast<int>(std::get<0>(info.param) * 100)) +
-             "_g" +
-             std::to_string(static_cast<int>(std::get<1>(info.param) * 100));
+      return testutil::grid_name(std::get<0>(info.param),
+                                 std::get<1>(info.param));
     });
 
 TEST(Revenue, AlphaZeroGivesEverythingToHonest) {

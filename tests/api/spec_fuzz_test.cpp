@@ -58,9 +58,11 @@ std::string fuzz_reward_spec(Xoshiro256& rng) {
     case 0: return "byzantium";
     case 1: return "bitcoin";
     case 2: {
-      std::string spec = "flat:" + support::print_shortest_double(rng.uniform01());
+      std::string spec = "flat:";
+      spec += support::print_shortest_double(rng.uniform01());
       if (rng.uniform01() < 0.5) {
-        spec += ":" + std::to_string(1 + static_cast<int>(rng.uniform01() * 9.0));
+        spec += ':';
+        spec += std::to_string(1 + static_cast<int>(rng.uniform01() * 9.0));
       }
       return spec;
     }

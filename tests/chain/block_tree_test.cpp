@@ -4,6 +4,8 @@
 
 #include <stdexcept>
 
+#include "chain/chain_validator.h"
+
 namespace ethsm::chain {
 namespace {
 
@@ -84,14 +86,14 @@ class ForkedTree : public ::testing::Test {
 };
 
 TEST_F(ForkedTree, IsAncestorOf) {
-  EXPECT_TRUE(t.is_ancestor_of(t.genesis(), c));
-  EXPECT_TRUE(t.is_ancestor_of(a, c));
-  EXPECT_TRUE(t.is_ancestor_of(a, y));
-  EXPECT_TRUE(t.is_ancestor_of(b, c));
-  EXPECT_FALSE(t.is_ancestor_of(b, y));
-  EXPECT_FALSE(t.is_ancestor_of(x, c));
-  EXPECT_FALSE(t.is_ancestor_of(c, a));  // direction matters
-  EXPECT_TRUE(t.is_ancestor_of(c, c));   // reflexive
+  EXPECT_TRUE(is_ancestor_of(t, t.genesis(), c));
+  EXPECT_TRUE(is_ancestor_of(t, a, c));
+  EXPECT_TRUE(is_ancestor_of(t, a, y));
+  EXPECT_TRUE(is_ancestor_of(t, b, c));
+  EXPECT_FALSE(is_ancestor_of(t, b, y));
+  EXPECT_FALSE(is_ancestor_of(t, x, c));
+  EXPECT_FALSE(is_ancestor_of(t, c, a));  // direction matters
+  EXPECT_TRUE(is_ancestor_of(t, c, c));   // reflexive
 }
 
 TEST_F(ForkedTree, AncestorAtHeight) {
@@ -103,7 +105,7 @@ TEST_F(ForkedTree, AncestorAtHeight) {
 }
 
 TEST_F(ForkedTree, ChainFromGenesis) {
-  const auto chain = t.chain_from_genesis(c);
+  const auto chain = chain_from_genesis(t, c);
   ASSERT_EQ(chain.size(), 4u);
   EXPECT_EQ(chain[0], t.genesis());
   EXPECT_EQ(chain[1], a);

@@ -31,6 +31,15 @@ struct ValidationReport {
   [[nodiscard]] bool ok() const noexcept { return violations.empty(); }
 };
 
+/// True iff `ancestor` lies on the parent path of `descendant` (a block is
+/// an ancestor of itself).
+[[nodiscard]] bool is_ancestor_of(const BlockTree& tree, BlockId ancestor,
+                                  BlockId descendant);
+
+/// Blocks from genesis to `tip`, inclusive, in height order.
+[[nodiscard]] std::vector<BlockId> chain_from_genesis(const BlockTree& tree,
+                                                      BlockId tip);
+
 /// Validates the whole tree. `main_tip` = kNoBlock skips main-chain checks.
 [[nodiscard]] ValidationReport validate_chain(
     const BlockTree& tree, const rewards::RewardConfig& config,

@@ -11,12 +11,28 @@ bool contains(const std::vector<BlockId>& v, BlockId id) {
   return std::find(v.begin(), v.end(), id) != v.end();
 }
 
+/// Every eligible uncle for a block on `parent`, with its distance.
+std::vector<UncleCandidate> candidates(const BlockTree& tree, BlockId parent,
+                                       int horizon) {
+  UncleScratch scratch;
+  collect_uncle_references(tree, parent, horizon, 0, scratch);
+  return std::move(scratch.candidates);
+}
+
+/// The ids collect_uncle_references picks, truncated to `max_refs`.
+std::vector<BlockId> references(const BlockTree& tree, BlockId parent,
+                                int horizon, int max_refs) {
+  UncleScratch scratch;
+  collect_uncle_references(tree, parent, horizon, max_refs, scratch);
+  return std::move(scratch.refs);
+}
+
 /// True iff `uncle` would be an eligible reference for a new block on
 /// `parent` at the given horizon (the conditions in uncle_index.h).
 bool is_eligible_uncle(const BlockTree& tree, BlockId uncle, BlockId parent,
                        int horizon) {
-  const auto candidates = find_uncle_candidates(tree, parent, horizon);
-  return std::any_of(candidates.begin(), candidates.end(),
+  const auto cands = candidates(tree, parent, horizon);
+  return std::any_of(cands.begin(), cands.end(),
                      [uncle](const UncleCandidate& c) { return c.id == uncle; });
 }
 
@@ -55,7 +71,7 @@ TEST_F(Fig3Tree, CandidatesForC1AreTheDistanceOneUncles) {
   // Before C1 existed: a block on B2 should see B1 and B3 (children of A,
   // not ancestors), but not C2 (child of stale B1).
   BlockTree fresh;  // rebuild without C1's references to query "before"
-  const auto cands = find_uncle_candidates(t, B2, 6);
+  const auto cands = candidates(t, B2, 6);
   // C1 already references B1/B3 on this chain... querying at parent B2 for a
   // *new* sibling of C1: B1, B3 are unreferenced from B2's chain (C1 is not
   // an ancestor of the prospective block).
@@ -78,12 +94,12 @@ TEST_F(Fig3Tree, ReferencedUnclesAreExcludedDownstream) {
   EXPECT_FALSE(is_eligible_uncle(t, B1, E1, 6));
   EXPECT_FALSE(is_eligible_uncle(t, B3, E1, 6));
   EXPECT_TRUE(is_eligible_uncle(t, D2, E1, 6));
-  const auto refs_from_f1 = collect_uncle_references(t, F1, 6);
+  const auto refs_from_f1 = references(t, F1, 6, 0);
   EXPECT_TRUE(refs_from_f1.empty());
 }
 
 TEST_F(Fig3Tree, DistanceIsNephewHeightMinusUncleHeight) {
-  const auto cands = find_uncle_candidates(t, E1, 6);
+  const auto cands = candidates(t, E1, 6);
   ASSERT_EQ(cands.size(), 1u);
   EXPECT_EQ(cands[0].id, D2);
   EXPECT_EQ(cands[0].distance, 2);  // F1 at height 6, D2 at height 4
@@ -94,7 +110,7 @@ TEST_F(Fig3Tree, PerBranchSemantics) {
   // unreferenced again: references are chain-relative, not global.
   const BlockId alt = t.append(B2, MinerClass::selfish, 0, 7.0);
   t.publish(alt, 7.0);
-  const auto cands = find_uncle_candidates(t, alt, 6);
+  const auto cands = candidates(t, alt, 6);
   std::vector<BlockId> ids;
   for (const auto& c : cands) ids.push_back(c.id);
   EXPECT_TRUE(contains(ids, B1));
@@ -126,7 +142,7 @@ TEST(UncleIndex, HorizonZeroMeansNoCandidates) {
   t.publish(u, 1.0);
   const BlockId m = t.append(t.genesis(), MinerClass::honest, 0, 1.1);
   t.publish(m, 1.1);
-  EXPECT_TRUE(find_uncle_candidates(t, m, 0).empty());
+  EXPECT_TRUE(candidates(t, m, 0).empty());
 }
 
 TEST(UncleIndex, UnpublishedBlocksAreInvisible) {
@@ -151,12 +167,12 @@ TEST(UncleIndex, MaxRefsTruncatesOldestFirst) {
   BlockId main2 = t.append(main1, MinerClass::honest, 0, 2.1);
   t.publish(main2, 2.1);
 
-  const auto unlimited = collect_uncle_references(t, main2, 6, 0);
+  const auto unlimited = references(t, main2, 6, 0);
   ASSERT_EQ(unlimited.size(), 2u);
   EXPECT_EQ(unlimited[0], s1);  // oldest first
   EXPECT_EQ(unlimited[1], s2);
 
-  const auto capped = collect_uncle_references(t, main2, 6, 1);
+  const auto capped = references(t, main2, 6, 1);
   ASSERT_EQ(capped.size(), 1u);
   EXPECT_EQ(capped[0], s1);
 }
@@ -168,7 +184,7 @@ TEST(UncleIndex, AncestorsAreNeverCandidates) {
     tip = t.append(tip, MinerClass::honest, 0, 1.0 + i);
     t.publish(tip, 1.0 + i);
   }
-  EXPECT_TRUE(find_uncle_candidates(t, tip, 6).empty());
+  EXPECT_TRUE(candidates(t, tip, 6).empty());
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Property test: uncle eligibility against a brute-force oracle.
 //
-// The production path (find_uncle_candidates) walks a bounded ancestor
+// The production path (collect_uncle_references) walks a bounded ancestor
 // window for speed. This oracle re-derives eligibility from first principles
 // by scanning EVERY block in the tree with the textbook definition, on
 // randomized trees; any divergence is a real bug (this is exactly how the
@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "chain/chain_validator.h"
 #include "chain/uncle_index.h"
 #include "support/rng.h"
 
@@ -27,10 +28,10 @@ std::vector<BlockId> oracle_candidates(const BlockTree& tree, BlockId parent,
     // 5. visible
     if (!tree.is_published(u)) continue;
     // 1. not an ancestor of the prospective block
-    if (tree.is_ancestor_of(u, parent)) continue;
+    if (is_ancestor_of(tree, u, parent)) continue;
     // 2. direct child of the prospective block's chain
     const BlockId uparent = tree.parent(u);
-    if (!tree.is_ancestor_of(uparent, parent)) continue;
+    if (!is_ancestor_of(tree, uparent, parent)) continue;
     // 3. distance within [1, horizon]
     if (tree.height(u) >= new_height) continue;
     const int distance = static_cast<int>(new_height - tree.height(u));
@@ -62,6 +63,7 @@ std::vector<BlockId> oracle_candidates(const BlockTree& tree, BlockId parent,
 BlockTree random_tree(std::uint64_t seed, int blocks, int horizon) {
   support::Xoshiro256 rng(seed);
   BlockTree tree;
+  UncleScratch scratch;
   std::vector<BlockId> tips{tree.genesis()};
   double now = 1.0;
   for (int i = 0; i < blocks; ++i) {
@@ -75,8 +77,9 @@ BlockTree random_tree(std::uint64_t seed, int blocks, int horizon) {
     // Half of the blocks reference uncles like honest miners do.
     std::vector<BlockId> refs;
     if (rng.bernoulli(0.5)) {
-      refs = collect_uncle_references(tree, parent, horizon,
-                                      rng.bernoulli(0.3) ? 2 : 0);
+      collect_uncle_references(tree, parent, horizon,
+                               rng.bernoulli(0.3) ? 2 : 0, scratch);
+      refs = scratch.refs;
     }
     const BlockId id = tree.append(
         parent,
@@ -94,13 +97,15 @@ BlockTree random_tree(std::uint64_t seed, int blocks, int horizon) {
 class UncleOracleTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(UncleOracleTest, ProductionMatchesBruteForceOracle) {
+  UncleScratch scratch;
   for (int horizon : {1, 3, 6}) {
     const BlockTree tree = random_tree(GetParam() * 31 + horizon, 300, horizon);
     // Query eligibility from every published block as prospective parent.
     for (BlockId parent = 0; parent < tree.size(); ++parent) {
       if (!tree.is_published(parent)) continue;
       const auto expected = oracle_candidates(tree, parent, horizon);
-      const auto got = find_uncle_candidates(tree, parent, horizon);
+      collect_uncle_references(tree, parent, horizon, 0, scratch);
+      const auto& got = scratch.candidates;
       ASSERT_EQ(got.size(), expected.size())
           << "parent " << parent << " horizon " << horizon;
       for (std::size_t i = 0; i < got.size(); ++i) {

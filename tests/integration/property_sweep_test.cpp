@@ -9,6 +9,7 @@
 #include "miner/honest_policy.h"
 #include "miner/selfish_policy.h"
 #include "sim/simulator.h"
+#include "support/grid_name.h"
 
 namespace ethsm {
 namespace {
@@ -80,10 +81,8 @@ INSTANTIATE_TEST_SUITE_P(
                                          0.35, 0.4, 0.45),
                        ::testing::Values(0.25, 0.5, 0.75, 1.0)),
     [](const auto& info) {
-      return "a" +
-             std::to_string(static_cast<int>(std::get<0>(info.param) * 100)) +
-             "_g" +
-             std::to_string(static_cast<int>(std::get<1>(info.param) * 100));
+      return testutil::grid_name(std::get<0>(info.param),
+                                 std::get<1>(info.param));
     });
 
 TEST(AnalysisProperty, PoolRevenueMonotoneInGamma) {
@@ -169,10 +168,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(0.1, 0.3, 0.45),
                        ::testing::Values(0.0, 0.5, 1.0)),
     [](const auto& info) {
-      return "a" +
-             std::to_string(static_cast<int>(std::get<0>(info.param) * 100)) +
-             "_g" +
-             std::to_string(static_cast<int>(std::get<1>(info.param) * 100));
+      return testutil::grid_name(std::get<0>(info.param),
+                                 std::get<1>(info.param));
     });
 
 TEST(AblationProperty, EthereumUncleCapBarelyChangesRevenue) {

@@ -8,6 +8,7 @@
 #include "analysis/absolute_revenue.h"
 #include "analysis/uncle_distance.h"
 #include "sim/simulator.h"
+#include "support/grid_name.h"
 
 namespace ethsm {
 namespace {
@@ -87,8 +88,7 @@ INSTANTIATE_TEST_SUITE_P(
                       GridPoint{0.45, 0.5, false},
                       GridPoint{0.40, 0.2, true}),
     [](const auto& info) {
-      return "a" + std::to_string(static_cast<int>(info.param.alpha * 100)) +
-             "_g" + std::to_string(static_cast<int>(info.param.gamma * 100)) +
+      return testutil::grid_name(info.param.alpha, info.param.gamma) +
              (info.param.byzantium ? "_byz" : "_flat");
     });
 

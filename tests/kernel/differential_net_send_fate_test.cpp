@@ -117,7 +117,8 @@ void check_fault_mix(FaultMix mix) {
           const std::string diff = compare_run(config);
           EXPECT_EQ(diff, "")
               << topology << " / " << latency << " / "
-              << net::to_string(relay) << ", " << config.honest_nodes
+              << (relay == net::RelayMode::push ? "push" : "announce") << ", "
+              << config.honest_nodes
               << " honest nodes, " << config.num_blocks << " blocks, seed "
               << seed;
         }

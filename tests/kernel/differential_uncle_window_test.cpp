@@ -1,6 +1,6 @@
 // Differential lockdown of the uncle window (ctest -L kernel):
-// chain::find_uncle_candidates and chain::collect_uncle_references must match
-// the frozen pre-index search (reference_find_uncle_candidates,
+// chain::collect_uncle_references (its candidates and its capped refs) must
+// match the frozen pre-index search (reference_find_uncle_candidates,
 // reference_engines.h) candidate for candidate -- id, distance and order --
 // on random trees with forks, late and never-published blocks, arbitrary
 // append refs and random visibility masks, over horizons {0, 1, 2, 6, 7, 100}
@@ -45,7 +45,7 @@ std::string compare_query(const BlockTree& tree, BlockId parent, int horizon,
   };
   const auto expected =
       testing::reference_find_uncle_candidates(tree, parent, horizon, visible);
-  chain::find_uncle_candidates(tree, parent, horizon, scratch, visible);
+  chain::collect_uncle_references(tree, parent, horizon, 0, scratch, visible);
   const auto& got = scratch.candidates;
   if (got.size() != expected.size()) {
     return "candidate count " + std::to_string(got.size()) + " != " +

@@ -19,8 +19,8 @@
 //     into one machine.
 //   * reference_find_uncle_candidates -- the uncle-window search that walks
 //     every window ancestor twice, gathers their refs, scans every child list
-//     and sorts, frozen from the version chain::find_uncle_candidates
-//     replaced with the fork-aware single walk.
+//     and sorts, frozen from the version that the fork-aware single walk
+//     in chain::collect_uncle_references replaced.
 //   * reference_run_net_simulation -- the network engine that builds every
 //     gossip message and decides its fate (lost at a down node, ignored as a
 //     duplicate) only on arrival, frozen from the version that
@@ -77,7 +77,7 @@ reference_solve_stationary_gauss_seidel(
 
 /// The pre-index uncle-window search: candidates for a block on `parent`,
 /// sorted by (height, id), with the same published-only, `visible` mask and
-/// already-referenced semantics as chain::find_uncle_candidates.
+/// already-referenced semantics as chain::collect_uncle_references.
 [[nodiscard]] std::vector<chain::UncleCandidate>
 reference_find_uncle_candidates(const chain::BlockTree& tree,
                                 chain::BlockId parent, int horizon,

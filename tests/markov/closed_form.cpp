@@ -1,7 +1,10 @@
 #include "markov/closed_form.h"
 
+#include <algorithm>
+#include <cmath>
 #include <map>
 #include <tuple>
+#include <vector>
 
 #include "support/check.h"
 #include "support/math_util.h"
@@ -75,6 +78,30 @@ double piij_closed_form(double alpha, double gamma, int i, int j) {
   const double term3 = -gamma * support::ipow(og, j - 1) * sum * pi00;
 
   return term1 + term2 + term3;
+}
+
+double balance_residual(const StationaryDistribution& pi,
+                        const TransitionModel& model) {
+  const std::size_t n = pi.values().size();
+  std::vector<double> inflow(n, 0.0);
+  std::vector<double> outflow(n, 0.0);
+  const auto& row = model.row_offsets();
+  const auto& col = model.columns();
+  const auto& rate = model.rates();
+  for (std::size_t s = 0; s < n; ++s) {
+    for (std::uint32_t k = row[s]; k < row[s + 1]; ++k) {
+      const auto to = static_cast<std::size_t>(col[k]);
+      if (to == s) continue;  // self-loops cancel in balance
+      const double flux = pi.values()[s] * rate[k];
+      outflow[s] += flux;
+      inflow[to] += flux;
+    }
+  }
+  double worst = 0.0;
+  for (std::size_t s = 0; s < n; ++s) {
+    worst = std::max(worst, std::fabs(inflow[s] - outflow[s]));
+  }
+  return worst;
 }
 
 }  // namespace ethsm::markov

@@ -4,6 +4,8 @@
 //   * pi_{1,1} = (a - a^2) * pi_{0,0}
 //   * the nested-summation helper f(x, y, z) of Eq. (2) / Appendix A
 //   * the paper's general pi_{i,j} formula (Eq. (2))
+// plus the global-balance residual of a solved vector, the oracle for the
+// solver's structural invariants.
 //
 // The numeric solver (stationary.h) is the library's source of truth; these
 // forms serve as oracles in the test suite. The general Eq. (2) expression,
@@ -14,6 +16,8 @@
 
 #ifndef ETHSM_MARKOV_CLOSED_FORM_H
 #define ETHSM_MARKOV_CLOSED_FORM_H
+
+#include "markov/stationary.h"
 
 namespace ethsm::markov {
 
@@ -37,6 +41,11 @@ namespace ethsm::markov {
 /// The paper's general stationary expression for pi_{i,j}, i - j >= 2, j >= 1
 /// (Eq. (2)), evaluated literally as printed.
 [[nodiscard]] double piij_closed_form(double alpha, double gamma, int i, int j);
+
+/// Max |inflow - outflow| over the states of `model` under `pi`: how well
+/// global balance holds (self-loops cancel).
+[[nodiscard]] double balance_residual(const StationaryDistribution& pi,
+                                      const TransitionModel& model);
 
 }  // namespace ethsm::markov
 

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "markov/stationary.h"
+#include "support/grid_name.h"
 
 namespace ethsm::markov {
 namespace {
@@ -84,7 +85,7 @@ TEST_P(PiijGridTest, GeneralFormulaMatchesNumericSolution) {
   const auto pi = solve_stationary(model);
   for (int i = 3; i <= 12; ++i) {
     for (int j = 1; j <= i - 2; ++j) {
-      const double numeric = pi.at({i, j});
+      const double numeric = pi[space.index_of({i, j})];
       const double closed = piij_closed_form(alpha, gamma, i, j);
       EXPECT_NEAR(numeric, closed, 1e-7 * closed + 1e-10)
           << "(" << i << "," << j << ") a=" << alpha << " g=" << gamma;
@@ -97,10 +98,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(0.1, 0.25, 0.4),
                        ::testing::Values(0.2, 0.5, 0.9)),
     [](const auto& info) {
-      return "a" +
-             std::to_string(static_cast<int>(std::get<0>(info.param) * 100)) +
-             "_g" +
-             std::to_string(static_cast<int>(std::get<1>(info.param) * 100));
+      return testutil::grid_name(std::get<0>(info.param),
+                                 std::get<1>(info.param));
     });
 
 }  // namespace

@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 #include <stdexcept>
 
 namespace ethsm::markov {
+
+// gtest's printer for State in failure messages (found by ADL).
+void PrintTo(const State& s, std::ostream* os) {
+  *os << '(' << s.ls << ", " << s.lh << ')';
+}
+
 namespace {
 
 TEST(State, LeadAndValidity) {

@@ -4,8 +4,6 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
-#include <string>
 #include <vector>
 
 #include "support/math_util.h"
@@ -173,16 +171,6 @@ TEST(TransitionModel, GammaOneOmitsForkExtension) {
   for (const TransitionKind kind : model.kinds()) {
     EXPECT_NE(kind, TransitionKind::honest_fork_extend);
     EXPECT_NE(kind, TransitionKind::honest_resolve_lead2_fork);
-  }
-}
-
-TEST(TransitionKindNames, AreUniqueAndNonEmpty) {
-  std::set<std::string> names;
-  for (int k = 0; k <= static_cast<int>(TransitionKind::honest_fork_extend);
-       ++k) {
-    const std::string name = to_string(static_cast<TransitionKind>(k));
-    EXPECT_FALSE(name.empty());
-    EXPECT_TRUE(names.insert(name).second);
   }
 }
 

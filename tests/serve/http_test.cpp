@@ -159,7 +159,9 @@ TEST(ServeHttpParser, EnforcesHeaderLimits) {
   limits.max_headers = 3;
   std::string raw = "GET / HTTP/1.1\r\n";
   for (int i = 0; i < 5; ++i) {
-    raw += "H" + std::to_string(i) + ": v\r\n";
+    raw += 'H';
+    raw += std::to_string(i);
+    raw += ": v\r\n";
   }
   raw += "\r\n";
   const auto parser = parse(raw, 0, limits);

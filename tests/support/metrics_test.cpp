@@ -1,6 +1,6 @@
 // Contracts of the support::metrics registry and the Chrome-trace tracer
 // (`ctest -L metrics`): counters stay exact under concurrent increments,
-// histograms honour their bucket/quantile contract, trace files are valid
+// histograms honour their bucket contract, trace files are valid
 // JSON with one complete event per span, and -- the observability layer's
 // hard rule -- instrumentation never changes a result. The compiled-out
 // (-DETHSM_METRICS=OFF) differential runs as a separate CI leg via
@@ -20,6 +20,7 @@
 #include "api/render.h"
 #include "api/runner.h"
 #include "api/spec.h"
+#include "support/checkpoint.h"
 #include "support/temp_dir.h"
 #include "support/trace.h"
 
@@ -71,20 +72,6 @@ TEST(MetricsHistogramTest, BucketAssignmentIsInclusiveUpperBound) {
   EXPECT_EQ(h.cumulative(0), 2u);  // le=1
   EXPECT_EQ(h.cumulative(1), 3u);  // le=2
   EXPECT_EQ(h.cumulative(2), 4u);  // le=4
-}
-
-TEST(MetricsHistogramTest, QuantileInterpolatesWithinBucket) {
-  Histogram h({1.0, 2.0, 4.0});
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0);  // empty histogram
-  for (int i = 0; i < 10; ++i) h.observe(1.5);  // all 10 in (1, 2]
-  // target = q * 10 observations into a bucket spanning [1, 2].
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 1.5);
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 2.0);
-  // Everything past the last bound reports the last bound (Prometheus
-  // convention for the +Inf bucket).
-  Histogram inf({1.0});
-  inf.observe(100.0);
-  EXPECT_DOUBLE_EQ(inf.quantile(0.99), 1.0);
 }
 
 TEST(MetricsHistogramTest, ConcurrentObservationsKeepCountAndSumExact) {
@@ -233,6 +220,25 @@ TEST_F(TraceTest, FileIsValidJsonWithOneCompleteEventPerSpan) {
   EXPECT_NE(text.find("\"ts\": "), std::string::npos);
   EXPECT_NE(text.find("\"dur\": "), std::string::npos);
   EXPECT_NE(text.find("\"pid\": 1"), std::string::npos);
+}
+
+TEST_F(TraceTest, CheckpointLoadsCostOneSpanEachNotOnePerRecord) {
+  const std::string dir = testutil::temp_dir("trace-checkpoint");
+  constexpr std::uint64_t kFingerprint = 0x5eed;
+  {
+    CheckpointStore writer(dir, kFingerprint);
+    for (std::uint64_t job = 0; job < 8; ++job) {
+      writer.append(job, std::vector<std::byte>(16, std::byte{1}));
+    }
+  }
+  trace::start(path_);
+  const CheckpointStore store(dir, kFingerprint);
+  const auto records = read_checkpoint_records(dir, kFingerprint);
+  ASSERT_TRUE(trace::stop());
+  EXPECT_EQ(store.size(), 8u);
+  EXPECT_EQ(records.size(), 8u);
+  EXPECT_EQ(count_occurrences(read_file(), "\"name\": \"checkpoint.load\""),
+            2u);
 }
 
 TEST_F(TraceTest, SpansOutsideAnActiveTraceAreFree) {
