@@ -9,7 +9,8 @@
 // Scope: request-line + headers + Content-Length bodies. Chunked request
 // bodies are refused with 501 (no client of this service needs them);
 // responses may use chunked transfer encoding for the progress stream, which
-// the server emits directly. All limits are explicit and configurable.
+// the server emits directly. All limits are explicit: the server parses with
+// the HttpLimits defaults, and tests pass smaller ones.
 
 #ifndef ETHSM_SERVE_HTTP_H
 #define ETHSM_SERVE_HTTP_H

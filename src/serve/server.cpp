@@ -20,6 +20,13 @@ namespace ethsm::serve {
 
 namespace {
 
+/// Accepted-but-unserved connection backlog; when full, new connections are
+/// answered 503 rather than queued unbounded.
+constexpr std::size_t kQueueCapacity = 64;
+/// Per-socket read/write timeout. Generous: a cold full-resolution run can
+/// legitimately compute for minutes before the response starts.
+constexpr unsigned kIoTimeoutSeconds = 600;
+
 [[noreturn]] void fail_errno(const std::string& what) {
   throw std::runtime_error(what + ": " + std::strerror(errno));
 }
@@ -54,7 +61,7 @@ std::string chunk(std::string_view data) {
 HttpServer::HttpServer(ExperimentService& service, ServerConfig config)
     : service_(service),
       config_(std::move(config)),
-      connections_(config_.queue_capacity) {
+      connections_(kQueueCapacity) {
   if (config_.workers == 0) config_.workers = 1;
   service_.set_queue_depth_provider([this] { return connections_.depth(); });
 
@@ -142,12 +149,12 @@ void HttpServer::worker_loop() {
 
 void HttpServer::serve_connection(int fd) {
   timeval timeout{};
-  timeout.tv_sec = static_cast<time_t>(config_.io_timeout_seconds);
+  timeout.tv_sec = static_cast<time_t>(kIoTimeoutSeconds);
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
   ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof timeout);
 
   const std::string peer = peer_address(fd);
-  HttpRequestParser parser(config_.limits);
+  HttpRequestParser parser;
   while (serve_one(fd, parser, peer)) {
   }
   ::close(fd);
@@ -183,7 +190,7 @@ bool HttpServer::serve_one(int fd, HttpRequestParser& parser,
     const auto fingerprint = ExperimentService::parse_fingerprint(
         request.path.substr(std::strlen("/v1/progress/")));
     if (fingerprint) {
-      stream_progress(fd, request, *fingerprint, keep_alive);
+      stream_progress(fd, request, *fingerprint);
       return false;  // chunked stream ends the connection
     }
   }
@@ -197,8 +204,7 @@ bool HttpServer::serve_one(int fd, HttpRequestParser& parser,
 }
 
 void HttpServer::stream_progress(int fd, const HttpRequest& request,
-                                 std::uint64_t fingerprint, bool keep_alive) {
-  (void)keep_alive;
+                                 std::uint64_t fingerprint) {
   // Route the first snapshot through handle() so validation, 404s and the
   // /v1/status request counters behave exactly like the non-follow endpoint.
   HttpResponse first = service_.handle(request, "follow");

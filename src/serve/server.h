@@ -28,13 +28,6 @@ struct ServerConfig {
   std::uint16_t port = 0;  ///< 0 = ephemeral; bind_and_listen reports it
   /// Worker threads serving connections (the accept loop is one more).
   std::size_t workers = 4;
-  /// Accepted-but-unserved connection backlog; when full, new connections
-  /// are answered 503 immediately rather than queued unbounded.
-  std::size_t queue_capacity = 64;
-  /// Per-socket read/write timeout. Generous: a cold full-resolution run can
-  /// legitimately compute for minutes before the response starts.
-  unsigned io_timeout_seconds = 600;
-  HttpLimits limits;
 };
 
 class HttpServer {
@@ -55,7 +48,6 @@ class HttpServer {
 
   /// Signal-safe stop request: sets a flag the accept loop polls.
   void request_stop() noexcept { stop_.store(true); }
-  [[nodiscard]] bool stopping() const noexcept { return stop_.load(); }
 
  private:
   void accept_loop();
@@ -65,7 +57,7 @@ class HttpServer {
   bool serve_one(int fd, HttpRequestParser& parser,
                  const std::string& peer);
   void stream_progress(int fd, const HttpRequest& request,
-                       std::uint64_t fingerprint, bool keep_alive);
+                       std::uint64_t fingerprint);
   [[nodiscard]] bool send_all(int fd, std::string_view bytes);
 
   ExperimentService& service_;

@@ -20,10 +20,32 @@ namespace ethsm::serve {
 using support::hex64;
 using support::json_escape;
 
+namespace {
+
+/// Retry-After header value on 429 responses.
+constexpr unsigned kRetryAfterSeconds = 2;
+
+HttpResponse sourced(std::string body, const char* source) {
+  HttpResponse response;
+  response.body = std::move(body);
+  response.extra_headers.emplace_back("X-Ethsm-Source", source);
+  return response;
+}
+
+HttpResponse rejected_response() {
+  HttpResponse response =
+      json_error(429, "computation budget exhausted; retry after " +
+                          std::to_string(kRetryAfterSeconds) + "s");
+  response.extra_headers.emplace_back("Retry-After",
+                                      std::to_string(kRetryAfterSeconds));
+  return response;
+}
+
+}  // namespace
+
 ExperimentService::ExperimentService(ServiceConfig config)
     : config_(std::move(config)),
-      cache_(config_.cache_entries),
-      admission_(config_.admission),
+      table_(config_.cache_entries, config_.admission),
       started_(std::chrono::steady_clock::now()),
       requests_total_(registry_.counter("ethsm_serve_requests_total",
                                         "HTTP requests handled")),
@@ -49,37 +71,39 @@ ExperimentService::ExperimentService(ServiceConfig config)
           "End-to-end request handling latency")) {
   ETHSM_EXPECTS(!config_.checkpoint_dir.empty(),
                 "serve needs a checkpoint directory");
-  // The cache/dedupe/admission layers keep their own internal accounting
-  // (tests drive them directly); the registry samples them through callbacks
-  // at render time, so /v1/status and /metrics read the same source.
+  // The table keeps its own accounting (tests drive it directly); the
+  // registry samples it through callbacks at render time, so /v1/status and
+  // /metrics read the same source. Every running computation holds one
+  // admission slot, so the in-flight and acquired gauges read one count.
   registry_.register_gauge_fn(
       "ethsm_serve_cache_entries",
-      [this] { return static_cast<std::int64_t>(cache_.size()); },
+      [this] { return static_cast<std::int64_t>(table_.stats().entries); },
       "Rendered payloads resident in the LRU cache");
   registry_.register_counter_fn(
-      "ethsm_serve_cache_hits_total", [this] { return cache_.hits(); },
+      "ethsm_serve_cache_hits_total", [this] { return table_.stats().hits; },
       "Result-cache hits");
   registry_.register_counter_fn(
-      "ethsm_serve_cache_misses_total", [this] { return cache_.misses(); },
-      "Result-cache misses");
+      "ethsm_serve_cache_misses_total",
+      [this] { return table_.stats().misses; }, "Result-cache misses");
   registry_.register_counter_fn(
       "ethsm_serve_cache_evictions_total",
-      [this] { return cache_.evictions(); }, "Result-cache LRU evictions");
+      [this] { return table_.stats().evictions; },
+      "Result-cache LRU evictions");
   registry_.register_gauge_fn(
       "ethsm_serve_inflight_jobs",
-      [this] { return static_cast<std::int64_t>(inflight_.depth()); },
+      [this] { return static_cast<std::int64_t>(table_.stats().jobs); },
       "Computations currently in flight");
   registry_.register_counter_fn(
       "ethsm_serve_dedupe_attached_total",
-      [this] { return inflight_.attached(); },
+      [this] { return table_.stats().attached; },
       "Requests served by attaching to an in-flight computation");
   registry_.register_gauge_fn(
       "ethsm_serve_admission_acquired",
-      [this] { return static_cast<std::int64_t>(admission_.jobs_in_flight()); },
+      [this] { return static_cast<std::int64_t>(table_.stats().jobs); },
       "Admission slots currently held");
   registry_.register_counter_fn(
       "ethsm_serve_admission_rejected_total",
-      [this] { return admission_.rejected(); },
+      [this] { return table_.stats().rejected; },
       "Requests rejected by admission control (429s)");
   registry_.register_gauge_fn(
       "ethsm_serve_queue_depth",
@@ -93,7 +117,7 @@ ExperimentService::ExperimentService(ServiceConfig config)
   for (const api::Preset& preset : api::presets()) {
     for (const bool quick : {false, true}) {
       const api::ExperimentSpec spec = preset.spec(quick);
-      remember_spec(api::spec_fingerprint(spec), api::print_spec(spec));
+      table_.remember(api::spec_fingerprint(spec), api::print_spec(spec));
     }
   }
 }
@@ -119,20 +143,6 @@ std::optional<std::uint64_t> ExperimentService::parse_fingerprint(
     value = (value << 4) | static_cast<std::uint64_t>(digit);
   }
   return value;
-}
-
-void ExperimentService::remember_spec(std::uint64_t fingerprint,
-                                      std::string spec_text) {
-  const std::lock_guard<std::mutex> lock(specs_mutex_);
-  known_specs_[fingerprint] = std::move(spec_text);
-}
-
-std::optional<std::string> ExperimentService::known_spec(
-    std::uint64_t fingerprint) const {
-  const std::lock_guard<std::mutex> lock(specs_mutex_);
-  const auto it = known_specs_.find(fingerprint);
-  if (it == known_specs_.end()) return std::nullopt;
-  return it->second;
 }
 
 std::shared_ptr<std::mutex> ExperimentService::sweep_lock(
@@ -229,7 +239,7 @@ HttpResponse ExperimentService::handle_run(const HttpRequest& request,
       api::parse_spec(text, request.query_values("set"));
   const std::uint64_t fingerprint = api::spec_fingerprint(spec);
   const std::string canonical = api::print_spec(spec);
-  remember_spec(fingerprint, canonical);
+  table_.remember(fingerprint, canonical);
   return run_spec(fingerprint, canonical, client);
 }
 
@@ -240,16 +250,12 @@ HttpResponse ExperimentService::handle_result(std::string_view hex,
     return json_error(400, "malformed fingerprint '" + std::string(hex) +
                                "' (want 16 hex digits)");
   }
-  // Cache first; else recompute any spec this daemon knows (presets are
-  // preloaded, posted specs are remembered) -- with warm checkpoints that
-  // recompute is a disk reload, which is exactly the restart story.
-  if (std::optional<std::string> payload = cache_.get(*fingerprint)) {
-    HttpResponse response;
-    response.body = std::move(*payload);
-    response.extra_headers.emplace_back("X-Ethsm-Source", "cache");
-    return response;
-  }
-  const std::optional<std::string> spec_text = known_spec(*fingerprint);
+  // Any spec this daemon knows (presets are preloaded, posted specs are
+  // remembered) is served from the cache or recomputed -- with warm
+  // checkpoints that recompute is a disk reload, which is exactly the
+  // restart story. Every cached payload's spec is known, so an unknown
+  // fingerprint is a 404 without a cache lookup.
+  const std::optional<std::string> spec_text = table_.spec(*fingerprint);
   if (!spec_text) {
     return json_error(404, "unknown result fingerprint " + hex64(*fingerprint) +
                                "; POST the spec to /v1/run first");
@@ -257,73 +263,31 @@ HttpResponse ExperimentService::handle_result(std::string_view hex,
   return run_spec(*fingerprint, *spec_text, client);
 }
 
-HttpResponse ExperimentService::rejected_response() {
-  HttpResponse response =
-      json_error(429, "computation budget exhausted; retry after " +
-                          std::to_string(config_.retry_after_seconds) + "s");
-  response.extra_headers.emplace_back(
-      "Retry-After", std::to_string(config_.retry_after_seconds));
-  return response;
-}
-
 HttpResponse ExperimentService::run_spec(std::uint64_t fingerprint,
                                          const std::string& spec_text,
                                          const std::string& client) {
-  {
+  ResultTable::Ticket ticket = [&] {
     support::trace::Span cache_span("serve.cache_lookup");
-    if (std::optional<std::string> payload = cache_.get(fingerprint)) {
-      HttpResponse response;
-      response.body = std::move(*payload);
-      response.extra_headers.emplace_back("X-Ethsm-Source", "cache");
-      return response;
+    return table_.begin(fingerprint, client);
+  }();
+  switch (ticket.fate) {
+    case ResultTable::Fate::hit:
+      return sourced(std::move(ticket.payload), "cache");
+    case ResultTable::Fate::rejected:
+      return rejected_response();
+    case ResultTable::Fate::follow: {
+      // Dedupe: ride the computation some other request already started.
+      support::trace::Span dedupe_span("serve.dedupe_wait");
+      ResultTable::Outcome outcome = table_.wait(ticket);
+      if (!outcome.ok) return json_error(500, outcome.payload);
+      return sourced(std::move(outcome.payload), "dedup");
     }
+    case ResultTable::Fate::lead:
+      break;
   }
 
-  const InflightTable::Ticket ticket = inflight_.begin(fingerprint);
-  if (!ticket.leader) {
-    // Dedupe: ride the computation some other request already started.
-    // Attaching is free -- admission gates only computation starts.
-    support::trace::Span dedupe_span("serve.dedupe_wait");
-    const InflightTable::Outcome outcome = InflightTable::wait(ticket.job);
-    switch (outcome.state) {
-      case InflightTable::JobState::done: {
-        HttpResponse response;
-        response.body = outcome.payload;
-        response.extra_headers.emplace_back("X-Ethsm-Source", "dedup");
-        return response;
-      }
-      case InflightTable::JobState::rejected:
-        return rejected_response();
-      case InflightTable::JobState::failed:
-      default:
-        return json_error(500, outcome.payload);
-    }
-  }
-
-  // Leader. Re-check the cache after winning leadership: a previous leader
-  // may have published between our miss and our begin().
-  if (std::optional<std::string> payload = cache_.get(fingerprint)) {
-    inflight_.finish(fingerprint, ticket.job, InflightTable::JobState::done,
-                     *payload);
-    HttpResponse response;
-    response.body = std::move(*payload);
-    response.extra_headers.emplace_back("X-Ethsm-Source", "cache");
-    return response;
-  }
-
-  bool admitted = false;
-  {
-    support::trace::Span admission_span("serve.admission");
-    admitted = admission_.try_acquire(client);
-  }
-  if (!admitted) {
-    // Followers of this job get the same 429: had they arrived alone they
-    // would have been the over-budget leader themselves.
-    inflight_.finish(fingerprint, ticket.job,
-                     InflightTable::JobState::rejected, {});
-    return rejected_response();
-  }
-
+  bool ok = true;
+  std::string payload;
   try {
     const api::ExperimentSpec spec = [&] {
       support::trace::Span parse_span("serve.parse_spec");
@@ -351,25 +315,15 @@ HttpResponse ExperimentService::run_spec(std::uint64_t fingerprint,
     computations_.add();
 
     support::trace::Span render_span("serve.render");
-    std::string payload =
-        api::render_json(api::provenance_normalized(result));
-    cache_.put(fingerprint, payload);
-    admission_.release(client);
-    inflight_.finish(fingerprint, ticket.job, InflightTable::JobState::done,
-                     payload);
-    HttpResponse response;
-    response.body = std::move(payload);
-    response.extra_headers.emplace_back("X-Ethsm-Source", "computed");
-    return response;
+    payload = api::render_json(api::provenance_normalized(result));
   } catch (const std::exception& e) {
-    // Errors are not cached: a transient failure (disk, OOM) must not poison
-    // the fingerprint until an eviction.
     failures_.add();
-    admission_.release(client);
-    inflight_.finish(fingerprint, ticket.job, InflightTable::JobState::failed,
-                     e.what());
-    return json_error(500, e.what());
+    ok = false;
+    payload = e.what();
   }
+  table_.finish(fingerprint, ok, payload);
+  if (!ok) return json_error(500, payload);
+  return sourced(std::move(payload), "computed");
 }
 
 HttpResponse ExperimentService::handle_status() {
@@ -377,7 +331,8 @@ HttpResponse ExperimentService::handle_status() {
                           std::chrono::steady_clock::now() - started_)
                           .count();
   // Rendered from the same sources as GET /metrics: the route counters live
-  // in registry_, the cache/dedupe/admission numbers in those classes.
+  // in registry_, the cache/dedupe/admission numbers in the table.
+  const ResultTable::Stats table = table_.stats();
   std::ostringstream os;
   os << "{\n";
   os << "  \"uptime_seconds\": " << uptime << ",\n";
@@ -387,19 +342,19 @@ HttpResponse ExperimentService::handle_status() {
      << ", \"presets\": " << requests_presets_.value()
      << ", \"status\": " << requests_status_.value()
      << ", \"progress\": " << requests_progress_.value() << "},\n";
-  os << "  \"cache\": {\"entries\": " << cache_.size()
-     << ", \"capacity\": " << cache_.capacity()
-     << ", \"hits\": " << cache_.hits() << ", \"misses\": " << cache_.misses()
-     << ", \"evictions\": " << cache_.evictions() << "},\n";
-  os << "  \"jobs\": {\"in_flight\": " << inflight_.depth()
+  os << "  \"cache\": {\"entries\": " << table.entries
+     << ", \"capacity\": " << table.capacity << ", \"hits\": " << table.hits
+     << ", \"misses\": " << table.misses
+     << ", \"evictions\": " << table.evictions << "},\n";
+  os << "  \"jobs\": {\"in_flight\": " << table.jobs
      << ", \"computed\": " << computations_.value()
      << ", \"failed\": " << failures_.value()
-     << ", \"dedupe_attached\": " << inflight_.attached() << "},\n";
+     << ", \"dedupe_attached\": " << table.attached << "},\n";
   os << "  \"admission\": {\"max_jobs_in_flight\": "
-     << admission_.config().max_jobs_in_flight
-     << ", \"per_client_jobs\": " << admission_.config().per_client_jobs
-     << ", \"acquired\": " << admission_.jobs_in_flight()
-     << ", \"rejected\": " << admission_.rejected() << "},\n";
+     << config_.admission.max_jobs_in_flight
+     << ", \"per_client_jobs\": " << config_.admission.per_client_jobs
+     << ", \"acquired\": " << table.jobs << ", \"rejected\": " << table.rejected
+     << "},\n";
   os << "  \"queue_depth\": " << (queue_depth_ ? queue_depth_() : 0) << "\n";
   os << "}\n";
   HttpResponse response;
@@ -421,14 +376,14 @@ HttpResponse ExperimentService::handle_metrics() {
 
 std::optional<std::string> ExperimentService::progress_snapshot(
     std::uint64_t fingerprint) {
-  const std::optional<std::string> spec_text = known_spec(fingerprint);
+  const std::optional<std::string> spec_text = table_.spec(fingerprint);
   if (!spec_text) return std::nullopt;
   const api::ExperimentSpec spec = api::parse_spec(*spec_text);
 
   std::ostringstream os;
   os << "{\"fingerprint\": \"" << hex64(fingerprint) << "\", \"computing\": "
-     << (inflight_.running(fingerprint) ? "true" : "false")
-     << ", \"cached\": " << (cache_.contains(fingerprint) ? "true" : "false")
+     << (table_.running(fingerprint) ? "true" : "false")
+     << ", \"cached\": " << (table_.contains(fingerprint) ? "true" : "false")
      << ", \"sweeps\": [";
   bool first = true;
   for (const std::uint64_t sweep : api::sweep_fingerprints(spec)) {

@@ -18,13 +18,11 @@
 // served payload is bitwise-identical to `ethsm run ... --format json` for
 // the same spec -- asserted per preset by tests/serve/service_test.cpp.
 //
-// Layering: identical concurrent specs dedupe onto one computation
-// (InflightTable), repeat queries hit the ResultCache, cold cache misses
-// reload sweep records from the CheckpointStore tier before computing
-// anything, and only requests that would actually *start* a computation pass
-// through admission control (429 + Retry-After when over budget). The cache
-// and dedupe layers are keyed by spec fingerprint alone, so pointing them at
-// a shared store later is a swap of those classes, not of this one.
+// Layering: one ResultTable call decides each request's fate under one lock
+// -- a repeat query is a cache hit, an identical concurrent spec attaches to
+// the running computation, and a request that would *start* one is admitted
+// or refused (429 + Retry-After when over budget). Cold cache misses reload
+// sweep records from the CheckpointStore tier before computing anything.
 
 #ifndef ETHSM_SERVE_SERVICE_H
 #define ETHSM_SERVE_SERVICE_H
@@ -35,13 +33,12 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 
-#include "serve/admission.h"
 #include "serve/http.h"
-#include "serve/inflight.h"
-#include "serve/result_cache.h"
+#include "serve/result_table.h"
 #include "support/metrics.h"
 
 namespace ethsm::serve {
@@ -50,11 +47,9 @@ struct ServiceConfig {
   /// Checkpoint directory backing every served computation (required: the
   /// store is the daemon's second cache tier and its restart persistence).
   std::string checkpoint_dir;
-  /// ResultCache entries (rendered JSON payloads).
+  /// Rendered JSON payloads the ResultTable keeps.
   std::size_t cache_entries = 256;
   AdmissionConfig admission;
-  /// Retry-After header value on 429 responses.
-  unsigned retry_after_seconds = 2;
 };
 
 class ExperimentService {
@@ -76,7 +71,7 @@ class ExperimentService {
   /// True while a computation for this fingerprint is running (the server's
   /// keep-streaming condition for ?follow=1).
   [[nodiscard]] bool computing(std::uint64_t fingerprint) const {
-    return inflight_.running(fingerprint);
+    return table_.running(fingerprint);
   }
 
   /// Connection-queue depth hook for /v1/status (wired by the server; the
@@ -90,10 +85,7 @@ class ExperimentService {
   [[nodiscard]] static std::optional<std::uint64_t> parse_fingerprint(
       std::string_view text);
 
-  [[nodiscard]] ResultCache& cache() noexcept { return cache_; }
-  [[nodiscard]] InflightTable& inflight() noexcept { return inflight_; }
-  [[nodiscard]] AdmissionController& admission() noexcept { return admission_; }
-  [[nodiscard]] const ServiceConfig& config() const noexcept { return config_; }
+  [[nodiscard]] const ResultTable& table() const noexcept { return table_; }
 
  private:
   HttpResponse handle_run(const HttpRequest& request,
@@ -103,28 +95,15 @@ class ExperimentService {
   HttpResponse handle_metrics();
   HttpResponse handle_progress(std::string_view hex);
 
-  /// The cache -> dedupe -> admission -> api::run path for a spec whose
-  /// canonical text is `spec_text`.
+  /// The table -> api::run path for a spec whose canonical text is
+  /// `spec_text`.
   HttpResponse run_spec(std::uint64_t fingerprint, const std::string& spec_text,
                         const std::string& client);
-  HttpResponse rejected_response();
-
-  /// Remembers fingerprint -> canonical spec text, so /v1/result and
-  /// /v1/progress resolve fingerprints the daemon has seen (every preset is
-  /// preloaded, every successfully resolved POST /v1/run spec is added).
-  void remember_spec(std::uint64_t fingerprint, std::string spec_text);
-  [[nodiscard]] std::optional<std::string> known_spec(
-      std::uint64_t fingerprint) const;
 
   ServiceConfig config_;
-  ResultCache cache_;
-  InflightTable inflight_;
-  AdmissionController admission_;
+  ResultTable table_;
   std::function<std::size_t()> queue_depth_;
   std::chrono::steady_clock::time_point started_;
-
-  mutable std::mutex specs_mutex_;
-  std::map<std::uint64_t, std::string> known_specs_;
 
   /// Per-sweep writer locks: api::run opens the checkpoint store for every
   /// sweep it touches, and the store's writer/reader contract allows one
@@ -138,8 +117,8 @@ class ExperimentService {
   /// GET /metrics are two renderings of this per-instance registry (plus the
   /// process-wide metrics::registry() for the engine taps). Per-instance so
   /// one process hosting several services -- the test binary does -- keeps
-  /// their counts separate. The cache/admission/inflight statistics stay
-  /// inside those classes and surface here through callbacks, so no number
+  /// their counts separate. The cache/dedupe/admission statistics stay
+  /// inside the ResultTable and surface here through callbacks, so no number
   /// is accounted twice.
   support::metrics::Registry registry_;
   support::metrics::Counter& requests_total_;

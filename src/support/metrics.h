@@ -137,8 +137,8 @@ class Histogram {
 
 /// Name -> metric map with stable (registration-order) iteration. Owns the
 /// metrics it creates; also accepts non-owning pointers and callbacks so
-/// components with internal accounting (serve::ResultCache, the admission
-/// controller) can surface their single source of truth without a copy.
+/// components with internal accounting (serve::ResultTable) can surface
+/// their single source of truth without a copy.
 ///
 /// Renders two ways: Prometheus text exposition (`render_prometheus`) and a
 /// JSON object (`render_json`). Both are exact snapshots at call time.

@@ -128,7 +128,36 @@ TEST(ServeService, RepeatQueriesHitTheCache) {
   ASSERT_EQ(second.status, 200);
   EXPECT_EQ(*source_of(second), "cache");
   EXPECT_EQ(second.body, first.body);
-  EXPECT_EQ(service.cache().hits(), 1u);
+  EXPECT_EQ(service.table().stats().hits, 1u);
+}
+
+// One table call per request: a computed POST is one miss, a repeat one hit,
+// and a /v1/result recompute of a known spec one miss.
+TEST(ServeService, EachRequestCountsOneCacheLookup) {
+  ExperimentService service(config_for(temp_path("lookups")));
+  const std::string spec = tiny_spec(0.32);
+
+  const HttpResponse computed = service.handle(post_run_body(spec), "t");
+  ASSERT_EQ(computed.status, 200) << computed.body;
+  EXPECT_EQ(*source_of(computed), "computed");
+  EXPECT_EQ(service.table().stats().misses, 1u);
+  EXPECT_EQ(service.table().stats().hits, 0u);
+
+  ASSERT_EQ(*source_of(service.handle(post_run_body(spec), "t")), "cache");
+  EXPECT_EQ(service.table().stats().misses, 1u);
+  EXPECT_EQ(service.table().stats().hits, 1u);
+
+  // table1 --quick is a preloaded spec that computes at once.
+  char hex[32];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(
+                    api::spec_fingerprint(api::preset_spec("table1", true))));
+  const HttpResponse result =
+      service.handle(get("/v1/result/" + std::string(hex)), "t");
+  ASSERT_EQ(result.status, 200) << result.body;
+  EXPECT_EQ(*source_of(result), "computed");
+  EXPECT_EQ(service.table().stats().misses, 2u);
+  EXPECT_EQ(service.table().stats().hits, 1u);
 }
 
 TEST(ServeService, ConcurrentIdenticalSpecsComputeExactlyOnce) {
@@ -189,7 +218,7 @@ TEST(ServeService, OverBudgetComputationsGet429WithRetryAfter) {
     EXPECT_EQ(response.status, 200) << response.body;
   });
   // ...observed via the admission gauge, so the 429 below is deterministic.
-  while (service.admission().jobs_in_flight() == 0) {
+  while (service.table().stats().jobs == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 
@@ -220,7 +249,8 @@ TEST(ServeService, EvictedEntriesReloadFromCheckpointsBitwiseIdentically) {
   ASSERT_EQ(first_a.status, 200);
   const HttpResponse first_b = service.handle(post_run_body(spec_b), "t");
   ASSERT_EQ(first_b.status, 200);
-  EXPECT_GE(service.cache().evictions(), 1u);  // capacity 1: a evicted by b
+  // Capacity 1: a evicted by b.
+  EXPECT_GE(service.table().stats().evictions, 1u);
 
   // Re-query a: a cache miss, but the sweep records are on disk, so this is
   // a checkpoint reload, not a recompute -- and byte-identical either way.
@@ -339,9 +369,9 @@ TEST(ServeService, FailuresAreNotCached) {
   // the simplest runtime failure... if no such failure exists, skip. Use a
   // fingerprint probe instead: errors must not enter the cache.
   ExperimentService service(config_for(temp_path("failures")));
-  const std::size_t before = service.cache().size();
+  const std::size_t before = service.table().stats().entries;
   EXPECT_EQ(service.handle(post_run_body("kind = nope\n"), "t").status, 400);
-  EXPECT_EQ(service.cache().size(), before);
+  EXPECT_EQ(service.table().stats().entries, before);
 }
 
 TEST(ServeServiceFingerprint, ParsesHexWithAndWithoutPrefix) {

@@ -1,6 +1,6 @@
-// Unit contracts of the serve building blocks: ResultCache LRU semantics,
-// InflightTable dedupe/leadership, AdmissionController budgets, and the
-// BlockingQueue shutdown behavior. All suites are named Serve* so
+// Unit contracts of the serve building blocks: the ResultTable's LRU
+// payloads, dedupe leadership and admission budgets, and the BlockingQueue
+// shutdown behavior. All suites are named Serve* so
 // `ctest -L serve` selects them.
 
 #include <gtest/gtest.h>
@@ -10,143 +10,163 @@
 #include <thread>
 #include <vector>
 
-#include "serve/admission.h"
 #include "serve/blocking_queue.h"
-#include "serve/inflight.h"
-#include "serve/result_cache.h"
+#include "serve/result_table.h"
 
 namespace ethsm::serve {
 namespace {
 
-TEST(ServeCache, GetAfterPutRoundTrips) {
-  ResultCache cache(4);
-  EXPECT_EQ(cache.get(1), std::nullopt);
-  cache.put(1, "one");
-  EXPECT_EQ(cache.get(1), "one");
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
+/// Leads, computes and stores `payload` for `fingerprint`.
+void fill(ResultTable& table, std::uint64_t fingerprint, std::string payload) {
+  ASSERT_EQ(table.begin(fingerprint, "filler").fate, ResultTable::Fate::lead);
+  table.finish(fingerprint, true, std::move(payload));
 }
 
-TEST(ServeCache, EvictsLeastRecentlyUsed) {
-  ResultCache cache(2);
-  cache.put(1, "one");
-  cache.put(2, "two");
-  ASSERT_EQ(cache.get(1), "one");  // bump 1: now 2 is the LRU entry
-  cache.put(3, "three");           // evicts 2
-  EXPECT_EQ(cache.get(2), std::nullopt);
-  EXPECT_EQ(cache.get(1), "one");
-  EXPECT_EQ(cache.get(3), "three");
-  EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_EQ(cache.size(), 2u);
+TEST(ServeTable, HitAfterFinishRoundTrips) {
+  ResultTable table(4, {});
+  EXPECT_EQ(table.begin(1, "a").fate, ResultTable::Fate::lead);
+  table.finish(1, true, "one");
+  const ResultTable::Ticket hit = table.begin(1, "a");
+  EXPECT_EQ(hit.fate, ResultTable::Fate::hit);
+  EXPECT_EQ(hit.payload, "one");
+  EXPECT_EQ(table.stats().hits, 1u);
+  EXPECT_EQ(table.stats().misses, 1u);
 }
 
-TEST(ServeCache, PutRefreshesExistingEntry) {
-  ResultCache cache(2);
-  cache.put(1, "one");
-  cache.put(2, "two");
-  cache.put(1, "uno");  // refresh, not insert: nothing evicted
-  EXPECT_EQ(cache.evictions(), 0u);
-  EXPECT_EQ(cache.get(1), "uno");
-  EXPECT_EQ(cache.get(2), "two");
+TEST(ServeTable, EvictsLeastRecentlyUsed) {
+  ResultTable table(2, {});
+  fill(table, 1, "one");
+  fill(table, 2, "two");
+  ASSERT_EQ(table.begin(1, "a").fate, ResultTable::Fate::hit);  // 2 is LRU
+  fill(table, 3, "three");                                       // evicts 2
+  EXPECT_FALSE(table.contains(2));
+  EXPECT_TRUE(table.contains(1));
+  EXPECT_TRUE(table.contains(3));
+  EXPECT_EQ(table.stats().evictions, 1u);
+  EXPECT_EQ(table.stats().entries, 2u);
 }
 
-TEST(ServeCache, ContainsDoesNotSkewAccounting) {
-  ResultCache cache(2);
-  cache.put(1, "one");
-  EXPECT_TRUE(cache.contains(1));
-  EXPECT_FALSE(cache.contains(9));
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(cache.misses(), 0u);
+TEST(ServeTable, RestoringAnEvictedRecordRefreshesIt) {
+  ResultTable table(2, {});
+  table.remember(1, "spec one");
+  fill(table, 1, "one");
+  fill(table, 2, "two");
+  fill(table, 3, "three");  // evicts 1's payload; its spec text stays
+  EXPECT_EQ(table.spec(1), "spec one");
+  fill(table, 1, "uno");    // the same record again, now most recent
+  EXPECT_EQ(table.stats().evictions, 2u);
+  EXPECT_EQ(table.stats().entries, 2u);
+  fill(table, 4, "four");   // evicts 3, not the refreshed 1
+  EXPECT_FALSE(table.contains(3));
+  const ResultTable::Ticket hit = table.begin(1, "a");
+  EXPECT_EQ(hit.fate, ResultTable::Fate::hit);
+  EXPECT_EQ(hit.payload, "uno");
 }
 
-TEST(ServeCache, CapacityClampsToOne) {
-  ResultCache cache(0);
-  EXPECT_EQ(cache.capacity(), 1u);
-  cache.put(1, "one");
-  cache.put(2, "two");
-  EXPECT_EQ(cache.size(), 1u);
+TEST(ServeTable, ContainsDoesNotSkewAccountingOrRecency) {
+  ResultTable table(2, {});
+  fill(table, 1, "one");
+  fill(table, 2, "two");
+  EXPECT_TRUE(table.contains(1));
+  EXPECT_FALSE(table.contains(9));
+  EXPECT_EQ(table.stats().hits, 0u);
+  EXPECT_EQ(table.stats().misses, 2u);  // the two fills' leading begins
+  fill(table, 3, "three");  // 1 is still the LRU entry: contains bumped none
+  EXPECT_FALSE(table.contains(1));
+  EXPECT_TRUE(table.contains(2));
 }
 
-TEST(ServeInflight, SecondBeginAttachesAsFollower) {
-  InflightTable table;
-  const auto leader = table.begin(7);
-  EXPECT_TRUE(leader.leader);
-  const auto follower = table.begin(7);
-  EXPECT_FALSE(follower.leader);
-  EXPECT_EQ(leader.job.get(), follower.job.get());
-  EXPECT_EQ(table.depth(), 1u);
+TEST(ServeTable, CapacityClampsToOne) {
+  ResultTable table(0, {});
+  EXPECT_EQ(table.stats().capacity, 1u);
+  fill(table, 1, "one");
+  fill(table, 2, "two");
+  EXPECT_EQ(table.stats().entries, 1u);
+}
+
+TEST(ServeTable, SecondBeginAttachesAsFollower) {
+  // One slot in all: attaching needs none, so the over-budget client follows.
+  ResultTable table(4, {1, 1});
+  EXPECT_EQ(table.begin(7, "a").fate, ResultTable::Fate::lead);
+  const ResultTable::Ticket follower = table.begin(7, "a");
+  EXPECT_EQ(follower.fate, ResultTable::Fate::follow);
+  EXPECT_EQ(table.stats().jobs, 1u);
   EXPECT_TRUE(table.running(7));
-  EXPECT_EQ(table.attached(), 1u);
+  EXPECT_EQ(table.stats().attached, 1u);
+  EXPECT_EQ(table.stats().misses, 2u);
 
-  table.finish(7, leader.job, InflightTable::JobState::done, "payload");
-  EXPECT_EQ(table.depth(), 0u);
+  table.finish(7, true, "payload");
+  EXPECT_EQ(table.stats().jobs, 0u);
   EXPECT_FALSE(table.running(7));
-  const auto outcome = InflightTable::wait(follower.job);
-  EXPECT_EQ(outcome.state, InflightTable::JobState::done);
+  EXPECT_TRUE(table.contains(7));
+  const ResultTable::Outcome outcome = table.wait(follower);
+  EXPECT_TRUE(outcome.ok);
   EXPECT_EQ(outcome.payload, "payload");
 }
 
-TEST(ServeInflight, FollowersBlockedInWaitGetTheOutcome) {
-  InflightTable table;
-  const auto leader = table.begin(7);
+TEST(ServeTable, FollowersBlockedInWaitGetTheOutcome) {
+  ResultTable table(4, {});
+  ASSERT_EQ(table.begin(7, "leader").fate, ResultTable::Fate::lead);
   std::vector<std::thread> followers;
-  std::vector<InflightTable::Outcome> outcomes(4);
+  std::vector<ResultTable::Outcome> outcomes(4);
   for (int i = 0; i < 4; ++i) {
     followers.emplace_back([&table, &outcomes, i] {
-      const auto ticket = table.begin(7);
-      EXPECT_FALSE(ticket.leader);
-      outcomes[static_cast<std::size_t>(i)] = InflightTable::wait(ticket.job);
+      const ResultTable::Ticket ticket = table.begin(7, "follower");
+      EXPECT_EQ(ticket.fate, ResultTable::Fate::follow);
+      outcomes[static_cast<std::size_t>(i)] = table.wait(ticket);
     });
   }
   // Wait until every follower has attached (a begin() after finish() would
   // start a fresh job and the follower would be its leader), then finish.
   // Followers may or may not have reached wait() yet; finish must wake both
   // the already-blocked and the not-yet-blocked ones.
-  while (table.attached() < 4) std::this_thread::yield();
-  table.finish(7, leader.job, InflightTable::JobState::failed, "boom");
+  while (table.stats().attached < 4) std::this_thread::yield();
+  table.finish(7, false, "boom");
   for (auto& thread : followers) thread.join();
   for (const auto& outcome : outcomes) {
-    EXPECT_EQ(outcome.state, InflightTable::JobState::failed);
+    EXPECT_FALSE(outcome.ok);
     EXPECT_EQ(outcome.payload, "boom");
   }
+  EXPECT_FALSE(table.contains(7));  // failures are not stored
 }
 
-TEST(ServeInflight, RejectedLeaderPropagatesToFollowers) {
-  InflightTable table;
-  const auto leader = table.begin(7);
-  const auto follower = table.begin(7);
-  table.finish(7, leader.job, InflightTable::JobState::rejected, {});
-  const auto outcome = InflightTable::wait(follower.job);
-  EXPECT_EQ(outcome.state, InflightTable::JobState::rejected);
+TEST(ServeTable, FinishedFingerprintStartsFresh) {
+  ResultTable table(4, {});
+  ASSERT_EQ(table.begin(7, "a").fate, ResultTable::Fate::lead);
+  table.finish(7, false, "transient");
+  EXPECT_EQ(table.begin(7, "a").fate, ResultTable::Fate::lead);  // new job
+  table.finish(7, true, "two");
 }
 
-TEST(ServeInflight, FinishedFingerprintStartsFresh) {
-  InflightTable table;
-  const auto first = table.begin(7);
-  table.finish(7, first.job, InflightTable::JobState::done, "one");
-  const auto second = table.begin(7);
-  EXPECT_TRUE(second.leader);  // new job, not the finished one
-  table.finish(7, second.job, InflightTable::JobState::done, "two");
+TEST(ServeTable, EnforcesGlobalBudget) {
+  ResultTable table(4, {2, 2});
+  EXPECT_EQ(table.begin(1, "a").fate, ResultTable::Fate::lead);
+  EXPECT_EQ(table.begin(2, "b").fate, ResultTable::Fate::lead);
+  EXPECT_EQ(table.begin(3, "c").fate, ResultTable::Fate::rejected);
+  EXPECT_EQ(table.stats().rejected, 1u);
+  table.finish(1, true, "one");
+  EXPECT_EQ(table.begin(3, "c").fate, ResultTable::Fate::lead);
+  EXPECT_EQ(table.stats().jobs, 2u);
 }
 
-TEST(ServeAdmission, EnforcesGlobalBudget) {
-  AdmissionController admission({2, 2});
-  EXPECT_TRUE(admission.try_acquire("a"));
-  EXPECT_TRUE(admission.try_acquire("b"));
-  EXPECT_FALSE(admission.try_acquire("c"));
-  EXPECT_EQ(admission.rejected(), 1u);
-  admission.release("a");
-  EXPECT_TRUE(admission.try_acquire("c"));
-  EXPECT_EQ(admission.jobs_in_flight(), 2u);
+TEST(ServeTable, EnforcesPerClientBudget) {
+  ResultTable table(4, {8, 1});
+  EXPECT_EQ(table.begin(1, "a").fate, ResultTable::Fate::lead);
+  EXPECT_EQ(table.begin(2, "a").fate, ResultTable::Fate::rejected);
+  EXPECT_EQ(table.begin(3, "b").fate, ResultTable::Fate::lead);  // others free
+  table.finish(1, true, "one");
+  EXPECT_EQ(table.begin(2, "a").fate, ResultTable::Fate::lead);
 }
 
-TEST(ServeAdmission, EnforcesPerClientBudget) {
-  AdmissionController admission({8, 1});
-  EXPECT_TRUE(admission.try_acquire("a"));
-  EXPECT_FALSE(admission.try_acquire("a"));  // over the per-client budget
-  EXPECT_TRUE(admission.try_acquire("b"));   // other clients unaffected
-  admission.release("a");
-  EXPECT_TRUE(admission.try_acquire("a"));
+TEST(ServeTable, RejectedBeginLeavesNoJob) {
+  ResultTable table(4, {8, 1});
+  EXPECT_EQ(table.begin(1, "a").fate, ResultTable::Fate::lead);
+  EXPECT_EQ(table.begin(2, "a").fate, ResultTable::Fate::rejected);
+  EXPECT_FALSE(table.running(2));
+  EXPECT_EQ(table.stats().jobs, 1u);
+  // Nothing to attach to: a client with budget leads the fingerprint.
+  EXPECT_EQ(table.begin(2, "b").fate, ResultTable::Fate::lead);
+  EXPECT_EQ(table.stats().attached, 0u);
 }
 
 TEST(ServeQueue, PushPopRoundTripsInOrder) {

@@ -19,6 +19,10 @@ Checks, in order:
    prove the taps fired: ethsm_solver_solves_total and
    ethsm_solver_iterations_total are nonzero and checkpoint appends
    happened.
+5. Each served request makes at most one result-cache lookup: POST
+   /v1/run and GET /v1/result are the only routes that look up, so
+   cache_hits_total + cache_misses_total <= requests_run_total +
+   requests_result_total.
 
 Exit 0 when all checks pass; 1 with a diagnostic on the first failure.
 """
@@ -173,11 +177,22 @@ def main() -> int:
             if samples.get(name, 0) <= 0:
                 raise ValueError(f"{name}: expected nonzero after a computation")
 
+    lookups = (samples["ethsm_serve_cache_hits_total"]
+               + samples["ethsm_serve_cache_misses_total"])
+    lookup_requests = (samples["ethsm_serve_requests_run_total"]
+                       + samples["ethsm_serve_requests_result_total"])
+    if lookups > lookup_requests:
+        raise ValueError(
+            f"{lookups:g} cache lookups for {lookup_requests:g} run/result "
+            "requests: a request looked the cache up more than once"
+        )
+
     families = sum(1 for kind in types.values())
     print(
         f"check_metrics: OK -- {families} families, "
         f"{len(first_counters)} counters monotone, "
-        f"/v1/status consistent with /metrics"
+        f"/v1/status consistent with /metrics, "
+        f"{lookups:g} cache lookups for {lookup_requests:g} requests"
     )
     return 0
 
